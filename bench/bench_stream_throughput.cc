@@ -11,7 +11,14 @@
 //   * per-trajectory finalization latency p50/p99;
 //   * WAL durability overhead: the live pass repeated with the store in
 //     durable mode (every Put framed into the write-ahead log, one
-//     checkpoint at the end) vs. the in-memory baseline.
+//     checkpoint at the end) vs. the in-memory baseline;
+//   * exact WAL bytes per fix, live vs. offline, on the same corpus and
+//     over an episodes-per-trajectory sweep of taxi shifts (1 s
+//     sampling, longer shift = more episodes per trajectory). Live
+//     sessions log append records, so their WAL stays within a constant
+//     factor of offline's however many episodes a trajectory has; the
+//     gated offline_over_live_wal_bytes ratios fail the perf gate if
+//     per-episode rewriting of the prefix creeps back.
 //
 // `bench_stream_throughput smoke` runs a scaled-down corpus for CI.
 // Machine-readable numbers (throughputs, WAL overhead, kernel speedup,
@@ -34,6 +41,7 @@
 #include "analytics/latency_profiler.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "hmm/hmm.h"
 #include "stream/annotation_session.h"
 #include "core/pipeline.h"
@@ -93,6 +101,90 @@ double ReferenceViterbiScalar(const hmm::HmmModel& model,
   double best = kNegInf;
   for (size_t i = 0; i < n; ++i) best = std::max(best, delta[t_max - 1][i]);
   return best;
+}
+
+// Bytes in the active WAL of a durable store directory.
+size_t WalBytes(const std::filesystem::path& dir) {
+  std::error_code ec;
+  uintmax_t bytes = std::filesystem::file_size(dir / "wal.log", ec);
+  return ec ? 0 : static_cast<size_t>(bytes);
+}
+
+std::filesystem::path ScratchDir(const std::string& name) {
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("semitri_bench_" + name + "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// One corpus through the offline pipeline and, fix by fix round-robin,
+// through a SessionManager, each into its own durable store: wall time
+// and exact WAL bytes of both, and whether the stores agree.
+struct WalComparison {
+  double offline_seconds = 0.0;
+  double live_seconds = 0.0;
+  size_t offline_wal_bytes = 0;
+  size_t live_wal_bytes = 0;
+  size_t episodes_closed = 0;
+  size_t trajectories = 0;
+  bool stores_equal = false;
+};
+
+bool CompareWal(const datagen::World& world, const datagen::Dataset& corpus,
+                WalComparison* out) {
+  std::filesystem::path offline_dir = ScratchDir("offline_wal");
+  std::filesystem::path live_dir = ScratchDir("live_wal");
+  store::StoreConfig offline_config;
+  offline_config.durable_dir = offline_dir.string();
+  store::SemanticTrajectoryStore offline(offline_config);
+  store::StoreConfig live_config;
+  live_config.durable_dir = live_dir.string();
+  store::SemanticTrajectoryStore live(live_config);
+  bool ok = true;
+  {
+    core::SemiTriPipeline pipeline(&world.regions, &world.roads, &world.pois,
+                                   core::PipelineConfig{}, &offline);
+    auto start = std::chrono::steady_clock::now();
+    for (const datagen::SimulatedTrack& track : corpus.tracks) {
+      ok = ok && pipeline
+                     .ProcessStream(track.object_id, track.points,
+                                    static_cast<core::TrajectoryId>(
+                                        track.object_id) *
+                                        1000)
+                     .ok();
+    }
+    ok = ok && offline.Sync().ok();
+    out->offline_seconds = SecondsSince(start);
+  }
+  {
+    core::SemiTriPipeline pipeline(&world.regions, &world.roads, &world.pois,
+                                   core::PipelineConfig{}, &live);
+    stream::SessionManager manager(&pipeline);
+    size_t longest = 0;
+    for (const datagen::SimulatedTrack& t : corpus.tracks) {
+      longest = std::max(longest, t.points.size());
+    }
+    auto start = std::chrono::steady_clock::now();
+    for (size_t k = 0; k < longest && ok; ++k) {
+      for (const datagen::SimulatedTrack& track : corpus.tracks) {
+        if (k < track.points.size()) {
+          ok = ok && manager.Feed(track.object_id, track.points[k]).ok();
+        }
+      }
+    }
+    ok = ok && manager.CloseAll().ok() && live.Sync().ok();
+    out->live_seconds = SecondsSince(start);
+    out->episodes_closed = manager.stats().episodes_closed;
+    out->trajectories = manager.stats().trajectories_closed;
+  }
+  out->offline_wal_bytes = WalBytes(offline_dir);
+  out->live_wal_bytes = WalBytes(live_dir);
+  out->stores_equal = live.ContentEquals(offline);
+  std::filesystem::remove_all(offline_dir);
+  std::filesystem::remove_all(live_dir);
+  if (!ok) std::fprintf(stderr, "wal comparison run failed\n");
+  return ok;
 }
 
 void PrintSummary(const char* label,
@@ -194,10 +286,7 @@ int main(int argc, char** argv) {
   // Same live pass in durable mode: every Put framed into the WAL
   // first, one atomic checkpoint compaction at the end. The delta vs.
   // the in-memory pass is the cost of crash safety.
-  std::filesystem::path wal_dir =
-      std::filesystem::temp_directory_path() /
-      ("semitri_bench_wal_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(wal_dir);
+  std::filesystem::path wal_dir = ScratchDir("wal");
   store::StoreConfig durable_config;
   durable_config.durable_dir = wal_dir.string();
   store::SemanticTrajectoryStore durable_store(durable_config);
@@ -228,6 +317,74 @@ int main(int argc, char** argv) {
   std::printf("WAL durability overhead: %s  (%.3f s -> %.3f s)\n\n",
               benchutil::Pct(wal_overhead).c_str(), live_seconds,
               wal_seconds);
+
+  // --- WAL bytes per fix: live vs. offline ----------------------------
+  // Same corpus, both paths into durable stores, exact log sizes before
+  // any checkpoint. Then the episodes-per-trajectory sweep: one taxi
+  // shift per point, longer shifts closing more episodes per trajectory
+  // (the worst case for rewriting the prefix on every closed episode).
+  benchutil::BenchReporter reporter("stream_throughput");
+  WalComparison corpus_wal;
+  if (!CompareWal(world, people, &corpus_wal)) return 1;
+  if (!corpus_wal.stores_equal) {
+    std::fprintf(stderr, "live durable store diverged from offline\n");
+    return 1;
+  }
+  auto per_fix = [](size_t bytes, size_t fixes) {
+    return static_cast<double>(bytes) / static_cast<double>(fixes);
+  };
+  std::printf("WAL bytes/fix:   offline %.1f, live %.1f (offline/live %.3f)\n",
+              per_fix(corpus_wal.offline_wal_bytes, total_points),
+              per_fix(corpus_wal.live_wal_bytes, total_points),
+              static_cast<double>(corpus_wal.offline_wal_bytes) /
+                  static_cast<double>(corpus_wal.live_wal_bytes));
+  reporter.Metric("offline_wal_bytes_per_fix",
+                  per_fix(corpus_wal.offline_wal_bytes, total_points));
+  reporter.Metric("live_wal_bytes_per_fix",
+                  per_fix(corpus_wal.live_wal_bytes, total_points));
+  reporter.GateRatio("offline_over_live_wal_bytes",
+                     static_cast<double>(corpus_wal.offline_wal_bytes) /
+                         static_cast<double>(corpus_wal.live_wal_bytes));
+
+  std::printf("\nepisodes-per-trajectory sweep (1 taxi, 1 s sampling):\n");
+  std::printf("  %6s %8s %10s %12s %12s %14s\n", "shift", "fixes",
+              "eps/traj", "offline B/fx", "live B/fx", "live/offline/s");
+  const std::vector<double> shifts =
+      smoke ? std::vector<double>{1.0, 6.0}
+            : std::vector<double>{1.0, 2.0, 4.0, 6.0};
+  datagen::DatasetFactory taxi_factory(&world, /*seed=*/773);
+  for (double hours : shifts) {
+    datagen::Dataset taxi = taxi_factory.LausanneTaxis(1, 1, hours);
+    const size_t fixes = taxi.TotalRecords();
+    WalComparison point;
+    if (!CompareWal(world, taxi, &point)) return 1;
+    if (!point.stores_equal) {
+      std::fprintf(stderr, "%.0f h shift: live store diverged\n", hours);
+      return 1;
+    }
+    const double episodes_per_trajectory =
+        static_cast<double>(point.episodes_closed) /
+        static_cast<double>(std::max<size_t>(1, point.trajectories));
+    const double live_over_offline = point.offline_seconds / point.live_seconds;
+    std::printf("  %5.0fh %8zu %10.1f %12.1f %12.1f %14.3f\n", hours, fixes,
+                episodes_per_trajectory,
+                per_fix(point.offline_wal_bytes, fixes),
+                per_fix(point.live_wal_bytes, fixes), live_over_offline);
+    const std::string key = common::StrFormat("sweep_%.0fh_", hours);
+    reporter.Metric(key + "fixes", fixes);
+    reporter.Metric(key + "episodes_per_trajectory", episodes_per_trajectory);
+    reporter.Metric(key + "offline_wal_bytes_per_fix",
+                    per_fix(point.offline_wal_bytes, fixes));
+    reporter.Metric(key + "live_wal_bytes_per_fix",
+                    per_fix(point.live_wal_bytes, fixes));
+    reporter.Metric(key + "live_over_offline_points_per_s", live_over_offline);
+    if (hours == shifts.back()) {
+      reporter.GateRatio("long_shift_offline_over_live_wal_bytes",
+                         static_cast<double>(point.offline_wal_bytes) /
+                             static_cast<double>(point.live_wal_bytes));
+    }
+  }
+  std::printf("\n");
 
   PrintSummary("episode annotation latency",
                profiler.Summarize(stream::kStreamStageEpisodeAnnotation));
@@ -309,7 +466,6 @@ int main(int argc, char** argv) {
   // --- kernel section (perf-gate) ---------------------------------------
   // Flat arena-backed Viterbi vs. the nested-vector reference above, on
   // a stop sequence shaped like the streaming workload's decode calls.
-  benchutil::BenchReporter reporter("stream_throughput");
   {
     const size_t kStates = 8;
     const size_t kStops = smoke ? 2000 : 20000;
@@ -383,6 +539,8 @@ int main(int argc, char** argv) {
                   static_cast<double>(total_points) / live_seconds);
   reporter.Metric("live_wal_points_per_s",
                   static_cast<double>(total_points) / wal_seconds);
+  reporter.Metric("live_over_offline_points_per_s",
+                  offline_seconds / live_seconds);
   reporter.Metric("wal_overhead_fraction", wal_overhead);
   reporter.Metric("overload_points_per_s",
                   static_cast<double>(total_points) / overload_seconds);

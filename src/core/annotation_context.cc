@@ -9,10 +9,25 @@ const traj::PointBatch& AnnotationContext::PointsBatch() {
   traj::PointBatch& batch = scratch != nullptr ? scratch->batch
                                                : fallback_batch_;
   if (!batch_built_) {
-    batch.BuildFrom(result.cleaned);
+    if (batch_points > 0 && scratch != nullptr &&
+        batch.size() == batch_points) {
+      batch.Extend(result.cleaned);
+    } else {
+      batch.BuildFrom(result.cleaned);
+    }
     batch_built_ = true;
   }
   return batch;
+}
+
+size_t& StoreWatermark::layer(Layer which) {
+  switch (which) {
+    case Layer::kRegion: return region;
+    case Layer::kLine: return line;
+    case Layer::kPoint: return point;
+  }
+  SEMITRI_CHECK(false) << "invalid layer";
+  return region;
 }
 
 const char* LayerName(Layer layer) {

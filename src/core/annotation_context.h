@@ -75,6 +75,23 @@ struct PipelineResult {
   const std::optional<StructuredSemanticTrajectory>& layer(Layer which) const;
 };
 
+// How much of one trajectory a store already holds, per table: rows
+// [0, n) of the cleaned trace, the episode table and each layer's
+// interpretation, equal to the same rows of the PipelineResult being
+// stored. A streaming session keeps one per open trajectory, so its
+// store stages log append records for the rows past the mark instead of
+// re-putting the whole prefix (see core/stages.h). Zero means nothing
+// is stored yet: the next write of that table is a full put.
+struct StoreWatermark {
+  size_t raw_points = 0;
+  size_t episodes = 0;
+  size_t region = 0;
+  size_t line = 0;
+  size_t point = 0;
+
+  size_t& layer(Layer which);
+};
+
 // Mutable context handed to every AnnotationStage::Run. Stages read the
 // artifacts earlier stages produced and write their own; the sinks are
 // shared and internally synchronized.
@@ -105,6 +122,24 @@ struct AnnotationContext {
   // run builds the point batch into `fallback_batch_` and the stages use
   // local scratch.
   AnnotationScratch* scratch = nullptr;
+
+  // --- incremental runs (stream::AnnotationSession) -------------------
+  // Null: every store stage writes full puts (offline runs, whose WAL is
+  // byte-identical to a store without append records). Otherwise store
+  // stages write only the rows past the mark, as append records, and
+  // advance it; a stage that recomputes a layer (rather than appending
+  // to it) lowers that layer's mark to the rows the old and new layer
+  // share.
+  StoreWatermark* store_watermark = nullptr;
+  // Episodes [0, annotated_episodes) already carry their region and
+  // line annotations in `result` — both layers are per-episode pure —
+  // so those stages annotate only the later episodes and append. 0 =
+  // annotate every episode.
+  size_t annotated_episodes = 0;
+  // The scratch batch already mirrors result.cleaned.points[0,
+  // batch_points): PointsBatch() appends the rest instead of
+  // rebuilding. 0 = rebuild.
+  size_t batch_points = 0;
 
   // SoA view of result.cleaned, built lazily on first use (into the
   // scratch when present, so its capacity is reused across runs).

@@ -116,14 +116,13 @@ class SemiTriPipeline {
   // already-computed cleaned trace + episode table (`computed.cleaned`
   // and `computed.episodes` must be set). Annotation layers, store rows
   // and latency samples come out exactly as a full ProcessTrajectory on
-  // the underlying raw trajectory would produce them. This is the
-  // finalization path of the streaming subsystem (stream/), where
-  // episodes were computed incrementally by stream::EpisodeDetector.
+  // the underlying raw trajectory would produce them. A streaming
+  // session's incremental passes (stream::AnnotationSession) must equal
+  // this run over the same cleaned prefix and episodes.
   [[nodiscard]] common::Result<PipelineResult> AnnotateComputed(PipelineResult computed)
       const;
 
-  // Governed variant of AnnotateComputed — the streaming subsystem's
-  // path for bounding per-flush annotation work.
+  // Governed variant of AnnotateComputed.
   [[nodiscard]] common::Result<PipelineResult> AnnotateComputed(
       PipelineResult computed, const RunControls& controls) const;
 

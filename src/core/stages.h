@@ -17,6 +17,15 @@
 // Every stage holds only const pointers to components owned by the
 // pipeline (or the caller) and is safe to run concurrently with
 // distinct contexts.
+//
+// Incremental runs (AnnotationContext::store_watermark /
+// annotated_episodes, set by stream::AnnotationSession): the region and
+// line stages annotate only episodes past annotated_episodes and append
+// to the layer already on the result; the point stage always recomputes
+// its layer (Viterbi over every stop) and lowers its watermark to the
+// rows that did not change; the store stages log append records for the
+// rows past each table's watermark instead of full puts. Without a
+// watermark every store stage writes full puts, exactly as offline.
 
 #include "core/stage.h"
 #include "poi/point_annotator.h"

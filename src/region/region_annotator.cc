@@ -125,9 +125,18 @@ RegionAnnotator::AnnotateEpisodes(const core::RawTrajectory& trajectory,
   out.trajectory_id = trajectory.id;
   out.object_id = trajectory.object_id;
   out.interpretation = "region";
+  SEMITRI_RETURN_IF_ERROR(
+      AnnotateEpisodesFrom(trajectory, episodes, /*first=*/0, exec, &out));
+  return out;
+}
 
+common::Status RegionAnnotator::AnnotateEpisodesFrom(
+    const core::RawTrajectory& trajectory,
+    const std::vector<core::Episode>& episodes, size_t first,
+    const common::ExecControl* exec,
+    core::StructuredSemanticTrajectory* out) const {
   common::ExecCheckpoint checkpoint(exec);
-  for (size_t e = 0; e < episodes.size(); ++e) {
+  for (size_t e = first; e < episodes.size(); ++e) {
     const core::Episode& episode = episodes[e];
     if (exec != nullptr) {
       SEMITRI_RETURN_IF_ERROR(exec->Check("region_annotate_episodes"));
@@ -171,9 +180,9 @@ RegionAnnotator::AnnotateEpisodes(const core::RawTrajectory& trajectory,
       }
     }
     AttachRegionAnnotations(chosen, &ep);
-    out.episodes.push_back(std::move(ep));
+    out->episodes.push_back(std::move(ep));
   }
-  return out;
+  return common::Status::OK();
 }
 
 }  // namespace semitri::region

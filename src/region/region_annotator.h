@@ -64,9 +64,8 @@ class RegionAnnotator {
   core::StructuredSemanticTrajectory Annotate(
       const core::RawTrajectory& trajectory,
       const std::vector<core::Episode>& episodes) const {
-    return config_.granularity == RegionAnnotatorConfig::Granularity::kPerPoint
-               ? AnnotateTrajectory(trajectory)
-               : AnnotateEpisodes(trajectory, episodes);
+    return per_episode() ? AnnotateEpisodes(trajectory, episodes)
+                         : AnnotateTrajectory(trajectory);
   }
 
   // Deadline-aware variants: the per-point classification and the
@@ -83,10 +82,27 @@ class RegionAnnotator {
       const core::RawTrajectory& trajectory,
       const std::vector<core::Episode>& episodes,
       const common::ExecControl* exec) const {
-    return config_.granularity == RegionAnnotatorConfig::Granularity::kPerPoint
-               ? AnnotateTrajectory(trajectory, exec)
-               : AnnotateEpisodes(trajectory, episodes, exec);
+    return per_episode() ? AnnotateEpisodes(trajectory, episodes, exec)
+                         : AnnotateTrajectory(trajectory, exec);
   }
+
+  // True for kPerEpisode granularity, where each episode's semantic
+  // episode depends only on that episode and its points — so a growing
+  // trajectory can be annotated episode by episode (AnnotateEpisodesFrom).
+  bool per_episode() const {
+    return config_.granularity ==
+           RegionAnnotatorConfig::Granularity::kPerEpisode;
+  }
+
+  // Appends the semantic episodes of episodes[first, size) to
+  // out->episodes — the incremental form of AnnotateEpisodes, which is
+  // this with first = 0 on an empty `out`. On error `out` may hold part
+  // of the new episodes.
+  [[nodiscard]] common::Status AnnotateEpisodesFrom(
+      const core::RawTrajectory& trajectory,
+      const std::vector<core::Episode>& episodes, size_t first,
+      const common::ExecControl* exec,
+      core::StructuredSemanticTrajectory* out) const;
 
  private:
   void AttachRegionAnnotations(core::PlaceId region_id,

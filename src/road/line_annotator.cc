@@ -107,18 +107,27 @@ common::Result<core::StructuredSemanticTrajectory> LineAnnotator::Annotate(
   out.trajectory_id = batch.id();
   out.object_id = batch.object_id();
   out.interpretation = "line";
+  SEMITRI_RETURN_IF_ERROR(
+      AnnotateFrom(batch, episodes, /*first=*/0, exec, scratch, &out.episodes));
+  return out;
+}
+
+common::Status LineAnnotator::AnnotateFrom(
+    const traj::PointBatch& batch, const std::vector<core::Episode>& episodes,
+    size_t first, const common::ExecControl* exec, LineScratch* scratch,
+    std::vector<core::SemanticEpisode>* out) const {
   LineScratch local;
   LineScratch& s = scratch != nullptr ? *scratch : local;
-  for (size_t e = 0; e < episodes.size(); ++e) {
+  for (size_t e = first; e < episodes.size(); ++e) {
     if (episodes[e].kind != core::EpisodeKind::kMove) continue;
     if (exec != nullptr) {
       SEMITRI_RETURN_IF_ERROR(exec->Check("line_annotate"));
     }
     SEMITRI_RETURN_IF_ERROR(
         AnnotateMove(batch.View(episodes[e].begin, episodes[e].num_points()),
-                     e, exec, &s, &out.episodes));
+                     e, exec, &s, out));
   }
-  return out;
+  return common::Status::OK();
 }
 
 }  // namespace semitri::road

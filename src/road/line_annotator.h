@@ -96,6 +96,16 @@ class LineAnnotator {
       const traj::PointBatch& batch,
       const std::vector<core::Episode>& episodes) const;
 
+  // Appends the semantic episodes of the kMove episodes among
+  // episodes[first, size) to `out` — the incremental form of Annotate
+  // (matching is scoped to one move, so each move's episodes depend only
+  // on its own points), which is this with first = 0. On error `out` may
+  // hold part of the new episodes.
+  [[nodiscard]] common::Status AnnotateFrom(
+      const traj::PointBatch& batch, const std::vector<core::Episode>& episodes,
+      size_t first, const common::ExecControl* exec, LineScratch* scratch,
+      std::vector<core::SemanticEpisode>* out) const;
+
   const GlobalMapMatcher& matcher() const { return matcher_; }
   const TransportModeClassifier& classifier() const { return classifier_; }
 

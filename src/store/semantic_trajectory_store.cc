@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <functional>
+#include <span>
+#include <utility>
 
 #include "common/fault_injection.h"
 #include "common/serial.h"
@@ -263,10 +264,19 @@ common::Status SemanticTrajectoryStore::EnterDegradedLocked(
   return cause;
 }
 
+common::Status SemanticTrajectoryStore::CheckWritableLocked() const {
+  if (!degraded_) return common::Status::OK();
+  return common::Status::Unavailable(
+      "store is in read-only degraded mode: " + degraded_reason_);
+}
+
 common::Status SemanticTrajectoryStore::AppendWriteThrough(
-    const std::string& file, const std::string& header,
-    const std::vector<std::string>& rows) {
+    const std::string& file, const std::string& header, size_t begin,
+    size_t end, const std::function<std::string(size_t)>& row) {
   if (config_.write_through_dir.empty()) return common::Status::OK();
+  std::vector<std::string> rows;
+  rows.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) rows.push_back(row(i));
   common::Status created = env_->CreateDirs(config_.write_through_dir);
   if (!created.ok()) {
     return EnterDegradedLocked(common::Status::IoError(
@@ -334,14 +344,103 @@ void SemanticTrajectoryStore::ApplyInterpretation(
   interpretations_[key] = trajectory;
 }
 
+void SemanticTrajectoryStore::ApplyRawPointsAppend(
+    core::TrajectoryId id, core::ObjectId object_id, size_t start,
+    std::span<const core::GpsPoint> tail) {
+  core::RawTrajectory& t = raw_[id];
+  gps_record_count_ -= t.points.size() - start;
+  gps_record_count_ += tail.size();
+  t.id = id;
+  t.object_id = object_id;
+  t.points.resize(start);
+  t.points.insert(t.points.end(), tail.begin(), tail.end());
+}
+
+void SemanticTrajectoryStore::ApplyEpisodesAppend(
+    core::TrajectoryId id, size_t start, std::span<const core::Episode> tail) {
+  std::vector<core::Episode>& episodes = episodes_[id];
+  episode_count_ -= episodes.size() - start;
+  episode_count_ += tail.size();
+  episodes.resize(start);
+  episodes.insert(episodes.end(), tail.begin(), tail.end());
+}
+
+void SemanticTrajectoryStore::ApplyInterpretationAppend(
+    const core::StructuredSemanticTrajectory& header, size_t start,
+    std::span<const core::SemanticEpisode> tail) {
+  core::StructuredSemanticTrajectory& t = interpretations_[std::make_pair(
+      header.trajectory_id, header.interpretation)];
+  semantic_episode_count_ -= t.episodes.size() - start;
+  semantic_episode_count_ += tail.size();
+  t.trajectory_id = header.trajectory_id;
+  t.object_id = header.object_id;
+  t.interpretation = header.interpretation;
+  t.episodes.resize(start);
+  t.episodes.insert(t.episodes.end(), tail.begin(), tail.end());
+}
+
+size_t SemanticTrajectoryStore::StoredPoints(core::TrajectoryId id) const {
+  auto it = raw_.find(id);
+  return it == raw_.end() ? 0 : it->second.points.size();
+}
+
+size_t SemanticTrajectoryStore::StoredEpisodes(core::TrajectoryId id) const {
+  auto it = episodes_.find(id);
+  return it == episodes_.end() ? 0 : it->second.size();
+}
+
+size_t SemanticTrajectoryStore::StoredSemanticEpisodes(
+    core::TrajectoryId id, const std::string& interpretation) const {
+  auto it = interpretations_.find(std::make_pair(id, interpretation));
+  return it == interpretations_.end() ? 0 : it->second.episodes.size();
+}
+
+namespace {
+
+// An append must start inside (or right after) the stored rows: a gap
+// would leave rows no record ever wrote.
+common::Status CheckAppendStart(common::StatusCode code, const char* table,
+                                core::TrajectoryId id, size_t start,
+                                size_t stored) {
+  if (start <= stored) return common::Status::OK();
+  return common::Status(
+      code, common::StrFormat("%s append for trajectory %lld starts at row "
+                              "%zu past the %zu stored rows",
+                              table, static_cast<long long>(id), start,
+                              stored));
+}
+
+// Names one table entry for ReplayGaps.
+std::string EntryKey(const char* table, core::TrajectoryId id,
+                     const std::string& interpretation = "") {
+  return common::StrFormat("%s/%lld/%s", table, static_cast<long long>(id),
+                           interpretation.c_str());
+}
+
+}  // namespace
+
 common::Status SemanticTrajectoryStore::ApplyWalRecord(
-    WalRecordType type, std::string_view payload) {
+    WalRecordType type, std::string_view payload, ReplayGaps* gaps) {
   common::StateReader reader(payload);
+  constexpr common::StatusCode kCorrupt = common::StatusCode::kCorruption;
+  // An append whose start lies past the stored rows is set aside in
+  // `gaps` instead of applied. Replaying a log over a newer checkpoint
+  // can meet appends logged before a full put shrank the entry; that
+  // full put, later in the same log, rewrites the entry whole and
+  // clears the gap. Recover() reports any gap left at the end.
+  auto set_aside = [gaps](std::string key, common::Status gap) {
+    gaps->emplace(std::move(key), std::move(gap));
+  };
+  auto repaired = [gaps](const char* table, core::TrajectoryId id,
+                         const std::string& interpretation = "") {
+    if (!gaps->empty()) gaps->erase(EntryKey(table, id, interpretation));
+  };
   switch (type) {
     case WalRecordType::kPutRawTrajectory: {
       core::RawTrajectory trajectory;
       SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &trajectory));
       ApplyRawTrajectory(trajectory);
+      repaired("gps", trajectory.id);
       break;
     }
     case WalRecordType::kPutEpisodes: {
@@ -350,12 +449,62 @@ common::Status SemanticTrajectoryStore::ApplyWalRecord(
       SEMITRI_RETURN_IF_ERROR(reader.GetI64(&id));
       SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &episodes));
       ApplyEpisodes(id, episodes);
+      repaired("episode", id);
       break;
     }
     case WalRecordType::kPutInterpretation: {
       core::StructuredSemanticTrajectory trajectory;
       SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &trajectory));
       ApplyInterpretation(trajectory);
+      repaired("semantic episode", trajectory.trajectory_id,
+               trajectory.interpretation);
+      break;
+    }
+    case WalRecordType::kAppendRawPoints: {
+      uint64_t start = 0;
+      core::RawTrajectory tail;
+      SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
+      SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &tail));
+      common::Status fits = CheckAppendStart(kCorrupt, "gps", tail.id, start,
+                                             StoredPoints(tail.id));
+      if (!fits.ok()) {
+        set_aside(EntryKey("gps", tail.id), std::move(fits));
+        break;
+      }
+      ApplyRawPointsAppend(tail.id, tail.object_id, start, tail.points);
+      break;
+    }
+    case WalRecordType::kAppendEpisodes: {
+      int64_t id = 0;
+      uint64_t start = 0;
+      std::vector<core::Episode> tail;
+      SEMITRI_RETURN_IF_ERROR(reader.GetI64(&id));
+      SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
+      SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &tail));
+      common::Status fits = CheckAppendStart(kCorrupt, "episode", id, start,
+                                             StoredEpisodes(id));
+      if (!fits.ok()) {
+        set_aside(EntryKey("episode", id), std::move(fits));
+        break;
+      }
+      ApplyEpisodesAppend(id, start, tail);
+      break;
+    }
+    case WalRecordType::kAppendInterpretation: {
+      uint64_t start = 0;
+      core::StructuredSemanticTrajectory tail;
+      SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
+      SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &tail));
+      common::Status fits = CheckAppendStart(
+          kCorrupt, "semantic episode", tail.trajectory_id, start,
+          StoredSemanticEpisodes(tail.trajectory_id, tail.interpretation));
+      if (!fits.ok()) {
+        set_aside(EntryKey("semantic episode", tail.trajectory_id,
+                           tail.interpretation),
+                  std::move(fits));
+        break;
+      }
+      ApplyInterpretationAppend(tail, start, tail.episodes);
       break;
     }
     default:
@@ -370,10 +519,7 @@ common::Status SemanticTrajectoryStore::ApplyWalRecord(
 common::Status SemanticTrajectoryStore::PutRawTrajectory(
     const core::RawTrajectory& trajectory) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (degraded_) {
-    return common::Status::Unavailable(
-        "store is in read-only degraded mode: " + degraded_reason_);
-  }
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   if (!config_.durable_dir.empty()) {
     common::StateWriter payload;
     core::SaveState(trajectory, &payload);
@@ -381,21 +527,15 @@ common::Status SemanticTrajectoryStore::PutRawTrajectory(
         LogToWal(WalRecordType::kPutRawTrajectory, payload.data()));
   }
   ApplyRawTrajectory(trajectory);
-  std::vector<std::string> rows;
-  rows.reserve(trajectory.points.size());
-  for (const core::GpsPoint& p : trajectory.points) {
-    rows.push_back(GpsRow(trajectory, p));
-  }
-  return AppendWriteThrough("gps.csv", kGpsHeader, rows);
+  return AppendWriteThrough(
+      "gps.csv", kGpsHeader, 0, trajectory.points.size(),
+      [&](size_t i) { return GpsRow(trajectory, trajectory.points[i]); });
 }
 
 common::Status SemanticTrajectoryStore::PutEpisodes(
     core::TrajectoryId id, const std::vector<core::Episode>& episodes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (degraded_) {
-    return common::Status::Unavailable(
-        "store is in read-only degraded mode: " + degraded_reason_);
-  }
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   if (!config_.durable_dir.empty()) {
     common::StateWriter payload;
     payload.PutI64(id);
@@ -404,12 +544,9 @@ common::Status SemanticTrajectoryStore::PutEpisodes(
         LogToWal(WalRecordType::kPutEpisodes, payload.data()));
   }
   ApplyEpisodes(id, episodes);
-  std::vector<std::string> rows;
-  rows.reserve(episodes.size());
-  for (size_t i = 0; i < episodes.size(); ++i) {
-    rows.push_back(EpisodeRow(id, i, episodes[i]));
-  }
-  return AppendWriteThrough("episodes.csv", kEpisodeHeader, rows);
+  return AppendWriteThrough(
+      "episodes.csv", kEpisodeHeader, 0, episodes.size(),
+      [&](size_t i) { return EpisodeRow(id, i, episodes[i]); });
 }
 
 common::Status SemanticTrajectoryStore::PutInterpretation(
@@ -419,10 +556,7 @@ common::Status SemanticTrajectoryStore::PutInterpretation(
         "interpretation name must be set");
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (degraded_) {
-    return common::Status::Unavailable(
-        "store is in read-only degraded mode: " + degraded_reason_);
-  }
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   if (!config_.durable_dir.empty()) {
     common::StateWriter payload;
     core::SaveState(trajectory, &payload);
@@ -430,12 +564,111 @@ common::Status SemanticTrajectoryStore::PutInterpretation(
         LogToWal(WalRecordType::kPutInterpretation, payload.data()));
   }
   ApplyInterpretation(trajectory);
-  std::vector<std::string> rows;
-  rows.reserve(trajectory.episodes.size());
-  for (size_t i = 0; i < trajectory.episodes.size(); ++i) {
-    rows.push_back(SemanticEpisodeRow(trajectory, i, trajectory.episodes[i]));
+  return AppendWriteThrough(
+      "semantic_episodes.csv", kSemanticHeader, 0, trajectory.episodes.size(),
+      [&](size_t i) {
+        return SemanticEpisodeRow(trajectory, i, trajectory.episodes[i]);
+      });
+}
+
+// The append payloads are laid out as `u64 start` followed by the
+// full-put encoding of an entry holding only the new rows (episodes:
+// `i64 id, u64 start`, then the episode-list encoding), written here
+// without materializing that tail entry; replay decodes them with the
+// ordinary core::RestoreState.
+
+common::Status SemanticTrajectoryStore::AppendRawPoints(
+    const core::RawTrajectory& trajectory, size_t start) {
+  if (start > trajectory.points.size()) {
+    return common::Status::InvalidArgument("append start past the argument");
   }
-  return AppendWriteThrough("semantic_episodes.csv", kSemanticHeader, rows);
+  std::lock_guard<std::mutex> lock(mutex_);
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
+  SEMITRI_RETURN_IF_ERROR(CheckAppendStart(
+      common::StatusCode::kFailedPrecondition, "gps", trajectory.id, start,
+      StoredPoints(trajectory.id)));
+  std::span<const core::GpsPoint> tail =
+      std::span<const core::GpsPoint>(trajectory.points).subspan(start);
+  if (!config_.durable_dir.empty()) {
+    common::StateWriter payload;
+    payload.PutU64(start);
+    payload.PutI64(trajectory.id);
+    payload.PutI64(trajectory.object_id);
+    payload.PutU64(tail.size());
+    for (const core::GpsPoint& p : tail) core::SaveState(p, &payload);
+    SEMITRI_RETURN_IF_ERROR(
+        LogToWal(WalRecordType::kAppendRawPoints, payload.data()));
+  }
+  ApplyRawPointsAppend(trajectory.id, trajectory.object_id, start, tail);
+  return AppendWriteThrough(
+      "gps.csv", kGpsHeader, start, trajectory.points.size(),
+      [&](size_t i) { return GpsRow(trajectory, trajectory.points[i]); });
+}
+
+common::Status SemanticTrajectoryStore::AppendEpisodes(
+    core::TrajectoryId id, const std::vector<core::Episode>& episodes,
+    size_t start) {
+  if (start > episodes.size()) {
+    return common::Status::InvalidArgument("append start past the argument");
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
+  SEMITRI_RETURN_IF_ERROR(
+      CheckAppendStart(common::StatusCode::kFailedPrecondition, "episode",
+                       id, start, StoredEpisodes(id)));
+  std::span<const core::Episode> tail =
+      std::span<const core::Episode>(episodes).subspan(start);
+  if (!config_.durable_dir.empty()) {
+    common::StateWriter payload;
+    payload.PutI64(id);
+    payload.PutU64(start);
+    payload.PutU64(tail.size());
+    for (const core::Episode& e : tail) core::SaveState(e, &payload);
+    SEMITRI_RETURN_IF_ERROR(
+        LogToWal(WalRecordType::kAppendEpisodes, payload.data()));
+  }
+  ApplyEpisodesAppend(id, start, tail);
+  return AppendWriteThrough(
+      "episodes.csv", kEpisodeHeader, start, episodes.size(),
+      [&](size_t i) { return EpisodeRow(id, i, episodes[i]); });
+}
+
+common::Status SemanticTrajectoryStore::AppendInterpretation(
+    const core::StructuredSemanticTrajectory& trajectory, size_t start) {
+  if (trajectory.interpretation.empty()) {
+    return common::Status::InvalidArgument(
+        "interpretation name must be set");
+  }
+  if (start > trajectory.episodes.size()) {
+    return common::Status::InvalidArgument("append start past the argument");
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
+  SEMITRI_RETURN_IF_ERROR(CheckAppendStart(
+      common::StatusCode::kFailedPrecondition, "semantic episode",
+      trajectory.trajectory_id, start,
+      StoredSemanticEpisodes(trajectory.trajectory_id,
+                             trajectory.interpretation)));
+  std::span<const core::SemanticEpisode> tail =
+      std::span<const core::SemanticEpisode>(trajectory.episodes)
+          .subspan(start);
+  if (!config_.durable_dir.empty()) {
+    common::StateWriter payload;
+    payload.PutU64(start);
+    payload.PutI64(trajectory.trajectory_id);
+    payload.PutI64(trajectory.object_id);
+    payload.PutString(trajectory.interpretation);
+    payload.PutU64(tail.size());
+    for (const core::SemanticEpisode& e : tail) core::SaveState(e, &payload);
+    SEMITRI_RETURN_IF_ERROR(
+        LogToWal(WalRecordType::kAppendInterpretation, payload.data()));
+  }
+  ApplyInterpretationAppend(trajectory, start, tail);
+  return AppendWriteThrough(
+      "semantic_episodes.csv", kSemanticHeader, start,
+      trajectory.episodes.size(), [&](size_t i) {
+        return SemanticEpisodeRow(trajectory, i, trajectory.episodes[i]);
+      });
 }
 
 common::Status SemanticTrajectoryStore::ExitDegradedMode() {
@@ -794,17 +1027,18 @@ SemanticTrajectoryStore::Recover(const std::string& dir) {
     stats.checkpoint_loaded = true;
   }
 
+  ReplayGaps gaps;
+  auto apply = [this, &gaps](WalRecordType type, std::string_view payload) {
+    return ApplyWalRecord(type, payload, &gaps);
+  };
+
   // Sealed segments replay before the active log — they hold strictly
   // older records. A sealed segment was fsynced before the rename
   // published it, so a torn frame there is genuine corruption rather
   // than a crash tail, and replay fails instead of truncating.
   for (const std::string& name : ListSealedWalSegments(dir, env_)) {
-    auto sealed = ReplayWal(
-        dir + "/" + name,
-        [this](WalRecordType type, std::string_view payload) {
-          return ApplyWalRecord(type, payload);
-        },
-        /*truncate_torn_tail=*/false, env_);
+    auto sealed = ReplayWal(dir + "/" + name, apply,
+                            /*truncate_torn_tail=*/false, env_);
     SEMITRI_RETURN_IF_ERROR(sealed.status());
     if (sealed->torn_bytes_truncated > 0) {
       return common::Status::Corruption("torn frame in sealed wal segment " +
@@ -816,26 +1050,24 @@ SemanticTrajectoryStore::Recover(const std::string& dir) {
 
   // Replay the log over the checkpoint. Records that predate the
   // checkpoint may still be in the log (crash between the CURRENT flip
-  // and the log truncation); replaying them is safe because every Put
-  // is a keyed overwrite, so replay converges to the logged state.
-  auto replayed = ReplayWal(
-      dir + "/" + kWalFile,
-      [this](WalRecordType type, std::string_view payload) {
-        return ApplyWalRecord(type, payload);
-      },
-      /*truncate_torn_tail=*/true, env_);
+  // and the log truncation); replaying them is safe because every full
+  // Put is a keyed overwrite and every append truncates to its start
+  // index before appending, so replay converges to the logged state
+  // (an append that meets fewer rows than its start waits for the full
+  // put that shrank the entry; see ApplyWalRecord).
+  auto replayed = ReplayWal(dir + "/" + kWalFile, apply,
+                            /*truncate_torn_tail=*/true, env_);
   SEMITRI_RETURN_IF_ERROR(replayed.status());
-  stats.wal_records_replayed = replayed->records_applied;
+  stats.wal_records_replayed += replayed->records_applied;
   stats.wal_torn_bytes_truncated = replayed->torn_bytes_truncated;
+  // A gap no later full put repaired: no valid write sequence leaves one.
+  if (!gaps.empty()) return gaps.begin()->second;
   return stats;
 }
 
 common::Status SemanticTrajectoryStore::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (degraded_) {
-    return common::Status::Unavailable(
-        "store is in read-only degraded mode: " + degraded_reason_);
-  }
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   if (config_.durable_dir.empty() || wal_ == nullptr) {
     return common::Status::OK();  // nothing appended yet
   }
@@ -863,10 +1095,7 @@ std::vector<std::string> SemanticTrajectoryStore::ListSealedWalSegments(
 common::Result<std::string> SemanticTrajectoryStore::SealWalSegment() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (config_.durable_dir.empty()) return std::string();
-  if (degraded_) {
-    return common::Status::Unavailable(
-        "store is in read-only degraded mode: " + degraded_reason_);
-  }
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   std::string active = config_.durable_dir + "/" + kWalFile;
   auto size = env_->FileSize(active);
   if (!size.ok() || *size == 0) return std::string();  // nothing to seal
@@ -903,10 +1132,7 @@ common::Result<std::string> SemanticTrajectoryStore::SealWalSegment() {
 common::Status SemanticTrajectoryStore::Checkpoint() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (config_.durable_dir.empty()) return common::Status::OK();
-  if (degraded_) {
-    return common::Status::Unavailable(
-        "store is in read-only degraded mode: " + degraded_reason_);
-  }
+  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
 
   common::FaultAction action = SEMITRI_FAULT_FIRE("wal_checkpoint");
   if (action == common::FaultAction::kFail) {

@@ -18,14 +18,25 @@
 // replays the log, truncates a torn tail, and leaves the in-memory
 // tables bit-identical (ContentEquals) to the pre-crash state.
 //
+// Append records: live sessions write only what is new. Append* calls
+// log and apply rows [start, size) of their argument together with
+// `start`; applying one truncates the stored entry to `start` rows and
+// appends the rest. Replay therefore converges even over a checkpoint
+// that already holds the rows (a crash between the CURRENT flip and
+// the log truncation), and a start past the stored length — a gap no
+// valid write sequence produces, unless a later full put in the same
+// log rewrote the entry — is Corruption.
+//
 // Thread-safe: every table access serializes on an internal mutex, so
 // the "store writes are serial" contract is enforced by the store itself
 // (and, on Clang builds, by -Wthread-safety over the annotations below)
 // rather than by caller discipline.
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,6 +95,25 @@ class SemanticTrajectoryStore {
   // name: "region", "line", "point").
   [[nodiscard]] common::Status PutInterpretation(
       const core::StructuredSemanticTrajectory& trajectory)
+      SEMITRI_EXCLUDES(mutex_);
+
+  // --- append writes (live sessions) ----------------------------------
+  //
+  // Each writes rows [start, size) of its argument: the stored entry is
+  // truncated to its first `start` rows and the new rows are appended
+  // (an absent entry counts as zero rows, so start 0 creates it). The
+  // WAL logs only the new rows plus `start`. FailedPrecondition, with
+  // nothing logged, when `start` exceeds the stored row count;
+  // InvalidArgument when it exceeds the argument's.
+
+  [[nodiscard]] common::Status AppendRawPoints(
+      const core::RawTrajectory& trajectory, size_t start)
+      SEMITRI_EXCLUDES(mutex_);
+  [[nodiscard]] common::Status AppendEpisodes(
+      core::TrajectoryId id, const std::vector<core::Episode>& episodes,
+      size_t start) SEMITRI_EXCLUDES(mutex_);
+  [[nodiscard]] common::Status AppendInterpretation(
+      const core::StructuredSemanticTrajectory& trajectory, size_t start)
       SEMITRI_EXCLUDES(mutex_);
 
   // --- reads ----------------------------------------------------------
@@ -200,7 +230,11 @@ class SemanticTrajectoryStore {
   // Rebuilds the in-memory tables from `dir` (checkpoint + WAL replay,
   // truncating a torn tail), replacing current content, and switches
   // this store into durable mode on `dir` so subsequent Puts append
-  // where the pre-crash process left off.
+  // where the pre-crash process left off. An append record whose start
+  // index lies past the stored row count is set aside; unless a later
+  // full put of the same entry in the replayed log rewrites it (a log
+  // replayed over a newer checkpoint, see ApplyWalRecord), recovery
+  // fails with Corruption.
   [[nodiscard]] common::Result<RecoveryStats> Recover(const std::string& dir)
       SEMITRI_EXCLUDES(mutex_);
 
@@ -236,9 +270,14 @@ class SemanticTrajectoryStore {
       const std::string& dir, common::Env* env = nullptr);
 
  private:
-  [[nodiscard]] common::Status AppendWriteThrough(const std::string& file,
-                                    const std::string& header,
-                                    const std::vector<std::string>& rows)
+  // Unavailable while degraded; OK otherwise.
+  [[nodiscard]] common::Status CheckWritableLocked() const
+      SEMITRI_REQUIRES(mutex_);
+  // Appends rows row(begin) .. row(end - 1) to `file` under
+  // write_through_dir; rows are only formatted when write-through is on.
+  [[nodiscard]] common::Status AppendWriteThrough(
+      const std::string& file, const std::string& header, size_t begin,
+      size_t end, const std::function<std::string(size_t)>& row)
       SEMITRI_REQUIRES(mutex_);
   // Lazily creates durable_dir and the WAL writer; OK outside durable
   // mode.
@@ -257,11 +296,33 @@ class SemanticTrajectoryStore {
   void ApplyInterpretation(
       const core::StructuredSemanticTrajectory& trajectory)
       SEMITRI_REQUIRES(mutex_);
+  // Append-record mutations: truncate the entry to `start` rows, then
+  // append `tail`. Callers have checked start against the stored rows.
+  void ApplyRawPointsAppend(core::TrajectoryId id, core::ObjectId object_id,
+                            size_t start,
+                            std::span<const core::GpsPoint> tail)
+      SEMITRI_REQUIRES(mutex_);
+  void ApplyEpisodesAppend(core::TrajectoryId id, size_t start,
+                           std::span<const core::Episode> tail)
+      SEMITRI_REQUIRES(mutex_);
+  void ApplyInterpretationAppend(
+      const core::StructuredSemanticTrajectory& header, size_t start,
+      std::span<const core::SemanticEpisode> tail) SEMITRI_REQUIRES(mutex_);
+  // Rows currently stored per entry (0 when absent).
+  size_t StoredPoints(core::TrajectoryId id) const SEMITRI_REQUIRES(mutex_);
+  size_t StoredEpisodes(core::TrajectoryId id) const SEMITRI_REQUIRES(mutex_);
+  size_t StoredSemanticEpisodes(core::TrajectoryId id,
+                                const std::string& interpretation) const
+      SEMITRI_REQUIRES(mutex_);
+  // Entries of one replay whose append record started past their stored
+  // rows, each with the Corruption to report unless a later full put of
+  // the entry rewrites it.
+  using ReplayGaps = std::map<std::string, common::Status>;
   // Called under mutex_ — directly from Recover and through the replay
   // lambda, which the analysis cannot see through; suppressed instead
   // of annotated.
   [[nodiscard]] common::Status ApplyWalRecord(WalRecordType type,
-                                std::string_view payload)
+                                std::string_view payload, ReplayGaps* gaps)
       SEMITRI_NO_THREAD_SAFETY_ANALYSIS;
 
   [[nodiscard]] common::Status SaveCsvLocked(const std::string& dir) const

@@ -6,6 +6,11 @@
 // reimplementation needs the same crash discipline from its storage
 // layer).
 //
+// Records are full puts (a whole trajectory, episode table or
+// interpretation) or append records carrying only new rows plus the
+// row index they start at; live sessions log appends, so WAL bytes
+// grow linearly with the rows a trajectory gains (WalRecordType).
+//
 // On-disk format — a sequence of framed records:
 //
 //   u32 length   payload size in bytes (little-endian)
@@ -54,9 +59,19 @@
 namespace semitri::store {
 
 enum class WalRecordType : uint8_t {
+  // Full puts: the payload is the whole entry (keyed overwrite).
   kPutRawTrajectory = 1,
   kPutEpisodes = 2,
   kPutInterpretation = 3,
+  // Append records: the payload starts with the row index the new rows
+  // begin at, then carries only those rows. Replay truncates the stored
+  // entry to that index and appends, so a record replayed over a
+  // checkpoint that already holds its rows changes nothing; a start
+  // past the stored length is Corruption unless a later full put of
+  // the entry rewrites it (see SemanticTrajectoryStore::Recover).
+  kAppendRawPoints = 4,
+  kAppendEpisodes = 5,
+  kAppendInterpretation = 6,
 };
 
 class WalWriter {

@@ -1,6 +1,8 @@
 #include "stream/annotation_session.h"
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -45,7 +47,7 @@ common::Result<AnnotationSession::FeedResult> AnnotationSession::Feed(
   result.trajectory_closed = events.closed_trajectory.has_value();
   result.trajectory_discarded = events.discarded_trajectory;
   if (!events.accepted) return result;
-  if (events.discarded_trajectory) partial_ = core::PipelineResult();
+  if (events.discarded_trajectory) ResetOpenTrajectory();
   if (events.closed_trajectory.has_value()) {
     SEMITRI_RETURN_IF_ERROR(
         FinalizeClosed(std::move(*events.closed_trajectory)));
@@ -62,12 +64,18 @@ common::Result<AnnotationSession::FeedResult> AnnotationSession::Feed(
 common::Status AnnotationSession::Flush() {
   DetectorEvents events;
   detector_.Close(&events);
-  partial_ = core::PipelineResult();
   if (events.closed_trajectory.has_value()) {
-    SEMITRI_RETURN_IF_ERROR(
-        FinalizeClosed(std::move(*events.closed_trajectory)));
+    return FinalizeClosed(std::move(*events.closed_trajectory));
   }
+  ResetOpenTrajectory();
   return common::Status::OK();
+}
+
+void AnnotationSession::ResetOpenTrajectory() {
+  partial_ = core::PipelineResult();
+  annotated_episodes_ = 0;
+  batch_points_ = 0;
+  store_watermark_ = core::StoreWatermark();
 }
 
 void AnnotationSession::SyncPartial(
@@ -82,22 +90,51 @@ void AnnotationSession::SyncPartial(
                            closed.end());
 }
 
-common::Status AnnotationSession::AnnotatePrefix(size_t episodes_closed) {
-  auto start = std::chrono::steady_clock::now();
-  // Same downstream stage sequence as AnnotateComputed, but with the
-  // pipeline profiler detached: provisional passes repeat per closed
-  // episode, so letting them record under the Fig. 17 stage names would
-  // skew the per-trajectory semantics of those series. Their latency is
-  // accounted under the stream_* stage below instead.
+common::Status AnnotationSession::RunIncremental(
+    core::PipelineResult* result, analytics::LatencyProfiler* profiler) {
   core::AnnotationContext context;
-  context.result = std::move(partial_);
+  // Reports of earlier passes stay on the live view, but only this
+  // pass's decide whether its layers are complete.
+  std::map<std::string, core::StageReport> earlier =
+      std::move(result->stage_reports);
+  result->stage_reports.clear();
+  context.result = std::move(*result);
   context.store = pipeline_->store();
+  context.profiler = profiler;
   context.scratch = &scratch_;
+  context.store_watermark = &store_watermark_;
+  context.annotated_episodes = annotated_episodes_;
+  context.batch_points = batch_points_;
+  common::Status status = common::Status::OK();
   for (const std::string& name : pipeline_->graph().ExecutionOrder()) {
     if (name == core::kStageComputeEpisode) continue;
-    SEMITRI_RETURN_IF_ERROR(pipeline_->graph().RunStage(name, context));
+    status = pipeline_->graph().RunStage(name, context);
+    if (!status.ok()) break;
   }
-  partial_ = std::move(context.result);
+  *result = std::move(context.result);
+  if (status.ok() && !result->degraded()) {
+    annotated_episodes_ = result->episodes.size();
+    // PointsBatch() built or extended the batch only if a stage asked.
+    if (scratch_.batch.size() == result->cleaned.points.size() &&
+        scratch_.batch.id() == result->cleaned.id) {
+      batch_points_ = scratch_.batch.size();
+    }
+  } else {
+    annotated_episodes_ = 0;
+    batch_points_ = 0;
+    store_watermark_ = core::StoreWatermark();
+  }
+  result->stage_reports.merge(earlier);
+  return status;
+}
+
+common::Status AnnotationSession::AnnotatePrefix(size_t episodes_closed) {
+  auto start = std::chrono::steady_clock::now();
+  // The pipeline profiler stays detached: provisional passes repeat per
+  // closed episode, so letting them record under the Fig. 17 stage
+  // names would skew the per-trajectory semantics of those series.
+  // Their latency is accounted under the stream_* stage below instead.
+  SEMITRI_RETURN_IF_ERROR(RunIncremental(&partial_, /*profiler=*/nullptr));
   ++annotation_passes_;
   if (analytics::LatencyProfiler* profiler = pipeline_->profiler()) {
     std::chrono::duration<double> elapsed =
@@ -112,20 +149,33 @@ common::Status AnnotationSession::AnnotatePrefix(size_t episodes_closed) {
 }
 
 common::Status AnnotationSession::FinalizeClosed(ClosedTrajectory closed) {
-  core::PipelineResult computed;
-  computed.cleaned = std::move(closed.cleaned);
-  computed.episodes = std::move(closed.episodes);
   std::optional<analytics::LatencyProfiler::Scope> scope;
   if (pipeline_->profiler() != nullptr) {
     scope.emplace(pipeline_->profiler(), kStreamStageFinalizeTrajectory);
   }
-  core::RunControls controls;
-  controls.scratch = &scratch_;
-  common::Result<core::PipelineResult> annotated =
-      pipeline_->AnnotateComputed(std::move(computed), controls);
-  if (!annotated.ok()) return annotated.status();
-  if (config_.keep_results) results_.push_back(std::move(*annotated));
-  partial_ = core::PipelineResult();
+  // The provisional layers cover the first annotated_episodes_ episodes
+  // of this trajectory: closed episodes and finalized cleaned points
+  // never change, so the closed trajectory extends the live view.
+  const bool continues =
+      partial_.cleaned.id == closed.cleaned.id &&
+      partial_.episodes.size() <= closed.episodes.size() &&
+      std::equal(partial_.episodes.begin(), partial_.episodes.end(),
+                 closed.episodes.begin());
+  core::PipelineResult final_result;
+  final_result.cleaned = std::move(closed.cleaned);
+  final_result.episodes = std::move(closed.episodes);
+  if (continues) {
+    final_result.region_layer = std::move(partial_.region_layer);
+    final_result.line_layer = std::move(partial_.line_layer);
+    final_result.point_layer = std::move(partial_.point_layer);
+  } else {
+    ResetOpenTrajectory();
+  }
+  common::Status status =
+      RunIncremental(&final_result, pipeline_->profiler());
+  ResetOpenTrajectory();
+  SEMITRI_RETURN_IF_ERROR(status);
+  if (config_.keep_results) results_.push_back(std::move(final_result));
   return common::Status::OK();
 }
 
@@ -148,6 +198,9 @@ common::Status AnnotationSession::RestoreState(common::StateReader* r) {
         "session checkpoint is for a different object");
   }
   SEMITRI_RETURN_IF_ERROR(detector_.RestoreState(r));
+  // Whatever the store holds now is unknown to the restored session:
+  // the first pass re-annotates the prefix and writes full puts.
+  ResetOpenTrajectory();
   SEMITRI_RETURN_IF_ERROR(core::RestoreState(r, &partial_));
   uint64_t passes = 0;
   SEMITRI_RETURN_IF_ERROR(r->GetU64(&passes));

@@ -6,15 +6,33 @@
 // existing SemiTriPipeline (the paper's "annotation is even required in
 // real-time" requirement, §1.2).
 //
-// On every *closed* episode the session re-runs only the annotation
-// layers (region spatial join, line map-matching, point HMM — the
-// Viterbi pass covers the stop sequence seen so far) over the cleaned
-// prefix, and writes the provisional rows through to the pipeline's
-// store. When a raw trajectory closes (gap/period split or Flush), the
-// session runs the full downstream stage sequence once more via
-// SemiTriPipeline::AnnotateComputed; because every store table is
-// keyed-overwrite, that final pass leaves the store in exactly the
-// state an offline ProcessTrajectory run would have produced.
+// Incremental annotation: after every feed that closes episodes the
+// session runs a provisional pass over the open trajectory that touches
+// only what is new. The region join and map matching run over the
+// episodes closed since the last pass and append to the live view's
+// layers (both are per-episode pure, and matching is scoped to one
+// move); the SoA point batch is extended, not rebuilt; the point layer
+// (Viterbi plus posterior over every stop seen so far) is recomputed.
+// The store stages write from a per-session StoreWatermark: append
+// records carrying only the new points, episodes and semantic episodes
+// (each with the row index it starts at), and for the point layer only
+// the rows from the first changed stop on. Region joins, map matching
+// and WAL bytes per trajectory are therefore O(episodes), not
+// O(episodes^2); only the point layer's decode over the stops repeats
+// on every pass.
+//
+// When a raw trajectory closes (gap/period split or Flush), the
+// finalization pass reuses the provisional region and line layers,
+// annotates and appends only the tail episodes, rewrites the point
+// layer and appends the remaining rows, so the store ends in exactly
+// the state an offline ProcessTrajectory run would have produced
+// (ContentEquals) — that run's WAL holds full puts only.
+//
+// The watermark, the annotated-episode count and the batch extent are
+// not serialized: RestoreState (crash restore, SessionManager::
+// AdoptSession after a migration, failover) resets them to zero, so the
+// first pass after any restore re-annotates the prefix and writes full
+// puts, overwriting whatever the store held for the trajectory.
 //
 // Not thread-safe; stream::SessionManager provides the sharded,
 // lock-protected multi-object front end.
@@ -39,7 +57,7 @@ namespace semitri::stream {
 inline constexpr char kStreamStageEpisodeAnnotation[] =
     "stream_episode_annotation";
 //   * one sample per closed trajectory, covering the finalization run
-//     (AnnotateComputed: all annotation layers + store write-back).
+//     (the tail of every annotation layer + store write-back).
 inline constexpr char kStreamStageFinalizeTrajectory[] =
     "stream_finalize_trajectory";
 
@@ -126,7 +144,9 @@ class AnnotationSession {
   // Serializes the live session (detector state, partial result,
   // retained results, counters) so a session constructed against the
   // same pipeline/config/object resumes mid-stream and converges to
-  // the exact store state an uninterrupted run would produce.
+  // the exact store state an uninterrupted run would produce. The
+  // incremental watermarks are not part of the state; RestoreState
+  // zeroes them (see the header comment).
   void SaveState(common::StateWriter* w) const;
   [[nodiscard]] common::Status RestoreState(common::StateReader* r);
 
@@ -138,8 +158,19 @@ class AnnotationSession {
   // latency recorded per closed episode under
   // kStreamStageEpisodeAnnotation).
   [[nodiscard]] common::Status AnnotatePrefix(size_t episodes_closed);
-  // Full downstream pass + store write-back for a closed trajectory.
+  // Finalization pass + store write-back for a closed trajectory,
+  // continuing from the provisional layers.
   [[nodiscard]] common::Status FinalizeClosed(ClosedTrajectory closed);
+  // Runs every stage but trajectory computation over `result` as an
+  // incremental pass (profiler: null for provisional passes), leaving
+  // the result in `result` even on error. Advances the incremental
+  // state after a clean pass; any failed or skipped stage resets it,
+  // so the next pass annotates and writes in full.
+  [[nodiscard]] common::Status RunIncremental(
+      core::PipelineResult* result, analytics::LatencyProfiler* profiler);
+  // Drops the live view and the incremental state of the open
+  // trajectory.
+  void ResetOpenTrajectory();
 
   const core::SemiTriPipeline* pipeline_;
   core::ObjectId object_id_;
@@ -149,6 +180,13 @@ class AnnotationSession {
   std::vector<core::PipelineResult> results_;
   core::AnnotationScratch scratch_;
   size_t annotation_passes_ = 0;
+  // Incremental state of the open trajectory (not serialized): episodes
+  // of partial_ whose region and line annotations are in its layers,
+  // cleaned points mirrored in scratch_.batch, and the rows the store
+  // holds.
+  size_t annotated_episodes_ = 0;
+  size_t batch_points_ = 0;
+  core::StoreWatermark store_watermark_;
 };
 
 }  // namespace semitri::stream

@@ -30,6 +30,19 @@ void PointBatch::BuildFrom(const core::RawTrajectory& trajectory) {
   FillArrays(trajectory.points, &xs_, &ys_, &ts_);
 }
 
+void PointBatch::Extend(const core::RawTrajectory& trajectory) {
+  id_ = trajectory.id;
+  object_id_ = trajectory.object_id;
+  // semitri-lint: allow(exec-checkpoint-coverage) — O(new points)
+  // transpose at batch-build time, before any governed stage loop.
+  for (size_t i = size(); i < trajectory.points.size(); ++i) {
+    const core::GpsPoint& p = trajectory.points[i];
+    xs_.push_back(p.position.x);
+    ys_.push_back(p.position.y);
+    ts_.push_back(p.time);
+  }
+}
+
 void PointBatch::BuildFrom(std::span<const core::GpsPoint> points,
                            core::TrajectoryId id, core::ObjectId object_id) {
   id_ = id;

@@ -45,6 +45,11 @@ class PointBatch {
   // Rebuilds from `trajectory`, reusing the arrays' capacity.
   void BuildFrom(const core::RawTrajectory& trajectory);
 
+  // Appends trajectory.points[size(), trajectory.size()) — for a batch
+  // that already mirrors a prefix of `trajectory` (a streaming session's
+  // growing open trajectory), so each pass copies only the new points.
+  void Extend(const core::RawTrajectory& trajectory);
+
   // Same, from a bare point span (tests, benches); id/object_id are
   // carried through for callers that have them.
   void BuildFrom(std::span<const core::GpsPoint> points,

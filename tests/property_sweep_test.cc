@@ -96,6 +96,11 @@ struct PresetCase {
   int preset;  // 0 = taxi, 1 = cars, 2 = people
 };
 
+// Print the preset by name. gtest's default dumps the struct's raw bytes
+// (a pointer plus padding), so the discovered test names would change on
+// every run.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
+
 class PresetSweep : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(PresetSweep, PipelineInvariantsHold) {
