@@ -18,7 +18,13 @@
 //     sessions log append records, so their WAL stays within a constant
 //     factor of offline's however many episodes a trajectory has; the
 //     gated offline_over_live_wal_bytes ratios fail the perf gate if
-//     per-episode rewriting of the prefix creeps back.
+//     per-episode rewriting of the prefix creeps back;
+//   * the offline store's checkpoint: exact snapshot bytes per fix,
+//     Checkpoint() and Recover() wall time, and the recovered store's
+//     equality. A snapshot holds the same full-put records as the
+//     offline WAL, so the gated offline_wal_over_checkpoint_bytes ratio
+//     reads 1 and fails the perf gate if a bulkier checkpoint format
+//     returns.
 //
 // `bench_stream_throughput smoke` runs a scaled-down corpus for CI.
 // Machine-readable numbers (throughputs, WAL overhead, kernel speedup,
@@ -120,7 +126,8 @@ std::filesystem::path ScratchDir(const std::string& name) {
 
 // One corpus through the offline pipeline and, fix by fix round-robin,
 // through a SessionManager, each into its own durable store: wall time
-// and exact WAL bytes of both, and whether the stores agree.
+// and exact WAL bytes of both, and whether the stores agree. The
+// offline store is then checkpointed and recovered into a fresh store.
 struct WalComparison {
   double offline_seconds = 0.0;
   double live_seconds = 0.0;
@@ -129,6 +136,10 @@ struct WalComparison {
   size_t episodes_closed = 0;
   size_t trajectories = 0;
   bool stores_equal = false;
+  size_t checkpoint_bytes = 0;
+  double checkpoint_seconds = 0.0;
+  double recover_seconds = 0.0;
+  bool recovered_equal = false;
 };
 
 bool CompareWal(const datagen::World& world, const datagen::Dataset& corpus,
@@ -181,6 +192,19 @@ bool CompareWal(const datagen::World& world, const datagen::Dataset& corpus,
   out->offline_wal_bytes = WalBytes(offline_dir);
   out->live_wal_bytes = WalBytes(live_dir);
   out->stores_equal = live.ContentEquals(offline);
+  {
+    auto start = std::chrono::steady_clock::now();
+    ok = ok && offline.Checkpoint().ok();
+    out->checkpoint_seconds = SecondsSince(start);
+    auto snapshot =
+        store::SemanticTrajectoryStore::CurrentSnapshot(offline_dir.string());
+    out->checkpoint_bytes = snapshot.ok() ? snapshot->bytes : 0;
+    store::SemanticTrajectoryStore recovered;
+    start = std::chrono::steady_clock::now();
+    ok = ok && recovered.Recover(offline_dir.string()).ok();
+    out->recover_seconds = SecondsSince(start);
+    out->recovered_equal = recovered.ContentEquals(offline);
+  }
   std::filesystem::remove_all(offline_dir);
   std::filesystem::remove_all(live_dir);
   if (!ok) std::fprintf(stderr, "wal comparison run failed\n");
@@ -326,8 +350,9 @@ int main(int argc, char** argv) {
   benchutil::BenchReporter reporter("stream_throughput");
   WalComparison corpus_wal;
   if (!CompareWal(world, people, &corpus_wal)) return 1;
-  if (!corpus_wal.stores_equal) {
-    std::fprintf(stderr, "live durable store diverged from offline\n");
+  if (!corpus_wal.stores_equal || !corpus_wal.recovered_equal) {
+    std::fprintf(stderr, "live durable store diverged from offline, or "
+                         "the recovered checkpoint from its store\n");
     return 1;
   }
   auto per_fix = [](size_t bytes, size_t fixes) {
@@ -345,6 +370,20 @@ int main(int argc, char** argv) {
   reporter.GateRatio("offline_over_live_wal_bytes",
                      static_cast<double>(corpus_wal.offline_wal_bytes) /
                          static_cast<double>(corpus_wal.live_wal_bytes));
+  std::printf("checkpoint:      %.1f bytes/fix (offline WAL/checkpoint "
+              "%.3f), Checkpoint() %.2f ms, Recover() %.2f ms\n",
+              per_fix(corpus_wal.checkpoint_bytes, total_points),
+              static_cast<double>(corpus_wal.offline_wal_bytes) /
+                  static_cast<double>(corpus_wal.checkpoint_bytes),
+              corpus_wal.checkpoint_seconds * 1e3,
+              corpus_wal.recover_seconds * 1e3);
+  reporter.Metric("offline_checkpoint_bytes_per_fix",
+                  per_fix(corpus_wal.checkpoint_bytes, total_points));
+  reporter.Metric("offline_checkpoint_ms", corpus_wal.checkpoint_seconds * 1e3);
+  reporter.Metric("offline_recover_ms", corpus_wal.recover_seconds * 1e3);
+  reporter.GateRatio("offline_wal_over_checkpoint_bytes",
+                     static_cast<double>(corpus_wal.offline_wal_bytes) /
+                         static_cast<double>(corpus_wal.checkpoint_bytes));
 
   std::printf("\nepisodes-per-trajectory sweep (1 taxi, 1 s sampling):\n");
   std::printf("  %6s %8s %10s %12s %12s %14s\n", "shift", "fixes",
@@ -358,8 +397,9 @@ int main(int argc, char** argv) {
     const size_t fixes = taxi.TotalRecords();
     WalComparison point;
     if (!CompareWal(world, taxi, &point)) return 1;
-    if (!point.stores_equal) {
-      std::fprintf(stderr, "%.0f h shift: live store diverged\n", hours);
+    if (!point.stores_equal || !point.recovered_equal) {
+      std::fprintf(stderr, "%.0f h shift: live or recovered store diverged\n",
+                   hours);
       return 1;
     }
     const double episodes_per_trajectory =

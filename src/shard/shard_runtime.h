@@ -2,7 +2,7 @@
 #define SEMITRI_SHARD_SHARD_RUNTIME_H_
 
 // One shard of the sharded serving runtime: a private durable store
-// (own WAL + checkpoint generations under ShardRuntimeConfig::
+// (own WAL + checkpoint snapshot under ShardRuntimeConfig::
 // durable_dir), its own SemiTriPipeline over that store, its own
 // SessionManager (admission budgets included), and a WalShipper
 // replicating sealed WAL segments to a standby directory. The cluster
@@ -10,7 +10,7 @@
 // both compose these; a ShardRuntime itself never talks to another
 // shard.
 //
-// Lifecycle: Open() recovers the durable directory (checkpoint + sealed
+// Lifecycle: Open() recovers the durable directory (snapshot + sealed
 // segments + active WAL) and restores the manager checkpoint when one
 // exists, so a re-opened shard resumes its sessions mid-stream.
 // Checkpoint() is the durability point the supervisor acks against:
@@ -104,14 +104,18 @@ class ShardRuntime {
   // standby (no-op stats without a standby).
   [[nodiscard]] common::Result<WalShipper::ShipStats> SealAndShip();
 
-  // Compacts the store into a fresh checkpoint generation (also GCs
-  // shipped-or-not sealed segments — call SealAndShip first).
+  // Compacts the store into a fresh binary snapshot (also GCs
+  // shipped-or-not sealed segments — call SealAndShip first). Segments
+  // sealed afterwards take numbers past the snapshot's, so the shipper
+  // never meets a reused name and the standby still converges.
   [[nodiscard]] common::Status CompactStore() { return store_->Checkpoint(); }
 
   // One increment of background integrity scrubbing: re-verifies a few
-  // sealed segments / checkpoint CSVs against their CRCs, repairing
-  // from the standby or quarantining (store/integrity_scrubber.h).
-  // No-op without a scrubber (scrub_files_per_cycle == 0).
+  // sealed segments and the current snapshot by CRC frame scan (the
+  // snapshot also against the size CURRENT records), repairing
+  // segments from the standby and quarantining what cannot be repaired
+  // (store/integrity_scrubber.h). No-op without a scrubber
+  // (scrub_files_per_cycle == 0).
   [[nodiscard]] common::Status ScrubTick();
 
   // --- migration hooks ------------------------------------------------

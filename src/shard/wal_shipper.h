@@ -20,7 +20,9 @@
 // a no-op apply); a corrupt copy is re-shipped and counted in
 // reshipped_corrupt_segments. Verified names are cached in memory, so
 // steady-state re-ships stay metadata-cheap; a re-opened shipper
-// (post-crash) re-verifies once.
+// (post-crash) re-verifies once. The cache relies on the store never
+// reusing a segment name in a directory, not even after Checkpoint()
+// removed the old segments.
 //
 // Beyond segments, the shipper also replicates the manager checkpoint
 // sidecar (ShipManagerCheckpoint): the session/resume-cursor state a

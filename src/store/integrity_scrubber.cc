@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/serial.h"
-#include "common/strings.h"
 #include "store/semantic_trajectory_store.h"
 #include "store/wal.h"
 
@@ -11,16 +9,7 @@ namespace semitri::store {
 
 namespace {
 
-constexpr char kCurrentFile[] = "CURRENT";
-constexpr char kChecksumsFile[] = "checksums.csv";
 constexpr char kQuarantineSuffix[] = ".quarantined";
-
-std::string FirstLine(common::Env* env, const std::string& path) {
-  std::string data;
-  if (!env->ReadFileToString(path, &data).ok()) return {};
-  size_t eol = data.find('\n');
-  return eol == std::string::npos ? data : data.substr(0, eol);
-}
 
 }  // namespace
 
@@ -35,7 +24,6 @@ common::Status IntegrityScrubber::BuildWorklist() {
   for (const std::string& name :
        SemanticTrajectoryStore::ListSealedWalSegments(config_.dir, env_)) {
     WorkItem item;
-    item.kind = WorkItem::Kind::kSealedSegment;
     item.path = config_.dir + "/" + name;
     if (!config_.repair_dir.empty()) {
       item.repair_path = config_.repair_dir + "/" + name;
@@ -43,58 +31,30 @@ common::Status IntegrityScrubber::BuildWorklist() {
     worklist_.push_back(std::move(item));
   }
 
-  // The current checkpoint generation, verified against the
-  // checksums.csv sidecar SaveCsv wrote last. Stale generations are
-  // GC fodder and not worth scrub I/O; a generation predating the
-  // sidecar is unverifiable, counted, and skipped.
-  std::string current = FirstLine(env_, config_.dir + "/" + kCurrentFile);
-  if (!current.empty()) {
-    std::string generation = config_.dir + "/" + current;
-    std::string sidecar;
-    common::Status read =
-        env_->ReadFileToString(generation + "/" + kChecksumsFile, &sidecar);
-    if (!read.ok()) {
-      ++counters_.unverifiable_skipped;
-    } else {
-      std::vector<std::string> lines = common::Split(sidecar, '\n');
-      for (size_t i = 1; i < lines.size(); ++i) {  // lines[0] is the header
-        if (lines[i].empty()) continue;
-        std::vector<std::string> f = common::Split(lines[i], ',');
-        size_t crc = 0;
-        size_t size = 0;
-        if (f.size() != 3 || !common::ParseSizeT(f[1], &crc) ||
-            !common::ParseSizeT(f[2], &size)) {
-          // A torn or corrupt sidecar row: the file it named cannot be
-          // verified this cycle.
-          ++counters_.unverifiable_skipped;
-          continue;
-        }
-        WorkItem item;
-        item.kind = WorkItem::Kind::kCheckpointFile;
-        item.path = generation + "/" + f[0];
-        item.crc = static_cast<uint32_t>(crc);
-        item.size = size;
-        // Checkpoint generations are never shipped, so there is no
-        // standby copy to repair from; corrupt CSVs quarantine.
-        worklist_.push_back(std::move(item));
-      }
-    }
+  // The snapshot CURRENT names. Snapshots are never shipped, so there
+  // is no standby copy to repair from; a corrupt one quarantines. An
+  // unreadable CURRENT names nothing to scrub (Recover() reports it).
+  auto snapshot = SemanticTrajectoryStore::CurrentSnapshot(config_.dir, env_);
+  if (snapshot.ok()) {
+    WorkItem item;
+    item.path = config_.dir + "/" + snapshot->name;
+    item.size = snapshot->bytes;
+    worklist_.push_back(std::move(item));
   }
   return common::Status::OK();
 }
 
 bool IntegrityScrubber::Verify(const WorkItem& item,
                                const std::string& path) const {
-  if (item.kind == WorkItem::Kind::kSealedSegment) {
-    auto scanned = ReplayWal(
-        path,
-        [](WalRecordType, std::string_view) { return common::Status::OK(); },
-        /*truncate_torn_tail=*/false, env_);
-    return scanned.ok() && scanned->torn_bytes_truncated == 0;
+  if (item.size.has_value()) {
+    auto size = env_->FileSize(path);
+    if (!size.ok() || *size != *item.size) return false;
   }
-  std::string data;
-  if (!env_->ReadFileToString(path, &data).ok()) return false;
-  return data.size() == item.size && common::Crc32(data) == item.crc;
+  auto scanned = ReplayWal(
+      path,
+      [](WalRecordType, std::string_view) { return common::Status::OK(); },
+      /*truncate_torn_tail=*/false, env_);
+  return scanned.ok() && scanned->torn_bytes_truncated == 0;
 }
 
 bool IntegrityScrubber::Repair(const WorkItem& item) {

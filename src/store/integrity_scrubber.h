@@ -4,18 +4,17 @@
 // Background integrity scrubbing for a store's durable directory.
 //
 // Crash recovery only proves the files it happens to read; bit rot in
-// a cold checkpoint generation or a sealed WAL segment stays invisible
-// until the next Recover() — which is exactly when repair options have
-// run out. The scrubber walks the durable directory incrementally,
-// a few files per Tick(), re-verifying:
+// a cold snapshot or a sealed WAL segment stays invisible until the
+// next Recover() — which is exactly when repair options have run out.
+// The scrubber walks the durable directory incrementally, a few files
+// per Tick(), re-verifying by a CRC frame scan (a replay with a no-op
+// apply; both kinds of file are cleanly closed WAL frame sequences, so
+// any torn or CRC-failing frame means the file is corrupt):
 //
-//  - sealed WAL segments (wal-<seq>.log) by replaying their CRC
-//    frames with a no-op apply — a sealed segment is a cleanly closed
-//    log, so any torn or CRC-failing frame means the file is corrupt;
-//  - the current checkpoint generation's CSVs against the
-//    checksums.csv sidecar SaveCsv writes last (file, crc32, size) —
-//    a generation without the sidecar (written before it existed)
-//    is counted unverifiable and skipped, never guessed at.
+//  - sealed WAL segments (wal-<seq>.log);
+//  - the snapshot CURRENT names (snapshot-<seq>.log), whose size must
+//    also equal the byte count CURRENT records — a snapshot cut short
+//    at a frame boundary scans clean but is still caught.
 //
 // A corrupt file is repaired in place when `repair_dir` (the shard's
 // standby, holding shipped copies) has an intact copy: atomic
@@ -23,10 +22,12 @@
 // copy the file is renamed to `<name>.quarantined` — recovery stops
 // seeing it, the loss becomes loud (counters + ShardHealth
 // storage_fault) instead of a CRC surprise at the next failover.
+// Snapshots are never shipped, so a corrupt one always quarantines
+// (and Recover() then fails loudly rather than load it).
 //
 // One Tick scrubs up to `files_per_cycle` files; when the worklist is
 // exhausted the cycle counter advances and the next Tick starts a
-// fresh walk, so new segments and generations are picked up. Driven by
+// fresh walk, so new segments and snapshots are picked up. Driven by
 // ShardRuntime::ScrubTick() from the cluster's Tick loop.
 //
 // Not internally synchronized; the owner serializes Tick() with
@@ -35,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,7 +46,7 @@
 namespace semitri::store {
 
 struct ScrubberConfig {
-  // Durable directory to scrub (checkpoint generations + sealed WAL).
+  // Durable directory to scrub (snapshot + sealed WAL segments).
   std::string dir;
   // Standby directory holding shipped copies to repair from; "" means
   // no repair source (corrupt files can only be quarantined).
@@ -64,8 +66,6 @@ class IntegrityScrubber {
     size_t corrupt_detected = 0;
     size_t repaired = 0;
     size_t quarantined = 0;
-    // Checkpoint files in a generation without checksums.csv.
-    size_t unverifiable_skipped = 0;
     size_t cycles_completed = 0;
   };
 
@@ -83,12 +83,10 @@ class IntegrityScrubber {
 
  private:
   struct WorkItem {
-    enum class Kind { kSealedSegment, kCheckpointFile };
-    Kind kind = Kind::kSealedSegment;
     std::string path;         // file under scrub
     std::string repair_path;  // standby copy ("" when none can exist)
-    uint32_t crc = 0;         // kCheckpointFile: expected CRC-32
-    uint64_t size = 0;        // kCheckpointFile: expected byte size
+    // The byte size CURRENT records (snapshots only).
+    std::optional<uint64_t> size;
   };
 
   // Enumerates the directory into `worklist_` for a fresh cycle.

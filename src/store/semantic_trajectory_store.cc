@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <span>
 #include <utility>
@@ -18,33 +17,58 @@ namespace {
 
 constexpr char kCurrentFile[] = "CURRENT";
 constexpr char kWalFile[] = "wal.log";
-constexpr char kCheckpointPrefix[] = "checkpoint-";
 constexpr char kSealedWalPrefix[] = "wal-";
-constexpr char kSealedWalSuffix[] = ".log";
-constexpr char kChecksumsFile[] = "checksums.csv";
+constexpr char kSnapshotPrefix[] = "snapshot-";
+constexpr char kNumberedSuffix[] = ".log";
 
-// "wal-000012.log" -> 12. False for the active "wal.log" and anything
-// else that is not a sealed segment name.
-bool ParseSealedWalSeq(const std::string& name, size_t* seq) {
-  size_t prefix = std::strlen(kSealedWalPrefix);
-  size_t suffix = std::strlen(kSealedWalSuffix);
-  if (name.size() <= prefix + suffix) return false;
-  if (name.rfind(kSealedWalPrefix, 0) != 0) return false;
-  if (name.compare(name.size() - suffix, suffix, kSealedWalSuffix) != 0) {
+// "wal-000012.log" -> 12 for `prefix` "wal-". False for the active
+// "wal.log" and anything else that is not `<prefix><digits>.log`. With
+// `any_tail`, text after ".log" is accepted too: the names a numbered
+// file leaves behind (".quarantined", ".scrub-tmp", a shipper's ".tmp")
+// still hold its number, which the sequence counter must not reuse.
+bool ParseSequence(std::string_view name, std::string_view prefix,
+                   size_t* seq, bool any_tail = false) {
+  if (name.substr(0, prefix.size()) != prefix) return false;
+  size_t end = prefix.size();
+  size_t value = 0;
+  while (end < name.size() && name[end] >= '0' && name[end] <= '9') {
+    value = value * 10 + static_cast<size_t>(name[end++] - '0');
+  }
+  const std::string_view suffix = kNumberedSuffix;
+  std::string_view tail = name.substr(end);
+  if (end == prefix.size() || tail.substr(0, suffix.size()) != suffix ||
+      (!any_tail && tail.size() != suffix.size())) {
     return false;
   }
-  std::string digits = name.substr(prefix, name.size() - prefix - suffix);
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-  }
-  *seq = 0;
-  for (char c : digits) *seq = *seq * 10 + static_cast<size_t>(c - '0');
+  *seq = value;
   return true;
 }
 
+// Full-put payloads, shared by the WAL records Put* log and the
+// snapshot Checkpoint() writes.
+std::string PutPayload(const core::RawTrajectory& trajectory) {
+  common::StateWriter payload;
+  core::SaveState(trajectory, &payload);
+  return payload.Release();
+}
+
+std::string PutPayload(core::TrajectoryId id,
+                       const std::vector<core::Episode>& episodes) {
+  common::StateWriter payload;
+  payload.PutI64(id);
+  core::SaveState(episodes, &payload);
+  return payload.Release();
+}
+
+std::string PutPayload(const core::StructuredSemanticTrajectory& trajectory) {
+  common::StateWriter payload;
+  core::SaveState(trajectory, &payload);
+  return payload.Release();
+}
+
 // Doubles are written with %.17g so text round-trips to the identical
-// bit pattern — ContentEquals between a recovered store and the
-// pre-crash one compares doubles exactly, so lossy %.6f would break it.
+// bit pattern — ContentEquals between a LoadCsv'd export and its source
+// compares doubles exactly, so lossy %.6f would break it.
 std::string GpsRow(const core::RawTrajectory& t, const core::GpsPoint& p) {
   return common::StrFormat("%lld,%lld,%.17g,%.17g,%.17g",
                            static_cast<long long>(t.object_id),
@@ -84,24 +108,7 @@ std::string SemanticEpisodeRow(const core::StructuredSemanticTrajectory& t,
       static_cast<unsigned long long>(ep.source_episode));
 }
 
-// Entities whose detail table has zero rows (an empty trajectory, an
-// episode list with no episodes, an interpretation whose layer produced
-// nothing) would be invisible in the row-per-element CSVs, so a
-// checkpoint would silently drop them and Recover() could not be
-// ContentEquals-faithful. manifest.csv records exactly those empties.
-std::string EmptyEntityRow(const char* table, core::ObjectId object_id,
-                           core::TrajectoryId trajectory_id,
-                           const std::string& interpretation) {
-  return common::StrFormat("%s,%lld,%lld,%s", table,
-                           static_cast<long long>(object_id),
-                           static_cast<long long>(trajectory_id),
-                           common::CsvEscape(interpretation).c_str());
-}
-
 constexpr char kGpsHeader[] = "object_id,trajectory_id,x,y,t";
-constexpr char kManifestHeader[] =
-    "table,object_id,trajectory_id,interpretation";
-constexpr char kChecksumsHeader[] = "file,crc32,size";
 constexpr char kEpisodeHeader[] =
     "trajectory_id,index,kind,begin,end,time_in,time_out,center_x,center_y,"
     "min_x,min_y,max_x,max_y";
@@ -114,15 +121,11 @@ constexpr char kSemanticHeader[] =
 // batch landed or at most the final line is torn mid-row (which LoadCsv
 // tolerates). `fault_site`, when set, is a fault-injection hook: kFail
 // drops the batch, kCrash tears it halfway through like a power cut.
-// For truncating (checkpoint) writes, `crc_out`/`size_out` report the
-// CRC-32 and byte size of the full file content for checksums.csv.
 common::Status WriteLines(common::Env* env, const std::string& path,
                           const std::string& header,
                           const std::vector<std::string>& rows, bool append,
                           bool sync = false,
-                          const char* fault_site = nullptr,
-                          uint32_t* crc_out = nullptr,
-                          uint64_t* size_out = nullptr) {
+                          const char* fault_site = nullptr) {
   bool need_header = !append;
   if (append) {
     auto size = env->FileSize(path);
@@ -167,17 +170,7 @@ common::Status WriteLines(common::Env* env, const std::string& path,
 
   SEMITRI_RETURN_IF_ERROR((*file)->Append(buffer));
   if (sync) SEMITRI_RETURN_IF_ERROR((*file)->Sync());
-  SEMITRI_RETURN_IF_ERROR((*file)->Close());
-  if (crc_out != nullptr) *crc_out = common::Crc32(buffer);
-  if (size_out != nullptr) *size_out = buffer.size();
-  return common::Status::OK();
-}
-
-std::string ReadFirstLine(common::Env* env, const std::string& path) {
-  std::string data;
-  if (!env->ReadFileToString(path, &data).ok()) return {};
-  size_t eol = data.find('\n');
-  return eol == std::string::npos ? data : data.substr(0, eol);
+  return (*file)->Close();
 }
 
 // Field accessors for LoadCsv: untrusted CSV must produce Corruption
@@ -521,10 +514,8 @@ common::Status SemanticTrajectoryStore::PutRawTrajectory(
   std::lock_guard<std::mutex> lock(mutex_);
   SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   if (!config_.durable_dir.empty()) {
-    common::StateWriter payload;
-    core::SaveState(trajectory, &payload);
     SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kPutRawTrajectory, payload.data()));
+        LogToWal(WalRecordType::kPutRawTrajectory, PutPayload(trajectory)));
   }
   ApplyRawTrajectory(trajectory);
   return AppendWriteThrough(
@@ -537,11 +528,8 @@ common::Status SemanticTrajectoryStore::PutEpisodes(
   std::lock_guard<std::mutex> lock(mutex_);
   SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   if (!config_.durable_dir.empty()) {
-    common::StateWriter payload;
-    payload.PutI64(id);
-    core::SaveState(episodes, &payload);
     SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kPutEpisodes, payload.data()));
+        LogToWal(WalRecordType::kPutEpisodes, PutPayload(id, episodes)));
   }
   ApplyEpisodes(id, episodes);
   return AppendWriteThrough(
@@ -558,10 +546,8 @@ common::Status SemanticTrajectoryStore::PutInterpretation(
   std::lock_guard<std::mutex> lock(mutex_);
   SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   if (!config_.durable_dir.empty()) {
-    common::StateWriter payload;
-    core::SaveState(trajectory, &payload);
     SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kPutInterpretation, payload.data()));
+        LogToWal(WalRecordType::kPutInterpretation, PutPayload(trajectory)));
   }
   ApplyInterpretation(trajectory);
   return AppendWriteThrough(
@@ -765,19 +751,7 @@ std::vector<std::string> SemanticTrajectoryStore::ListInterpretations(
 
 common::Status SemanticTrajectoryStore::SaveCsv(const std::string& dir) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return SaveCsvLocked(dir);
-}
-
-common::Status SemanticTrajectoryStore::SaveCsvLocked(
-    const std::string& dir) const {
   SEMITRI_RETURN_IF_ERROR(env_->CreateDirs(dir));
-
-  // Per-file CRCs, recorded into checksums.csv last so the integrity
-  // scrubber (store/integrity_scrubber.h) can re-verify a cold
-  // generation without re-parsing it.
-  std::vector<std::string> checksum_rows;
-  uint32_t crc = 0;
-  uint64_t size = 0;
 
   std::vector<std::string> gps_rows;
   for (const auto& [id, t] : raw_) {
@@ -785,10 +759,7 @@ common::Status SemanticTrajectoryStore::SaveCsvLocked(
   }
   SEMITRI_RETURN_IF_ERROR(WriteLines(env_, dir + "/gps.csv", kGpsHeader,
                                      gps_rows, /*append=*/false,
-                                     /*sync=*/true, nullptr, &crc, &size));
-  checksum_rows.push_back(
-      common::StrFormat("gps.csv,%u,%llu", crc,
-                        static_cast<unsigned long long>(size)));
+                                     /*sync=*/true));
 
   std::vector<std::string> episode_rows;
   for (const auto& [id, eps] : episodes_) {
@@ -798,11 +769,7 @@ common::Status SemanticTrajectoryStore::SaveCsvLocked(
   }
   SEMITRI_RETURN_IF_ERROR(WriteLines(env_, dir + "/episodes.csv",
                                      kEpisodeHeader, episode_rows,
-                                     /*append=*/false, /*sync=*/true, nullptr,
-                                     &crc, &size));
-  checksum_rows.push_back(
-      common::StrFormat("episodes.csv,%u,%llu", crc,
-                        static_cast<unsigned long long>(size)));
+                                     /*append=*/false, /*sync=*/true));
 
   std::vector<std::string> semantic_rows;
   for (const auto& [key, t] : interpretations_) {
@@ -810,42 +777,8 @@ common::Status SemanticTrajectoryStore::SaveCsvLocked(
       semantic_rows.push_back(SemanticEpisodeRow(t, i, t.episodes[i]));
     }
   }
-  SEMITRI_RETURN_IF_ERROR(WriteLines(env_, dir + "/semantic_episodes.csv",
-                                     kSemanticHeader, semantic_rows,
-                                     /*append=*/false, /*sync=*/true, nullptr,
-                                     &crc, &size));
-  checksum_rows.push_back(
-      common::StrFormat("semantic_episodes.csv,%u,%llu", crc,
-                        static_cast<unsigned long long>(size)));
-
-  std::vector<std::string> manifest_rows;
-  for (const auto& [id, t] : raw_) {
-    if (t.points.empty()) {
-      manifest_rows.push_back(EmptyEntityRow("traj", t.object_id, id, ""));
-    }
-  }
-  for (const auto& [id, eps] : episodes_) {
-    if (eps.empty()) {
-      manifest_rows.push_back(EmptyEntityRow("episodes", 0, id, ""));
-    }
-  }
-  for (const auto& [key, t] : interpretations_) {
-    if (t.episodes.empty()) {
-      manifest_rows.push_back(EmptyEntityRow("interp", t.object_id,
-                                             t.trajectory_id,
-                                             t.interpretation));
-    }
-  }
-  SEMITRI_RETURN_IF_ERROR(WriteLines(env_, dir + "/manifest.csv",
-                                     kManifestHeader, manifest_rows,
-                                     /*append=*/false, /*sync=*/true, nullptr,
-                                     &crc, &size));
-  checksum_rows.push_back(
-      common::StrFormat("manifest.csv,%u,%llu", crc,
-                        static_cast<unsigned long long>(size)));
-
-  return WriteLines(env_, dir + "/" + kChecksumsFile, kChecksumsHeader,
-                    checksum_rows, /*append=*/false, /*sync=*/true);
+  return WriteLines(env_, dir + "/semantic_episodes.csv", kSemanticHeader,
+                    semantic_rows, /*append=*/false, /*sync=*/true);
 }
 
 void SemanticTrajectoryStore::ClearLocked() {
@@ -858,10 +791,6 @@ void SemanticTrajectoryStore::ClearLocked() {
 
 common::Status SemanticTrajectoryStore::LoadCsv(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return LoadCsvLocked(dir);
-}
-
-common::Status SemanticTrajectoryStore::LoadCsvLocked(const std::string& dir) {
   // Parse into locals and commit at the end: a failed load must not
   // leave half a table behind (and the parse lambdas stay free of
   // mutex-guarded members, which the thread-safety analysis cannot
@@ -963,40 +892,6 @@ common::Status SemanticTrajectoryStore::LoadCsvLocked(const std::string& dir) {
       },
       &torn_rows));
 
-  // Empty entities recorded by SaveCsvLocked (absent in checkpoints
-  // written before manifest.csv existed — those simply list no empties).
-  if (env_->FileExists(dir + "/manifest.csv")) {
-    SEMITRI_RETURN_IF_ERROR(ForEachRow(
-        env_, dir + "/manifest.csv",
-        [&](const std::string& line) {
-          std::vector<std::string> f = common::CsvParseLine(line);
-          int64_t object_id = 0;
-          int64_t tid = 0;
-          if (f.size() != 4 || !ParseField(f[1], &object_id) ||
-              !ParseField(f[2], &tid)) {
-            return BadRow("manifest.csv", line);
-          }
-          if (f[0] == "traj") {
-            core::RawTrajectory& t = raw[tid];
-            t.id = tid;
-            t.object_id = object_id;
-          } else if (f[0] == "episodes") {
-            episodes[tid];  // touch: empty list exists
-          } else if (f[0] == "interp") {
-            auto key =
-                std::make_pair(static_cast<core::TrajectoryId>(tid), f[3]);
-            core::StructuredSemanticTrajectory& t = interpretations[key];
-            t.object_id = object_id;
-            t.trajectory_id = key.first;
-            t.interpretation = key.second;
-          } else {
-            return BadRow("manifest.csv", line);
-          }
-          return common::Status::OK();
-        },
-        &torn_rows));
-  }
-
   raw_ = std::move(raw);
   episodes_ = std::move(episodes);
   interpretations_ = std::move(interpretations);
@@ -1007,6 +902,30 @@ common::Status SemanticTrajectoryStore::LoadCsvLocked(const std::string& dir) {
   return common::Status::OK();
 }
 
+common::Result<SemanticTrajectoryStore::SnapshotRef>
+SemanticTrajectoryStore::CurrentSnapshot(const std::string& dir,
+                                         common::Env* env) {
+  std::string current;
+  SEMITRI_RETURN_IF_ERROR(common::ResolveEnv(env)->ReadFileToString(
+      dir + "/" + kCurrentFile, &current));
+  // "<snapshot name> <byte size>\n", as Checkpoint() publishes it.
+  current = current.substr(0, current.find('\n'));
+  std::vector<std::string> fields = common::Split(current, ' ');
+  SnapshotRef ref;
+  size_t bytes = 0;
+  if (fields.size() != 2 ||
+      !ParseSequence(fields[0], kSnapshotPrefix, &ref.sequence) ||
+      !common::ParseSizeT(fields[1], &bytes)) {
+    return common::Status::Corruption(
+        dir + "/" + kCurrentFile + " does not name a snapshot-<n>.log (\"" +
+        current + "\"); checkpoint-<n>/ CSV directories of older builds "
+        "are not readable");
+  }
+  ref.name = fields[0];
+  ref.bytes = bytes;
+  return ref;
+}
+
 common::Result<SemanticTrajectoryStore::RecoveryStats>
 SemanticTrajectoryStore::Recover(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -1014,6 +933,7 @@ SemanticTrajectoryStore::Recover(const std::string& dir) {
   ClearLocked();
   wal_.reset();
   config_.durable_dir = dir;
+  next_sequence_ = 0;  // rescanned from `dir` by the next seal/checkpoint
   // A fresh process on a healthy disk starts healthy; if the disk is
   // still failing the first write re-degrades immediately.
   degraded_ = false;
@@ -1021,35 +941,59 @@ SemanticTrajectoryStore::Recover(const std::string& dir) {
 
   SEMITRI_RETURN_IF_ERROR(env_->CreateDirs(dir));
 
-  std::string current = ReadFirstLine(env_, dir + "/" + kCurrentFile);
-  if (!current.empty()) {
-    SEMITRI_RETURN_IF_ERROR(LoadCsvLocked(dir + "/" + current));
-    stats.checkpoint_loaded = true;
-  }
-
   ReplayGaps gaps;
   auto apply = [this, &gaps](WalRecordType type, std::string_view payload) {
     return ApplyWalRecord(type, payload, &gaps);
   };
+  // Snapshots and sealed segments are fsynced before the CURRENT flip
+  // or rename publishes them, so a torn frame there is genuine
+  // corruption rather than a crash tail: replay fails instead of
+  // truncating.
+  auto replay_sealed = [&](const std::string& path) -> common::Result<size_t> {
+    auto replayed = ReplayWal(path, apply, /*truncate_torn_tail=*/false, env_);
+    SEMITRI_RETURN_IF_ERROR(replayed.status());
+    if (replayed->torn_bytes_truncated > 0) {
+      return common::Status::Corruption("torn or corrupt frame in " + path);
+    }
+    return replayed->records_applied;
+  };
+
+  // The snapshot holds every sealed segment numbered below it.
+  size_t covered = 0;
+  auto snapshot = CurrentSnapshot(dir, env_);
+  if (snapshot.ok()) {
+    std::string path = dir + "/" + snapshot->name;
+    auto bytes = env_->FileSize(path);
+    if (!bytes.ok() || *bytes != snapshot->bytes) {
+      return common::Status::Corruption(common::StrFormat(
+          "snapshot %s is missing or not the %llu bytes CURRENT records",
+          path.c_str(), static_cast<unsigned long long>(snapshot->bytes)));
+    }
+    SEMITRI_RETURN_IF_ERROR(replay_sealed(path).status());
+    stats.checkpoint_loaded = true;
+    covered = snapshot->sequence;
+  } else if (snapshot.status().code() != common::StatusCode::kNotFound) {
+    return snapshot.status();
+  }
 
   // Sealed segments replay before the active log — they hold strictly
-  // older records. A sealed segment was fsynced before the rename
-  // published it, so a torn frame there is genuine corruption rather
-  // than a crash tail, and replay fails instead of truncating.
+  // older records. Those the snapshot covers are skipped: a crash
+  // between the log truncation and their removal leaves them behind,
+  // and replaying them with no later records would resurrect old rows.
   for (const std::string& name : ListSealedWalSegments(dir, env_)) {
-    auto sealed = ReplayWal(dir + "/" + name, apply,
-                            /*truncate_torn_tail=*/false, env_);
-    SEMITRI_RETURN_IF_ERROR(sealed.status());
-    if (sealed->torn_bytes_truncated > 0) {
-      return common::Status::Corruption("torn frame in sealed wal segment " +
-                                        dir + "/" + name);
+    size_t sequence = 0;
+    if (ParseSequence(name, kSealedWalPrefix, &sequence) &&
+        sequence <= covered) {
+      continue;
     }
-    stats.wal_records_replayed += sealed->records_applied;
+    auto records = replay_sealed(dir + "/" + name);
+    SEMITRI_RETURN_IF_ERROR(records.status());
+    stats.wal_records_replayed += *records;
     ++stats.wal_segments_replayed;
   }
 
-  // Replay the log over the checkpoint. Records that predate the
-  // checkpoint may still be in the log (crash between the CURRENT flip
+  // Replay the log over the snapshot. Records that predate the
+  // snapshot may still be in the log (crash between the CURRENT flip
   // and the log truncation); replaying them is safe because every full
   // Put is a keyed overwrite and every append truncates to its start
   // index before appending, so replay converges to the logged state
@@ -1083,13 +1027,39 @@ std::vector<std::string> SemanticTrajectoryStore::ListSealedWalSegments(
   if (!names.ok()) return {};
   for (const std::string& base : *names) {
     size_t seq = 0;
-    if (ParseSealedWalSeq(base, &seq)) found.emplace_back(seq, base);
+    if (ParseSequence(base, kSealedWalPrefix, &seq)) {
+      found.emplace_back(seq, base);
+    }
   }
   std::sort(found.begin(), found.end());
   std::vector<std::string> out;
   out.reserve(found.size());
   for (auto& [seq, name] : found) out.push_back(std::move(name));
   return out;
+}
+
+common::Result<size_t> SemanticTrajectoryStore::TakeSequenceLocked() {
+  if (next_sequence_ == 0) {
+    // Resume past every number the directory has used — sealed
+    // segments, snapshots, and what the scrubber or a crash left of
+    // them — so no name ever comes back: a shipper that has verified
+    // `wal-000003.log` once skips any later file of that name.
+    auto names = env_->ListDir(config_.durable_dir);
+    if (!names.ok()) {
+      return common::Status::IoError("cannot list " + config_.durable_dir +
+                                     ": " + names.status().message());
+    }
+    size_t highest = 0;
+    for (const std::string& name : *names) {
+      size_t seq = 0;
+      if (ParseSequence(name, kSealedWalPrefix, &seq, /*any_tail=*/true) ||
+          ParseSequence(name, kSnapshotPrefix, &seq, /*any_tail=*/true)) {
+        highest = std::max(highest, seq);
+      }
+    }
+    next_sequence_ = highest + 1;
+  }
+  return next_sequence_++;
 }
 
 common::Result<std::string> SemanticTrajectoryStore::SealWalSegment() {
@@ -1099,6 +1069,8 @@ common::Result<std::string> SemanticTrajectoryStore::SealWalSegment() {
   std::string active = config_.durable_dir + "/" + kWalFile;
   auto size = env_->FileSize(active);
   if (!size.ok() || *size == 0) return std::string();  // nothing to seal
+  auto sequence = TakeSequenceLocked();
+  SEMITRI_RETURN_IF_ERROR(sequence.status());
   // fsync before the rename publishes the sealed name: once visible,
   // a segment is complete, so replay and shipping never see a tail in
   // flight.
@@ -1107,16 +1079,8 @@ common::Result<std::string> SemanticTrajectoryStore::SealWalSegment() {
     if (!synced.ok()) return EnterDegradedLocked(std::move(synced));
   }
   wal_.reset();
-  size_t seq = 1;
-  for (const std::string& existing :
-       ListSealedWalSegments(config_.durable_dir, env_)) {
-    size_t existing_seq = 0;
-    if (ParseSealedWalSeq(existing, &existing_seq) && existing_seq >= seq) {
-      seq = existing_seq + 1;
-    }
-  }
-  std::string name = common::StrFormat("%s%06zu%s", kSealedWalPrefix, seq,
-                                       kSealedWalSuffix);
+  std::string name = common::StrFormat("%s%06zu%s", kSealedWalPrefix,
+                                       *sequence, kNumberedSuffix);
   common::Status renamed =
       env_->RenameFile(active, config_.durable_dir + "/" + name);
   if (!renamed.ok()) {
@@ -1125,7 +1089,12 @@ common::Result<std::string> SemanticTrajectoryStore::SealWalSegment() {
                                    renamed.message());
   }
   (void)env_->SyncDir(config_.durable_dir);  // best-effort, like before
-  // The next Put's EnsureWal() reopens a fresh active log.
+  // Create the next active log now, empty, so the next Put's EnsureWal()
+  // only opens it: creating a file can take half a millisecond on ext4,
+  // a stall the first Put after every seal would otherwise pay.
+  // Best-effort: if this fails, that EnsureWal() creates the file, or
+  // reports the fault, as before.
+  (void)env_->WriteStringToFile(active, "", /*sync=*/false);
   return name;
 }
 
@@ -1136,44 +1105,52 @@ common::Status SemanticTrajectoryStore::Checkpoint() {
 
   common::FaultAction action = SEMITRI_FAULT_FIRE("wal_checkpoint");
   if (action == common::FaultAction::kFail) {
-    // Injected failure before anything is written: the old checkpoint
+    // Injected failure before anything is written: the old snapshot
     // and the full WAL stay authoritative.
     return common::Status::IoError("injected checkpoint failure");
   }
+  SEMITRI_RETURN_IF_ERROR(EnsureWal());  // creates durable_dir
 
-  // Next generation number: one past what CURRENT points at.
-  std::string current =
-      ReadFirstLine(env_, config_.durable_dir + "/" + kCurrentFile);
-  size_t generation = 1;
-  if (current.rfind(kCheckpointPrefix, 0) == 0) {
-    size_t previous = 0;
-    if (ParseField(current.substr(std::strlen(kCheckpointPrefix)),
-                   &previous)) {
-      generation = previous + 1;
-    }
+  // The snapshot takes the next sequence number, so it sorts after
+  // every sealed segment it holds and before every later one.
+  auto sequence = TakeSequenceLocked();
+  SEMITRI_RETURN_IF_ERROR(sequence.status());
+  std::string snapshot;
+  for (const auto& [id, t] : raw_) {
+    AppendWalFrame(WalRecordType::kPutRawTrajectory, PutPayload(t), &snapshot);
   }
-  std::string name =
-      common::StrFormat("%s%zu", kCheckpointPrefix, generation);
-  SEMITRI_RETURN_IF_ERROR(SaveCsvLocked(config_.durable_dir + "/" + name));
+  for (const auto& [id, eps] : episodes_) {
+    AppendWalFrame(WalRecordType::kPutEpisodes, PutPayload(id, eps),
+                   &snapshot);
+  }
+  for (const auto& [key, t] : interpretations_) {
+    AppendWalFrame(WalRecordType::kPutInterpretation, PutPayload(t),
+                   &snapshot);
+  }
+  std::string name = common::StrFormat("%s%06zu%s", kSnapshotPrefix,
+                                       *sequence, kNumberedSuffix);
+  SEMITRI_RETURN_IF_ERROR(env_->WriteStringToFile(
+      config_.durable_dir + "/" + name, snapshot, /*sync=*/true));
 
   if (action == common::FaultAction::kCrash) {
-    // Simulated crash after the new generation is on disk but before
-    // the CURRENT flip: recovery ignores the orphan directory and uses
-    // the old checkpoint + WAL.
+    // Simulated crash after the new snapshot is on disk but before the
+    // CURRENT flip: recovery ignores the orphan and uses the old
+    // snapshot + WAL.
     return common::Status::IoError("simulated crash during checkpoint");
   }
 
   // Flip CURRENT via rename — the atomic commit point of the
-  // checkpoint. Before it the old generation is authoritative, after
-  // it the new one is; there is no intermediate state.
+  // checkpoint. Before it the old snapshot is authoritative, after it
+  // the new one is; there is no intermediate state.
   std::string current_path = config_.durable_dir + "/" + kCurrentFile;
-  SEMITRI_RETURN_IF_ERROR(
-      env_->WriteStringToFile(current_path + ".tmp", name + "\n",
-                              /*sync=*/true));
+  SEMITRI_RETURN_IF_ERROR(env_->WriteStringToFile(
+      current_path + ".tmp",
+      common::StrFormat("%s %zu\n", name.c_str(), snapshot.size()),
+      /*sync=*/true));
   common::Status flipped =
       env_->RenameFile(current_path + ".tmp", current_path);
   if (!flipped.ok()) {
-    // The flip never happened: the old generation stays authoritative.
+    // The flip never happened: the old snapshot stays authoritative.
     // Sweep the tmp so a later retry starts clean.
     (void)env_->RemoveFile(current_path + ".tmp");
     return common::Status::IoError("cannot commit " + current_path + ": " +
@@ -1181,26 +1158,23 @@ common::Status SemanticTrajectoryStore::Checkpoint() {
   }
   (void)env_->SyncDir(config_.durable_dir);  // best-effort, like before
 
-  // The checkpoint holds everything the log held; empty it.
-  SEMITRI_RETURN_IF_ERROR(EnsureWal());
+  // The snapshot holds everything the log held; empty it.
   SEMITRI_RETURN_IF_ERROR(wal_->Truncate());
 
-  // GC stale generations (including orphans from crashed checkpoints).
-  // GC failures leave garbage behind but never unsound state; the next
-  // checkpoint retries.
+  // GC the sealed segments and older snapshots (orphans of crashed
+  // checkpoints included) numbered below the new snapshot. A failed
+  // removal leaves garbage but never unsound state — Recover() skips
+  // what the snapshot covers — and the next checkpoint retries.
   auto entries = env_->ListDir(config_.durable_dir);
   if (entries.ok()) {
     for (const std::string& base : *entries) {
-      if (base.rfind(kCheckpointPrefix, 0) == 0 && base != name &&
-          env_->IsDirectory(config_.durable_dir + "/" + base)) {
-        (void)env_->RemoveDirRecursive(config_.durable_dir + "/" + base);
+      size_t seq = 0;
+      if ((ParseSequence(base, kSealedWalPrefix, &seq) ||
+           ParseSequence(base, kSnapshotPrefix, &seq)) &&
+          seq < *sequence) {
+        (void)env_->RemoveFile(config_.durable_dir + "/" + base);
       }
     }
-  }
-  // The checkpoint compacted everything the sealed segments held.
-  for (const std::string& sealed :
-       ListSealedWalSegments(config_.durable_dir, env_)) {
-    (void)env_->RemoveFile(config_.durable_dir + "/" + sealed);
   }
   return common::Status::OK();
 }

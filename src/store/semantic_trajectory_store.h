@@ -4,19 +4,27 @@
 // The Semantic Trajectory Store (paper §3.3/§5.1): dedicated tables for
 // GPS records, trajectories, stop/move episodes, and semantic
 // annotations. The paper backs it with PostgreSQL/PostGIS; here the
-// tables are in-memory columns with CSV persistence. An optional
-// write-through mode appends every Put to CSV files on disk, which
-// reproduces the latency profile of Fig. 17 (storing dominates
+// tables are in-memory columns with a CSV export (SaveCsv/LoadCsv). An
+// optional write-through mode appends every Put to CSV files on disk,
+// which reproduces the latency profile of Fig. 17 (storing dominates
 // computing).
 //
 // Crash-safe durable mode: with StoreConfig::durable_dir set, every Put
 // is framed into a write-ahead log (store/wal.h) *before* the in-memory
 // tables change, Sync() makes the log durable, and Checkpoint()
-// atomically compacts it into full-precision CSV tables (a LevelDB-style
-// CURRENT pointer flips generations; the log is then emptied). Recover()
-// re-opens a directory after a crash: it loads the current checkpoint,
-// replays the log, truncates a torn tail, and leaves the in-memory
-// tables bit-identical (ContentEquals) to the pre-crash state.
+// atomically compacts it into a binary snapshot: one file of the WAL's
+// own full-put records, one per stored entry, published by a
+// LevelDB-style CURRENT pointer flip (the log is then emptied). The
+// store thus keeps one on-disk record format. Recover() re-opens a
+// directory after a crash: it replays the current snapshot, the sealed
+// segments written after it and the log, truncates a torn tail, and
+// leaves the in-memory tables bit-identical (ContentEquals) to the
+// pre-crash state.
+//
+// Sequence numbers: sealed segments (`wal-<n>.log`) and snapshots
+// (`snapshot-<n>.log`) draw from one counter that never repeats a
+// number within a directory, so a snapshot sorts after every segment
+// it holds and before every later one.
 //
 // Append records: live sessions write only what is new. Append* calls
 // log and apply rows [start, size) of their argument together with
@@ -32,6 +40,7 @@
 // (and, on Clang builds, by -Wthread-safety over the annotations below)
 // rather than by caller discipline.
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -204,9 +213,13 @@ class SemanticTrajectoryStore {
 
   // --- persistence ----------------------------------------------------
 
-  // Writes all tables as CSV files (gps.csv, episodes.csv,
-  // semantic_episodes.csv) under `dir`. Rows carry round-trip (%.17g)
-  // float precision, so LoadCsv restores values bit-identically.
+  // Exports all tables as CSV files (gps.csv, episodes.csv,
+  // semantic_episodes.csv) under `dir`, one row per element. Rows carry
+  // round-trip (%.17g) float precision, so LoadCsv restores values
+  // bit-identically; an entry with no rows (an empty trajectory,
+  // episode list or interpretation) has no line to carry it and does
+  // not come back. Durability does not go through CSV: Checkpoint()
+  // writes binary snapshots that keep every entry.
   [[nodiscard]] common::Status SaveCsv(const std::string& dir) const
       SEMITRI_EXCLUDES(mutex_);
 
@@ -220,46 +233,59 @@ class SemanticTrajectoryStore {
   // --- durability (durable_dir mode) ----------------------------------
 
   struct RecoveryStats {
+    // The snapshot CURRENT names was replayed.
     bool checkpoint_loaded = false;
+    // Records of sealed segments and the active log; snapshot records
+    // are not counted.
     size_t wal_records_replayed = 0;
     size_t wal_torn_bytes_truncated = 0;
     // Sealed `wal-<seq>.log` segments replayed before the active log.
     size_t wal_segments_replayed = 0;
   };
 
-  // Rebuilds the in-memory tables from `dir` (checkpoint + WAL replay,
-  // truncating a torn tail), replacing current content, and switches
-  // this store into durable mode on `dir` so subsequent Puts append
-  // where the pre-crash process left off. An append record whose start
-  // index lies past the stored row count is set aside; unless a later
-  // full put of the same entry in the replayed log rewrites it (a log
-  // replayed over a newer checkpoint, see ApplyWalRecord), recovery
-  // fails with Corruption.
+  // Rebuilds the in-memory tables from `dir`, replacing current
+  // content, and switches this store into durable mode on `dir` so
+  // subsequent Puts append where the pre-crash process left off.
+  // Replays, through the same record decoder, the snapshot CURRENT
+  // names, then the sealed segments numbered above it (those at or
+  // below it are in the snapshot), then the active log, truncating its
+  // torn tail. A snapshot that is missing, not the size CURRENT
+  // records, or torn or CRC-bad anywhere — like a torn sealed segment —
+  // is Corruption, as is a CURRENT naming a `checkpoint-<n>/` CSV
+  // directory of an older build. An append record whose start index
+  // lies past the stored row count is set aside; unless a later full
+  // put of the same entry in the replayed log rewrites it (a log
+  // replayed over a newer snapshot, see ApplyWalRecord), recovery fails
+  // with Corruption.
   [[nodiscard]] common::Result<RecoveryStats> Recover(const std::string& dir)
       SEMITRI_EXCLUDES(mutex_);
 
   // fsyncs the WAL (no-op outside durable mode).
   [[nodiscard]] common::Status Sync() SEMITRI_EXCLUDES(mutex_);
 
-  // Atomically compacts the WAL into a fresh full-precision CSV
-  // checkpoint generation: tables are written to a new
-  // `checkpoint-<n>/` directory, the CURRENT pointer file is flipped
-  // via rename, the WAL is emptied, and stale generations are removed.
-  // A crash at any point leaves either the old or the new generation
-  // fully intact. No-op outside durable mode. Sealed WAL segments are
-  // garbage-collected along with stale generations (the new checkpoint
-  // holds everything they held) — callers shipping segments to a
-  // standby must ship before checkpointing or accept the lag.
+  // Atomically compacts the WAL into a binary snapshot: one full-put
+  // WAL record per stored entry (store/wal.h frames, so empty entries
+  // survive too) is written to `snapshot-<n>.log`, where n is the next
+  // sequence number, and fsynced; CURRENT is then rewritten to
+  // "<name> <byte size>" via tmp, fsync, rename and a directory fsync
+  // (the commit point), the WAL is emptied, and the sealed segments and
+  // older snapshots numbered below n are removed. A crash at any point
+  // leaves either the old or the new snapshot authoritative. No-op
+  // outside durable mode. Callers shipping segments to a standby must
+  // ship before checkpointing or accept the lag: the snapshot itself
+  // is never shipped.
   [[nodiscard]] common::Status Checkpoint() SEMITRI_EXCLUDES(mutex_);
 
   // Seals the active WAL into an immutable `wal-<seq>.log` segment
-  // under durable_dir: fsync, close, rename — the segment is complete
-  // and torn-tail-free once visible under its sealed name — then the
-  // next Put reopens a fresh empty active log. Returns the sealed
-  // segment's filename, or "" when there was nothing to seal (empty /
-  // absent log, or not in durable mode). Sealed segments are what
-  // shard::WalShipper copies to a standby directory; Recover() replays
-  // them in ascending sequence order before the active log.
+  // under durable_dir, seq being the next sequence number: fsync,
+  // close, rename — the segment is complete and torn-tail-free once
+  // visible under its sealed name — then creates the next active log
+  // empty (best-effort), so the next Put only opens it. Returns the
+  // sealed segment's filename, or "" when there was nothing to seal
+  // (empty / absent log, or not in durable mode). Sealed segments are
+  // what shard::WalShipper copies to a
+  // standby directory; Recover() replays them in ascending sequence
+  // order before the active log.
   [[nodiscard]] common::Result<std::string> SealWalSegment()
       SEMITRI_EXCLUDES(mutex_);
 
@@ -267,6 +293,18 @@ class SemanticTrajectoryStore {
   // by sequence number. Static so a shipper can inspect a standby
   // directory no store has open. Null `env` means the real filesystem.
   static std::vector<std::string> ListSealedWalSegments(
+      const std::string& dir, common::Env* env = nullptr);
+
+  // The snapshot CURRENT publishes under `dir`.
+  struct SnapshotRef {
+    std::string name;     // "snapshot-<sequence>.log"
+    size_t sequence = 0;  // sealed segments up to it are in the snapshot
+    uint64_t bytes = 0;   // the file's size when it was published
+  };
+  // NotFound when `dir` has no CURRENT (never checkpointed); Corruption
+  // when CURRENT does not name a snapshot. Static so the integrity
+  // scrubber can check a directory no store has open.
+  static common::Result<SnapshotRef> CurrentSnapshot(
       const std::string& dir, common::Env* env = nullptr);
 
  private:
@@ -278,6 +316,11 @@ class SemanticTrajectoryStore {
   [[nodiscard]] common::Status AppendWriteThrough(
       const std::string& file, const std::string& header, size_t begin,
       size_t end, const std::function<std::string(size_t)>& row)
+      SEMITRI_REQUIRES(mutex_);
+  // Draws the next sealed-segment/snapshot sequence number; the first
+  // call after construction or Recover() scans durable_dir for the
+  // highest number in use.
+  [[nodiscard]] common::Result<size_t> TakeSequenceLocked()
       SEMITRI_REQUIRES(mutex_);
   // Lazily creates durable_dir and the WAL writer; OK outside durable
   // mode.
@@ -325,10 +368,6 @@ class SemanticTrajectoryStore {
                                 std::string_view payload, ReplayGaps* gaps)
       SEMITRI_NO_THREAD_SAFETY_ANALYSIS;
 
-  [[nodiscard]] common::Status SaveCsvLocked(const std::string& dir) const
-      SEMITRI_REQUIRES(mutex_);
-  [[nodiscard]] common::Status LoadCsvLocked(const std::string& dir)
-      SEMITRI_REQUIRES(mutex_);
   void ClearLocked() SEMITRI_REQUIRES(mutex_);
 
   // Flips the store into read-only degraded mode (recording `cause`)
@@ -342,6 +381,9 @@ class SemanticTrajectoryStore {
   bool degraded_ SEMITRI_GUARDED_BY(mutex_) = false;
   std::string degraded_reason_ SEMITRI_GUARDED_BY(mutex_);
   std::unique_ptr<WalWriter> wal_ SEMITRI_GUARDED_BY(mutex_);
+  // Next sequence number; 0 until TakeSequenceLocked() scans the
+  // directory.
+  size_t next_sequence_ SEMITRI_GUARDED_BY(mutex_) = 0;
   std::map<core::TrajectoryId, core::RawTrajectory> raw_
       SEMITRI_GUARDED_BY(mutex_);
   std::map<core::TrajectoryId, std::vector<core::Episode>> episodes_

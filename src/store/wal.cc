@@ -9,17 +9,8 @@ namespace {
 
 constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 crc32
 
-std::string Frame(WalRecordType type, std::string_view payload) {
-  common::StateWriter frame;
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  std::string body;
-  body.reserve(payload.size() + 1);
-  body.push_back(static_cast<char>(type));
-  body.append(payload.data(), payload.size());
-  frame.PutU32(common::Crc32(body));
-  std::string out = frame.Release();
-  out += body;
-  return out;
+void WriteU32(uint32_t v, char* p) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
 
 uint32_t ReadU32(const char* p) {
@@ -31,6 +22,19 @@ uint32_t ReadU32(const char* p) {
 }
 
 }  // namespace
+
+void AppendWalFrame(WalRecordType type, std::string_view payload,
+                    std::string* out) {
+  const size_t header = out->size();
+  out->reserve(header + kFrameHeaderBytes + 1 + payload.size());
+  out->append(kFrameHeaderBytes, '\0');
+  out->push_back(static_cast<char>(type));
+  out->append(payload);
+  WriteU32(static_cast<uint32_t>(payload.size()), out->data() + header);
+  WriteU32(common::Crc32(std::string_view(*out).substr(header +
+                                                       kFrameHeaderBytes)),
+           out->data() + header + 4);
+}
 
 common::Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     const std::string& path, common::Env* env) {
@@ -59,7 +63,8 @@ common::Status WalWriter::Append(WalRecordType type,
         "wal writer poisoned by earlier failure, rotate the log (cause: " +
         poison_cause_.ToString() + ")");
   }
-  std::string frame = Frame(type, payload);
+  std::string frame;
+  AppendWalFrame(type, payload, &frame);
   common::FaultAction action = SEMITRI_FAULT_FIRE("wal_append");
   if (action == common::FaultAction::kCrash) {
     // Simulated power cut mid-write: half the frame reaches the disk,

@@ -18,6 +18,11 @@
 //   u8  type     WalRecordType
 //   ...payload   `length` bytes (common::StateWriter encoding)
 //
+// Checkpoint snapshots (SemanticTrajectoryStore::Checkpoint) are files
+// of the same frames — one full put per stored entry, encoded by
+// AppendWalFrame — so the store keeps a single on-disk record format
+// and replays a snapshot with ReplayWal like any log.
+//
 // A crash mid-append leaves a torn final frame (short header, short
 // payload, or CRC mismatch). Replay treats the first bad frame as the
 // torn tail: every frame before it is applied, the tail is truncated,
@@ -121,6 +126,12 @@ class WalWriter {
   bool poisoned_ = false;
   common::Status poison_cause_;
 };
+
+// Appends one framed record (the on-disk format above) to `out`; the
+// frame encoding WalWriter::Append writes, for callers that build a
+// whole file of records in memory.
+void AppendWalFrame(WalRecordType type, std::string_view payload,
+                    std::string* out);
 
 struct WalReplayStats {
   size_t records_applied = 0;

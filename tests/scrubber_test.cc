@@ -1,5 +1,5 @@
 // Tests for the background integrity scrubber: detection of bit rot in
-// sealed WAL segments and checkpoint CSVs, repair from a standby's
+// sealed WAL segments and checkpoint snapshots, repair from a standby's
 // shipped copy, quarantine when no intact copy exists, and the
 // incremental Tick() walk. No fault injection needed — corruption is
 // planted by rewriting bytes directly, which is exactly what the
@@ -59,9 +59,9 @@ bool SegmentIntact(const std::string& path) {
   return scanned.ok() && scanned->torn_bytes_truncated == 0;
 }
 
-// A durable directory with one checkpoint generation (checksums.csv
-// sidecar included), one sealed segment, and an active WAL tail; the
-// sealed segment optionally shipped to `standby`.
+// A durable directory with one checkpoint snapshot, one sealed segment,
+// and an active WAL tail; the sealed segment optionally shipped to
+// `standby`.
 class ScrubberFixture : public ::testing::Test {
  protected:
   void BuildPrimary(const std::string& dir, const std::string& standby) {
@@ -93,13 +93,10 @@ class ScrubberFixture : public ::testing::Test {
     }
   }
 
-  std::string CurrentGeneration(const std::string& dir) {
-    common::Env* env = common::Env::Default();
-    std::string current;
-    EXPECT_TRUE(env->ReadFileToString(dir + "/CURRENT", &current).ok());
-    size_t eol = current.find('\n');
-    if (eol != std::string::npos) current = current.substr(0, eol);
-    return dir + "/" + current;
+  std::string CurrentSnapshot(const std::string& dir) {
+    auto snapshot = store::SemanticTrajectoryStore::CurrentSnapshot(dir);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    return snapshot.ok() ? dir + "/" + snapshot->name : "";
   }
 
   std::string sealed_name_;
@@ -115,8 +112,8 @@ TEST_F(ScrubberFixture, CleanDirectoryScansWithoutFindings) {
   store::IntegrityScrubber scrubber(config);
   ASSERT_TRUE(scrubber.Tick().ok());
   const auto& c = scrubber.counters();
-  // One sealed segment + the four checkpoint CSVs named by the sidecar.
-  EXPECT_EQ(c.files_scanned, 5u);
+  // One sealed segment + the snapshot CURRENT names.
+  EXPECT_EQ(c.files_scanned, 2u);
   EXPECT_EQ(c.corrupt_detected, 0u);
   EXPECT_EQ(c.repaired, 0u);
   EXPECT_EQ(c.quarantined, 0u);
@@ -203,11 +200,11 @@ TEST_F(ScrubberFixture, RefusesToRepairFromACorruptStandbyCopy) {
   fs::remove_all(standby);
 }
 
-TEST_F(ScrubberFixture, DetectsCorruptCheckpointCsvAgainstSidecar) {
+TEST_F(ScrubberFixture, DetectsCorruptSnapshotAndQuarantinesIt) {
   std::string dir = TempDir("semitri_scrub_ckpt");
   BuildPrimary(dir, "");
-  std::string gps = CurrentGeneration(dir) + "/gps.csv";
-  CorruptMiddleByte(gps);
+  std::string snapshot = CurrentSnapshot(dir);
+  CorruptMiddleByte(snapshot);
 
   store::ScrubberConfig config;
   config.dir = dir;
@@ -215,20 +212,43 @@ TEST_F(ScrubberFixture, DetectsCorruptCheckpointCsvAgainstSidecar) {
   store::IntegrityScrubber scrubber(config);
   ASSERT_TRUE(scrubber.Tick().ok());
   const auto& c = scrubber.counters();
-  // Generations are never shipped, so a corrupt CSV can only
-  // quarantine — which makes the generation unusable loudly.
+  // Snapshots are never shipped, so a corrupt one can only
+  // quarantine — which makes the snapshot unusable loudly.
   EXPECT_EQ(c.corrupt_detected, 1u);
   EXPECT_EQ(c.quarantined, 1u);
-  EXPECT_EQ(scrubber.last_quarantine(), gps);
+  EXPECT_EQ(scrubber.last_quarantine(), snapshot);
+  EXPECT_TRUE(common::Env::Default()->FileExists(snapshot + ".quarantined"));
   fs::remove_all(dir);
 }
 
-TEST_F(ScrubberFixture, GenerationWithoutSidecarIsUnverifiableNotGuessed) {
-  std::string dir = TempDir("semitri_scrub_nosidecar");
+TEST_F(ScrubberFixture, SnapshotTruncatedAtFrameBoundaryIsCaught) {
+  std::string dir = TempDir("semitri_scrub_short_snapshot");
   BuildPrimary(dir, "");
+  std::string snapshot = CurrentSnapshot(dir);
+  // Cut the last frame off whole: every remaining frame is intact, so
+  // only the byte size CURRENT records can tell the file is short.
+  std::string data;
+  ASSERT_TRUE(common::Env::Default()->ReadFileToString(snapshot, &data).ok());
+  size_t last_frame = 0;
+  for (size_t pos = 0; pos < data.size();) {
+    last_frame = pos;
+    uint32_t length = 0;
+    for (int i = 0; i < 4; ++i) {
+      length |= static_cast<uint32_t>(static_cast<uint8_t>(data[pos + i]))
+                << (8 * i);
+    }
+    pos += 8 + 1 + length;  // header + type byte + payload
+  }
+  ASSERT_GT(last_frame, 0u);
   ASSERT_TRUE(common::Env::Default()
-                  ->RemoveFile(CurrentGeneration(dir) + "/checksums.csv")
+                  ->WriteStringToFile(snapshot, data.substr(0, last_frame),
+                                      /*sync=*/true)
                   .ok());
+  ASSERT_TRUE(SegmentIntact(snapshot));
+
+  store::SemanticTrajectoryStore recovered;
+  EXPECT_EQ(recovered.Recover(dir).status().code(),
+            common::StatusCode::kCorruption);
 
   store::ScrubberConfig config;
   config.dir = dir;
@@ -236,10 +256,10 @@ TEST_F(ScrubberFixture, GenerationWithoutSidecarIsUnverifiableNotGuessed) {
   store::IntegrityScrubber scrubber(config);
   ASSERT_TRUE(scrubber.Tick().ok());
   const auto& c = scrubber.counters();
-  EXPECT_EQ(c.unverifiable_skipped, 1u);
-  // Only the sealed segment was scannable.
-  EXPECT_EQ(c.files_scanned, 1u);
-  EXPECT_EQ(c.corrupt_detected, 0u);
+  EXPECT_EQ(c.files_scanned, 2u);
+  EXPECT_EQ(c.corrupt_detected, 1u);
+  EXPECT_EQ(c.quarantined, 1u);
+  EXPECT_EQ(scrubber.last_quarantine(), snapshot);
   fs::remove_all(dir);
 }
 
@@ -251,14 +271,13 @@ TEST_F(ScrubberFixture, TickWalksIncrementallyAndCyclesPickUpNewDamage) {
   store::ScrubberConfig config;
   config.dir = dir;
   config.repair_dir = standby;
-  config.files_per_cycle = 2;  // 5 files: 3 Ticks per cycle
+  config.files_per_cycle = 1;  // 2 files: 2 Ticks per cycle
   store::IntegrityScrubber scrubber(config);
   ASSERT_TRUE(scrubber.Tick().ok());
-  EXPECT_EQ(scrubber.counters().files_scanned, 2u);
+  EXPECT_EQ(scrubber.counters().files_scanned, 1u);
   EXPECT_EQ(scrubber.counters().cycles_completed, 0u);
   ASSERT_TRUE(scrubber.Tick().ok());
-  ASSERT_TRUE(scrubber.Tick().ok());
-  EXPECT_EQ(scrubber.counters().files_scanned, 5u);
+  EXPECT_EQ(scrubber.counters().files_scanned, 2u);
   EXPECT_EQ(scrubber.counters().cycles_completed, 1u);
 
   // Damage landing after a cycle completed is caught by the next walk.
