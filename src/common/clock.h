@@ -2,9 +2,9 @@
 #define SEMITRI_COMMON_CLOCK_H_
 
 // Injectable time source for everything in the library that reads the
-// wall clock or sleeps: deadline checks, retry backoff (stage
-// FailurePolicy, BatchProcessor), circuit-breaker open/half-open
-// transitions, session idle tracking and admission token buckets.
+// wall clock or sleeps: deadline checks, retry backoff
+// (common::RetryPolicy), circuit-breaker open/half-open transitions,
+// session idle tracking and admission token buckets.
 //
 // Production code uses Clock::Real() (std::chrono::steady_clock).
 // Tests inject a FakeClock so retry/backoff/deadline/eviction behavior

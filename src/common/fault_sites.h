@@ -40,7 +40,6 @@ inline constexpr FaultSiteInfo kFaultSites[] = {
     {"migration_unpack", false},     // shard: destination-side adopt
     {"stage:", true},             // stage graph: per-stage failure
     {"stage_slow:", true},        // stage graph: per-stage stall
-    {"store_write_through", false},  // store: durable csv append
     {"wal_append", false},           // wal: frame write
     {"wal_checkpoint", false},       // wal: checkpoint + truncate
     {"wal_ship", false},             // shard: sealed-segment copy to standby

@@ -37,14 +37,16 @@ enum class Layer { kRegion, kLine, kPoint };
 const char* LayerName(Layer layer);
 
 // How one stage execution ended. Recorded on PipelineResult only for
-// the interesting cases — a stage that needed retries, was skipped by
-// its failure policy, or failed the run — so the happy path stays
-// allocation-free. (Defined here rather than in stage.h because stage.h
-// includes this header.)
+// the interesting cases — a stage that was skipped by its failure
+// policy or failed the run — so the happy path stays allocation-free.
+// (Defined here rather than in stage.h because stage.h includes this
+// header.)
 struct StageReport {
-  // Final status of the last attempt (the error even when the stage was
-  // skipped and the run continued).
+  // The stage's error (also when the stage was skipped and the run
+  // continued).
   common::Status status;
+  // 1 when the stage was entered, 0 when an open circuit breaker
+  // short-circuited it.
   size_t attempts = 1;
   // True when the stage failed but its FailurePolicy let the graph
   // continue — the result is complete except for this stage's layer.
@@ -60,7 +62,7 @@ struct PipelineResult {
   std::optional<StructuredSemanticTrajectory> line_layer;
   std::optional<StructuredSemanticTrajectory> point_layer;
   // Per-stage failure accounting (see StageReport); empty on a clean
-  // first-attempt run. Transient — not serialized into checkpoints.
+  // run. Transient — not serialized into checkpoints.
   std::map<std::string, StageReport> stage_reports;
 
   size_t NumStops() const;

@@ -2,10 +2,10 @@
 #define SEMITRI_CORE_CIRCUIT_BREAKER_H_
 
 // Per-stage circuit breaker: stops a persistently failing (or
-// persistently slow) stage from burning its retry budget on every
-// trajectory. Wraps the PR 4 FailurePolicy rather than replacing it —
-// while the breaker is open the stage graph short-circuits the stage
-// with Status::Unavailable *before* any attempt, and the stage's
+// persistently slow) stage from being run, and failing, on every
+// trajectory. Wraps the stage's FailurePolicy rather than replacing it
+// — while the breaker is open the stage graph short-circuits the stage
+// with Status::Unavailable *without* running it, and the stage's
 // FailurePolicy then decides whether the run degrades (skip-and-record)
 // or fails, exactly as for a real stage error.
 //

@@ -150,9 +150,9 @@ common::Status StageGraph::RunOne(const AnnotationStage& stage,
     SEMITRI_RETURN_IF_ERROR(context.exec->Check(stage.name().c_str()));
   }
 
-  // Open circuit breaker: short-circuit before any attempt — no retry
-  // budget is burned — and let the stage's FailurePolicy decide whether
-  // the run degrades (skip) or fails, exactly as for a real error.
+  // Open circuit breaker: short-circuit without running the stage and
+  // let its FailurePolicy decide whether the run degrades (skip) or
+  // fails, exactly as for a real error.
   CircuitBreaker* breaker = stage.circuit_breaker();
   if (breaker != nullptr && !breaker->Allow()) {
     common::Status status = common::Status::Unavailable(
@@ -164,8 +164,8 @@ common::Status StageGraph::RunOne(const AnnotationStage& stage,
   }
 
   // Tighten the stage's view of the deadline by its per-stage budget;
-  // attempts below run against `stage_exec` while the between-stage gate
-  // above keeps using the caller's run-level control.
+  // the run below goes against `stage_exec` while the between-stage
+  // gate above keeps using the caller's run-level control.
   const common::ExecControl* run_exec = context.exec;
   common::ExecControl stage_exec;
   bool stage_bounded = false;
@@ -186,81 +186,57 @@ common::Status StageGraph::RunOne(const AnnotationStage& stage,
                   run_exec->stage_timeout_seconds, stage_exec.token);
   }
 
+  // Every stage execution is a fault site named "stage:<name>", so the
+  // crash-recovery harness can fail any step of the graph without
+  // bespoke hooks in each annotator; "stage_slow:<name>" simulates a
+  // wedged stage by sleeping past the remaining deadline (instant under
+  // a FakeClock), exercising the timeout paths deterministically.
+  common::FaultAction slow = SEMITRI_FAULT_FIRE("stage_slow:" + stage.name());
+  if (slow != common::FaultAction::kNone) {
+    double nap = 0.001;
+    if (context.exec != nullptr && !context.exec->deadline.infinite()) {
+      nap = std::max(nap, context.exec->deadline.remaining_seconds() + 0.001);
+    }
+    clock->SleepFor(nap);
+  }
+  common::FaultAction action = SEMITRI_FAULT_FIRE("stage:" + stage.name());
   common::Status status;
-  size_t attempts = 0;
-  double backoff = policy.initial_backoff_seconds;
-  for (;;) {
-    ++attempts;
-    // Every stage execution is a fault site named "stage:<name>", so
-    // the crash-recovery harness can fail any step of the graph without
-    // bespoke hooks in each annotator; "stage_slow:<name>" simulates a
-    // wedged stage by sleeping past the remaining deadline (instant
-    // under a FakeClock), exercising the timeout paths deterministically.
-    common::FaultAction slow = SEMITRI_FAULT_FIRE("stage_slow:" + stage.name());
-    if (slow != common::FaultAction::kNone) {
-      double nap = 0.001;
-      if (context.exec != nullptr && !context.exec->deadline.infinite()) {
-        nap = std::max(
-            nap, context.exec->deadline.remaining_seconds() + 0.001);
-      }
-      clock->SleepFor(nap);
+  // A kCrash at the slow site is a process that dies while wedged: it
+  // must surface as a hard failure, never as a completed stage.
+  if (slow == common::FaultAction::kCrash ||
+      action != common::FaultAction::kNone) {
+    status = common::Status::IoError("injected failure in stage '" +
+                                     stage.name() + "'");
+  } else if (context.exec != nullptr &&
+             !(status = context.exec->Check(stage.name().c_str())).ok()) {
+    // Budget already gone (e.g. the slow site above): don't enter the
+    // stage at all.
+  } else {
+    int64_t start_nanos = breaker != nullptr ? clock->NowNanos() : 0;
+    {
+      StageTimer timer(stage.profiled() ? context.profiler : nullptr,
+                       stage.name().c_str());
+      status = stage.Run(context);
     }
-    common::FaultAction action = SEMITRI_FAULT_FIRE("stage:" + stage.name());
-    // A kCrash at the slow site is a process that dies while wedged: it
-    // must surface as a hard failure, never as a completed stage.
-    if (slow == common::FaultAction::kCrash ||
-        action != common::FaultAction::kNone) {
-      status = common::Status::IoError("injected failure in stage '" +
-                                       stage.name() + "'");
-    } else if (context.exec != nullptr && !(status = context.exec->Check(
-                                                stage.name().c_str()))
-                                               .ok()) {
-      // Budget already gone (e.g. the slow site above, or an earlier
-      // attempt consumed it): don't enter the stage at all.
-    } else {
-      int64_t start_nanos = breaker != nullptr ? clock->NowNanos() : 0;
-      {
-        StageTimer timer(stage.profiled() ? context.profiler : nullptr,
-                         stage.name().c_str());
-        status = stage.Run(context);
+    if (breaker != nullptr) {
+      double latency =
+          static_cast<double>(clock->NowNanos() - start_nanos) * 1e-9;
+      if (status.ok()) {
+        breaker->RecordSuccess(latency);
+      } else {
+        breaker->RecordFailure();
       }
-      if (breaker != nullptr) {
-        double latency =
-            static_cast<double>(clock->NowNanos() - start_nanos) * 1e-9;
-        if (status.ok()) {
-          breaker->RecordSuccess(latency);
-        } else {
-          breaker->RecordFailure();
-        }
-      }
-    }
-    if (status.ok() || attempts >= std::max<size_t>(policy.max_attempts, 1)) {
-      break;
-    }
-    // Retrying against an exhausted deadline can only fail again — stop
-    // burning attempts and let the failure policy decide immediately.
-    if (status.code() == common::StatusCode::kDeadlineExceeded) break;
-    if (backoff > 0.0) {
-      clock->SleepFor(std::min(backoff, policy.max_backoff_seconds));
-      backoff *= policy.backoff_multiplier;
     }
   }
   context.exec = run_exec;
 
-  // Record only the interesting executions (retried, failed, or
-  // skipped) so a clean first-attempt run allocates nothing.
-  if (status.ok()) {
-    if (attempts > 1) {
-      context.result.stage_reports[stage.name()] =
-          StageReport{status, attempts, /*skipped=*/false};
-    }
-    return status;
-  }
+  // Only failures leave a report, so a clean run allocates nothing.
+  if (status.ok()) return status;
   // A stage that exhausted only its own budget degrades per policy; an
   // exhausted run deadline surfaces at the next between-stage gate.
   bool skip = policy.on_failure == FailurePolicy::OnFailure::kSkip;
   context.result.stage_reports[stage.name()] =
-      StageReport{status, attempts, skip};
+      StageReport{status, /*attempts=*/1, skip};
   // Degrade: drop this stage's contribution and let the rest of the
   // graph complete.
   if (skip) return common::Status::OK();

@@ -28,12 +28,12 @@
 
 namespace semitri::core {
 
-// What the graph does when a stage's Run returns an error. The three
-// shapes: fail-fast (default — the error aborts the run), skip-and-
+// What the graph does when a stage's Run returns an error. The two
+// shapes: fail-fast (default — the error aborts the run) and skip-and-
 // record (the stage is dropped, a StageReport lands on the result, and
 // the rest of the graph continues — graceful degradation, e.g. a
-// broken POI repository still yields region+line layers), and retry
-// (capped exponential backoff before either of the above applies).
+// broken POI repository still yields region+line layers). A stage runs
+// once per graph run; the graph does not retry it.
 struct FailurePolicy {
   enum class OnFailure {
     kAbort,  // propagate the error; the run stops
@@ -41,26 +41,11 @@ struct FailurePolicy {
   };
 
   OnFailure on_failure = OnFailure::kAbort;
-  // Total attempts (1 = no retry). Retries apply to any non-OK status.
-  size_t max_attempts = 1;
-  // Exponential backoff between attempts: initial * multiplier^k,
-  // capped. 0 initial backoff retries immediately (the right setting
-  // for deterministic tests).
-  double initial_backoff_seconds = 0.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 1.0;
 
   static FailurePolicy FailFast() { return {}; }
   static FailurePolicy SkipAndRecord() {
     FailurePolicy p;
     p.on_failure = OnFailure::kSkip;
-    return p;
-  }
-  static FailurePolicy Retry(size_t max_attempts,
-                             double initial_backoff_seconds = 0.0) {
-    FailurePolicy p;
-    p.max_attempts = max_attempts;
-    p.initial_backoff_seconds = initial_backoff_seconds;
     return p;
   }
 };
@@ -93,7 +78,7 @@ class AnnotationStage {
 
   // Optional circuit breaker wrapping this stage's FailurePolicy: while
   // open, the graph short-circuits the stage with Status::Unavailable
-  // before any attempt (see circuit_breaker.h). The breaker is
+  // without running it (see circuit_breaker.h). The breaker is
   // internally synchronized, so a shared graph stays thread-safe.
   void set_circuit_breaker(std::unique_ptr<CircuitBreaker> breaker) {
     breaker_ = std::move(breaker);
@@ -163,10 +148,10 @@ class StageGraph {
   // Stage names in execution order (finalized graphs only).
   std::vector<std::string> ExecutionOrder() const;
 
-  // Runs every stage in execution order. A failing stage is retried
-  // and/or skipped per its FailurePolicy (default: fail fast — the
-  // first error stops the run); retried, skipped, and failed stages
-  // leave a StageReport on the context's result. Profiled stages are
+  // Runs every stage in execution order. A failing stage is skipped or
+  // fails the run per its FailurePolicy (default: fail fast — the first
+  // error stops the run); skipped and failed stages leave a StageReport
+  // on the context's result. Profiled stages are
   // timed under their name when the context carries a profiler. The
   // graph must be finalized.
   [[nodiscard]] common::Status Run(AnnotationContext& context) const;

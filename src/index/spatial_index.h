@@ -5,10 +5,10 @@
 //
 // The paper indexes regions and road segments with an R*-tree ([2]) and
 // discretizes the POI observation model over a uniform grid (§4.3); the
-// repositories (`PoiSet`, `RoadNetwork`, `RegionSet`) and the store's
-// query engine program against this interface so the backend is a
-// configuration choice rather than a per-layer hard-coding — the
-// R*-vs-grid comparison of `bench_ablation_index` is a config flip.
+// repositories (`PoiSet`, `RoadNetwork`, `RegionSet`) program against
+// this interface so the backend is a configuration choice rather than a
+// per-layer hard-coding — the R*-vs-grid comparison of
+// `bench_ablation_index` is a config flip.
 //
 // Both backends implement the same contract:
 //   * Insert / BulkLoad of (BoundingBox, T) entries,
@@ -16,9 +16,8 @@
 //   * k-nearest-neighbor by box distance, nondecreasing, and
 //   * Bounds() over all entries.
 //
-// Queries are const and thread-safe (no mutable scratch state), matching
-// the batch processor's requirement that a shared repository may serve
-// many annotation workers at once.
+// Queries are const and thread-safe (no mutable scratch state), so a
+// shared repository may serve many annotation workers at once.
 
 #include <algorithm>
 #include <cmath>

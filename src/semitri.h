@@ -29,7 +29,6 @@
 
 // Data model and pipeline.
 #include "core/annotation_context.h"
-#include "core/batch.h"
 #include "core/circuit_breaker.h"
 #include "core/health.h"
 #include "core/ingest.h"
@@ -72,7 +71,6 @@
 #include "analytics/latency_profiler.h"
 #include "analytics/personal_places.h"
 #include "analytics/sequence_mining.h"
-#include "analytics/similarity.h"
 #include "analytics/timeline.h"
 #include "analytics/trajectory_stats.h"
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 
@@ -66,9 +65,8 @@ std::string PutPayload(const core::StructuredSemanticTrajectory& trajectory) {
   return payload.Release();
 }
 
-// Doubles are written with %.17g so text round-trips to the identical
-// bit pattern — ContentEquals between a LoadCsv'd export and its source
-// compares doubles exactly, so lossy %.6f would break it.
+// CSV export rows. Doubles are written with %.17g, so the text holds
+// the identical bit pattern and a reader loses no precision.
 std::string GpsRow(const core::RawTrajectory& t, const core::GpsPoint& p) {
   return common::StrFormat("%lld,%lld,%.17g,%.17g,%.17g",
                            static_cast<long long>(t.object_id),
@@ -116,131 +114,17 @@ constexpr char kSemanticHeader[] =
     "object_id,trajectory_id,interpretation,index,kind,place_kind,place_id,"
     "time_in,time_out,annotations,source_episode";
 
-// Writes header (for a fresh/empty file) + rows in ONE Append call, so
-// a crash between Puts never leaves a half-batch: either the whole
-// batch landed or at most the final line is torn mid-row (which LoadCsv
-// tolerates). `fault_site`, when set, is a fault-injection hook: kFail
-// drops the batch, kCrash tears it halfway through like a power cut.
-common::Status WriteLines(common::Env* env, const std::string& path,
-                          const std::string& header,
-                          const std::vector<std::string>& rows, bool append,
-                          bool sync = false,
-                          const char* fault_site = nullptr) {
-  bool need_header = !append;
-  if (append) {
-    auto size = env->FileSize(path);
-    need_header = !size.ok() || *size == 0;
-  }
-  std::string buffer;
-  size_t bytes = need_header ? header.size() + 1 : 0;
-  for (const std::string& row : rows) bytes += row.size() + 1;
-  buffer.reserve(bytes);
-  if (need_header) {
-    buffer += header;
-    buffer += '\n';
-  }
+// Writes the header and rows as `path`'s whole content, fsynced.
+common::Status WriteCsv(common::Env* env, const std::string& path,
+                        const char* header,
+                        const std::vector<std::string>& rows) {
+  std::string buffer = header;
+  buffer += '\n';
   for (const std::string& row : rows) {
     buffer += row;
     buffer += '\n';
   }
-
-  auto file = env->NewWritableFile(
-      path, append ? common::WriteMode::kAppend : common::WriteMode::kTruncate);
-  if (!file.ok()) {
-    return common::Status::IoError("cannot open " + path + ": " +
-                                   file.status().message());
-  }
-
-  common::FaultAction action = common::FaultAction::kNone;
-  // semitri-lint: allow(fault-site-registry) — the name is forwarded
-  // from AppendWriteThrough's caller; the only value passed,
-  // "store_write_through", is a registered exact entry.
-  if (fault_site != nullptr) action = SEMITRI_FAULT_FIRE(fault_site);
-  if (action == common::FaultAction::kFail) {
-    return common::Status::IoError("injected write failure for " + path);
-  }
-  if (action == common::FaultAction::kCrash) {
-    // Simulated power cut mid-append: half the batch reaches the file,
-    // tearing the final line. LoadCsv must tolerate exactly this. The
-    // partial write's own status is irrelevant — we report the crash.
-    (void)(*file)->Append(
-        std::string_view(buffer.data(), buffer.size() / 2));
-    return common::Status::IoError("simulated crash during csv append");
-  }
-
-  SEMITRI_RETURN_IF_ERROR((*file)->Append(buffer));
-  if (sync) SEMITRI_RETURN_IF_ERROR((*file)->Sync());
-  return (*file)->Close();
-}
-
-// Field accessors for LoadCsv: untrusted CSV must produce Corruption
-// statuses, never exceptions or UB (strtox helpers throw; the Parse*
-// helpers do not).
-common::Status BadRow(const char* file, const std::string& line) {
-  return common::Status::Corruption(std::string("bad ") + file +
-                                    " row: " + line);
-}
-
-bool ParseField(const std::string& field, double* out) {
-  return common::ParseDouble(field, out);
-}
-bool ParseField(const std::string& field, int64_t* out) {
-  return common::ParseInt64(field, out);
-}
-bool ParseField(const std::string& field, size_t* out) {
-  return common::ParseSizeT(field, out);
-}
-
-// Streams a CSV table through `row`, skipping the header line. A row
-// that fails to parse normally fails the load — except the final line
-// of a file with no trailing newline, which is the signature of a
-// crash mid-append (WriteLines emits one batch per write, newline
-// last); that torn row is dropped and counted instead.
-common::Status ForEachRow(
-    common::Env* env, const std::string& path,
-    const std::function<common::Status(const std::string&)>& row,
-    size_t* torn_rows_tolerated) {
-  std::string data;
-  {
-    common::Status read = env->ReadFileToString(path, &data);
-    if (!read.ok()) {
-      return common::Status::IoError("cannot open " + path + ": " +
-                                     read.message());
-    }
-  }
-  bool last_terminated = data.empty() || data.back() == '\n';
-  std::vector<std::string> lines = common::Split(data, '\n');
-  if (last_terminated && !lines.empty() && lines.back().empty()) {
-    lines.pop_back();
-  }
-  for (size_t i = 1; i < lines.size(); ++i) {  // lines[0] is the header
-    if (lines[i].empty()) continue;
-    common::Status status = row(lines[i]);
-    if (!status.ok()) {
-      if (i + 1 == lines.size() && !last_terminated) {
-        ++*torn_rows_tolerated;
-        return common::Status::OK();
-      }
-      return status;
-    }
-  }
-  return common::Status::OK();
-}
-
-common::Status ParseEpisodeKind(const std::string& kind,
-                                core::EpisodeKind* out) {
-  if (kind == "stop") {
-    *out = core::EpisodeKind::kStop;
-  } else if (kind == "move") {
-    *out = core::EpisodeKind::kMove;
-  } else if (kind == "begin") {
-    *out = core::EpisodeKind::kBegin;
-  } else if (kind == "end") {
-    *out = core::EpisodeKind::kEnd;
-  } else {
-    return common::Status::Corruption("unknown episode kind: " + kind);
-  }
-  return common::Status::OK();
+  return env->WriteStringToFile(path, buffer, /*sync=*/true);
 }
 
 }  // namespace
@@ -261,26 +145,6 @@ common::Status SemanticTrajectoryStore::CheckWritableLocked() const {
   if (!degraded_) return common::Status::OK();
   return common::Status::Unavailable(
       "store is in read-only degraded mode: " + degraded_reason_);
-}
-
-common::Status SemanticTrajectoryStore::AppendWriteThrough(
-    const std::string& file, const std::string& header, size_t begin,
-    size_t end, const std::function<std::string(size_t)>& row) {
-  if (config_.write_through_dir.empty()) return common::Status::OK();
-  std::vector<std::string> rows;
-  rows.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) rows.push_back(row(i));
-  common::Status created = env_->CreateDirs(config_.write_through_dir);
-  if (!created.ok()) {
-    return EnterDegradedLocked(common::Status::IoError(
-        "cannot create " + config_.write_through_dir));
-  }
-  std::string path = config_.write_through_dir + "/" + file;
-  common::Status status =
-      WriteLines(env_, path, header, rows, /*append=*/true, /*sync=*/false,
-                 /*fault_site=*/"store_write_through");
-  if (!status.ok()) return EnterDegradedLocked(std::move(status));
-  return status;
 }
 
 common::Status SemanticTrajectoryStore::EnsureWal() {
@@ -518,9 +382,7 @@ common::Status SemanticTrajectoryStore::PutRawTrajectory(
         LogToWal(WalRecordType::kPutRawTrajectory, PutPayload(trajectory)));
   }
   ApplyRawTrajectory(trajectory);
-  return AppendWriteThrough(
-      "gps.csv", kGpsHeader, 0, trajectory.points.size(),
-      [&](size_t i) { return GpsRow(trajectory, trajectory.points[i]); });
+  return common::Status::OK();
 }
 
 common::Status SemanticTrajectoryStore::PutEpisodes(
@@ -532,9 +394,7 @@ common::Status SemanticTrajectoryStore::PutEpisodes(
         LogToWal(WalRecordType::kPutEpisodes, PutPayload(id, episodes)));
   }
   ApplyEpisodes(id, episodes);
-  return AppendWriteThrough(
-      "episodes.csv", kEpisodeHeader, 0, episodes.size(),
-      [&](size_t i) { return EpisodeRow(id, i, episodes[i]); });
+  return common::Status::OK();
 }
 
 common::Status SemanticTrajectoryStore::PutInterpretation(
@@ -550,11 +410,7 @@ common::Status SemanticTrajectoryStore::PutInterpretation(
         LogToWal(WalRecordType::kPutInterpretation, PutPayload(trajectory)));
   }
   ApplyInterpretation(trajectory);
-  return AppendWriteThrough(
-      "semantic_episodes.csv", kSemanticHeader, 0, trajectory.episodes.size(),
-      [&](size_t i) {
-        return SemanticEpisodeRow(trajectory, i, trajectory.episodes[i]);
-      });
+  return common::Status::OK();
 }
 
 // The append payloads are laid out as `u64 start` followed by the
@@ -586,9 +442,7 @@ common::Status SemanticTrajectoryStore::AppendRawPoints(
         LogToWal(WalRecordType::kAppendRawPoints, payload.data()));
   }
   ApplyRawPointsAppend(trajectory.id, trajectory.object_id, start, tail);
-  return AppendWriteThrough(
-      "gps.csv", kGpsHeader, start, trajectory.points.size(),
-      [&](size_t i) { return GpsRow(trajectory, trajectory.points[i]); });
+  return common::Status::OK();
 }
 
 common::Status SemanticTrajectoryStore::AppendEpisodes(
@@ -614,9 +468,7 @@ common::Status SemanticTrajectoryStore::AppendEpisodes(
         LogToWal(WalRecordType::kAppendEpisodes, payload.data()));
   }
   ApplyEpisodesAppend(id, start, tail);
-  return AppendWriteThrough(
-      "episodes.csv", kEpisodeHeader, start, episodes.size(),
-      [&](size_t i) { return EpisodeRow(id, i, episodes[i]); });
+  return common::Status::OK();
 }
 
 common::Status SemanticTrajectoryStore::AppendInterpretation(
@@ -650,11 +502,7 @@ common::Status SemanticTrajectoryStore::AppendInterpretation(
         LogToWal(WalRecordType::kAppendInterpretation, payload.data()));
   }
   ApplyInterpretationAppend(trajectory, start, tail);
-  return AppendWriteThrough(
-      "semantic_episodes.csv", kSemanticHeader, start,
-      trajectory.episodes.size(), [&](size_t i) {
-        return SemanticEpisodeRow(trajectory, i, trajectory.episodes[i]);
-      });
+  return common::Status::OK();
 }
 
 common::Status SemanticTrajectoryStore::ExitDegradedMode() {
@@ -757,9 +605,8 @@ common::Status SemanticTrajectoryStore::SaveCsv(const std::string& dir) const {
   for (const auto& [id, t] : raw_) {
     for (const core::GpsPoint& p : t.points) gps_rows.push_back(GpsRow(t, p));
   }
-  SEMITRI_RETURN_IF_ERROR(WriteLines(env_, dir + "/gps.csv", kGpsHeader,
-                                     gps_rows, /*append=*/false,
-                                     /*sync=*/true));
+  SEMITRI_RETURN_IF_ERROR(
+      WriteCsv(env_, dir + "/gps.csv", kGpsHeader, gps_rows));
 
   std::vector<std::string> episode_rows;
   for (const auto& [id, eps] : episodes_) {
@@ -767,9 +614,8 @@ common::Status SemanticTrajectoryStore::SaveCsv(const std::string& dir) const {
       episode_rows.push_back(EpisodeRow(id, i, eps[i]));
     }
   }
-  SEMITRI_RETURN_IF_ERROR(WriteLines(env_, dir + "/episodes.csv",
-                                     kEpisodeHeader, episode_rows,
-                                     /*append=*/false, /*sync=*/true));
+  SEMITRI_RETURN_IF_ERROR(
+      WriteCsv(env_, dir + "/episodes.csv", kEpisodeHeader, episode_rows));
 
   std::vector<std::string> semantic_rows;
   for (const auto& [key, t] : interpretations_) {
@@ -777,8 +623,8 @@ common::Status SemanticTrajectoryStore::SaveCsv(const std::string& dir) const {
       semantic_rows.push_back(SemanticEpisodeRow(t, i, t.episodes[i]));
     }
   }
-  return WriteLines(env_, dir + "/semantic_episodes.csv", kSemanticHeader,
-                    semantic_rows, /*append=*/false, /*sync=*/true);
+  return WriteCsv(env_, dir + "/semantic_episodes.csv", kSemanticHeader,
+                  semantic_rows);
 }
 
 void SemanticTrajectoryStore::ClearLocked() {
@@ -786,120 +632,6 @@ void SemanticTrajectoryStore::ClearLocked() {
   episodes_.clear();
   interpretations_.clear();
   gps_record_count_ = episode_count_ = semantic_episode_count_ = 0;
-  torn_rows_tolerated_ = 0;
-}
-
-common::Status SemanticTrajectoryStore::LoadCsv(const std::string& dir) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Parse into locals and commit at the end: a failed load must not
-  // leave half a table behind (and the parse lambdas stay free of
-  // mutex-guarded members, which the thread-safety analysis cannot
-  // track through std::function).
-  std::map<core::TrajectoryId, core::RawTrajectory> raw;
-  std::map<core::TrajectoryId, std::vector<core::Episode>> episodes;
-  std::map<std::pair<core::TrajectoryId, std::string>,
-           core::StructuredSemanticTrajectory>
-      interpretations;
-  size_t gps_records = 0;
-  size_t episode_count = 0;
-  size_t semantic_count = 0;
-  size_t torn_rows = 0;
-
-  SEMITRI_RETURN_IF_ERROR(ForEachRow(
-      env_, dir + "/gps.csv",
-      [&](const std::string& line) {
-        std::vector<std::string> f = common::CsvParseLine(line);
-        int64_t object_id = 0;
-        int64_t tid = 0;
-        core::GpsPoint p;
-        if (f.size() != 5 || !ParseField(f[0], &object_id) ||
-            !ParseField(f[1], &tid) || !ParseField(f[2], &p.position.x) ||
-            !ParseField(f[3], &p.position.y) || !ParseField(f[4], &p.time)) {
-          return BadRow("gps.csv", line);
-        }
-        core::RawTrajectory& t = raw[tid];
-        t.id = tid;
-        t.object_id = object_id;
-        t.points.push_back(p);
-        ++gps_records;
-        return common::Status::OK();
-      },
-      &torn_rows));
-
-  SEMITRI_RETURN_IF_ERROR(ForEachRow(
-      env_, dir + "/episodes.csv",
-      [&](const std::string& line) {
-        std::vector<std::string> f = common::CsvParseLine(line);
-        core::Episode e;
-        int64_t tid = 0;
-        if (f.size() != 13 || !ParseField(f[0], &tid) ||
-            !ParseField(f[3], &e.begin) || !ParseField(f[4], &e.end) ||
-            !ParseField(f[5], &e.time_in) || !ParseField(f[6], &e.time_out) ||
-            !ParseField(f[7], &e.center.x) || !ParseField(f[8], &e.center.y) ||
-            !ParseField(f[9], &e.bounds.min.x) ||
-            !ParseField(f[10], &e.bounds.min.y) ||
-            !ParseField(f[11], &e.bounds.max.x) ||
-            !ParseField(f[12], &e.bounds.max.y)) {
-          return BadRow("episodes.csv", line);
-        }
-        SEMITRI_RETURN_IF_ERROR(ParseEpisodeKind(f[2], &e.kind));
-        episodes[tid].push_back(e);
-        ++episode_count;
-        return common::Status::OK();
-      },
-      &torn_rows));
-
-  SEMITRI_RETURN_IF_ERROR(ForEachRow(
-      env_, dir + "/semantic_episodes.csv",
-      [&](const std::string& line) {
-        std::vector<std::string> f = common::CsvParseLine(line);
-        int64_t object_id = 0;
-        int64_t tid = 0;
-        core::SemanticEpisode ep;
-        // 10 fields is the legacy schema without source_episode; 11 is
-        // current. Anything else (or a parse failure) is a bad row.
-        if ((f.size() != 10 && f.size() != 11) ||
-            !ParseField(f[0], &object_id) || !ParseField(f[1], &tid) ||
-            !ParseField(f[6], &ep.place.id) ||
-            !ParseField(f[7], &ep.time_in) ||
-            !ParseField(f[8], &ep.time_out)) {
-          return BadRow("semantic_episodes.csv", line);
-        }
-        if (f.size() == 11 && !ParseField(f[10], &ep.source_episode)) {
-          return BadRow("semantic_episodes.csv", line);
-        }
-        SEMITRI_RETURN_IF_ERROR(ParseEpisodeKind(f[4], &ep.kind));
-        const std::string& place_kind = f[5];
-        ep.place.kind = place_kind == "region" ? core::PlaceKind::kRegion
-                        : place_kind == "line" ? core::PlaceKind::kLine
-                                               : core::PlaceKind::kPoint;
-        if (!f[9].empty()) {
-          for (const std::string& pair : common::Split(f[9], ';')) {
-            size_t eq = pair.find('=');
-            if (eq != std::string::npos) {
-              ep.AddAnnotation(pair.substr(0, eq), pair.substr(eq + 1));
-            }
-          }
-        }
-        auto key = std::make_pair(static_cast<core::TrajectoryId>(tid), f[2]);
-        core::StructuredSemanticTrajectory& t = interpretations[key];
-        t.object_id = object_id;
-        t.trajectory_id = key.first;
-        t.interpretation = key.second;
-        t.episodes.push_back(std::move(ep));
-        ++semantic_count;
-        return common::Status::OK();
-      },
-      &torn_rows));
-
-  raw_ = std::move(raw);
-  episodes_ = std::move(episodes);
-  interpretations_ = std::move(interpretations);
-  gps_record_count_ = gps_records;
-  episode_count_ = episode_count;
-  semantic_episode_count_ = semantic_count;
-  torn_rows_tolerated_ = torn_rows;
-  return common::Status::OK();
 }
 
 common::Result<SemanticTrajectoryStore::SnapshotRef>

@@ -4,10 +4,7 @@
 // The Semantic Trajectory Store (paper §3.3/§5.1): dedicated tables for
 // GPS records, trajectories, stop/move episodes, and semantic
 // annotations. The paper backs it with PostgreSQL/PostGIS; here the
-// tables are in-memory columns with a CSV export (SaveCsv/LoadCsv). An
-// optional write-through mode appends every Put to CSV files on disk,
-// which reproduces the latency profile of Fig. 17 (storing dominates
-// computing).
+// tables are in-memory columns with a CSV export (SaveCsv).
 //
 // Crash-safe durable mode: with StoreConfig::durable_dir set, every Put
 // is framed into a write-ahead log (store/wal.h) *before* the in-memory
@@ -15,7 +12,9 @@
 // atomically compacts it into a binary snapshot: one file of the WAL's
 // own full-put records, one per stored entry, published by a
 // LevelDB-style CURRENT pointer flip (the log is then emptied). The
-// store thus keeps one on-disk record format. Recover() re-opens a
+// store thus keeps one on-disk record format; with sync_every_put it
+// commits every write as the paper's PostgreSQL inserts did, which is
+// the store bench_fig17_latency measures. Recover() re-opens a
 // directory after a crash: it replays the current snapshot, the sealed
 // segments written after it and the log, truncates a torn tail, and
 // leaves the in-memory tables bit-identical (ContentEquals) to the
@@ -41,7 +40,6 @@
 // rather than by caller discipline.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -62,14 +60,6 @@ struct StoreConfig {
   // filesystem (common::Env::Default()). Tests inject a
   // common::FaultFs here to exercise ENOSPC/EIO/fsync-failure paths.
   common::Env* env = nullptr;
-
-  // When nonempty, every Put* call appends to CSV files under this
-  // directory (created on demand) in addition to the in-memory tables.
-  // Appends are single buffered write() calls, so a crash leaves at
-  // most one torn final line (which LoadCsv tolerates and counts) —
-  // but a torn multi-row batch is undetectable in this mode; use
-  // `durable_dir` when crash atomicity matters.
-  std::string write_through_dir;
 
   // When nonempty, enables the crash-safe durable mode described above:
   // Put* calls append to `<durable_dir>/wal.log` before touching the
@@ -171,21 +161,13 @@ class SemanticTrajectoryStore {
     return semantic_episode_count_;
   }
 
-  // Torn final CSV rows tolerated (and dropped) by the last LoadCsv —
-  // the residue of a crash mid-append in write-through mode.
-  size_t torn_rows_tolerated() const SEMITRI_EXCLUDES(mutex_) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return torn_rows_tolerated_;
-  }
-
   // --- read-only degraded mode ----------------------------------------
   //
-  // A persistent write fault (WAL append/sync failure, write-through
-  // append failure) flips the store into read-only degraded mode:
-  // reads and already-durable data stay served, every subsequent
-  // write-path call (Put*, Sync, Checkpoint, SealWalSegment) returns
-  // Unavailable, and the triggering fault is kept for HealthSnapshot
-  // to surface. This is the no-durability-lies stance: once a write
+  // A persistent write fault (WAL append or sync failure) flips the
+  // store into read-only degraded mode: reads and already-durable data
+  // stay served, every subsequent write-path call (Put*, Sync,
+  // Checkpoint, SealWalSegment) returns Unavailable, and the
+  // triggering fault is kept for HealthSnapshot to surface. This is the no-durability-lies stance: once a write
   // fault happened, accepting more writes would acknowledge data the
   // disk may never hold.
 
@@ -214,21 +196,13 @@ class SemanticTrajectoryStore {
   // --- persistence ----------------------------------------------------
 
   // Exports all tables as CSV files (gps.csv, episodes.csv,
-  // semantic_episodes.csv) under `dir`, one row per element. Rows carry
-  // round-trip (%.17g) float precision, so LoadCsv restores values
-  // bit-identically; an entry with no rows (an empty trajectory,
-  // episode list or interpretation) has no line to carry it and does
-  // not come back. Durability does not go through CSV: Checkpoint()
-  // writes binary snapshots that keep every entry.
+  // semantic_episodes.csv) under `dir`, one row per element, with
+  // round-trip (%.17g) float precision. The export is for other tools;
+  // an entry with no rows (an empty trajectory, episode list or
+  // interpretation) has no line in it. Durability does not go through
+  // CSV: Checkpoint() writes binary snapshots that keep every entry.
   [[nodiscard]] common::Status SaveCsv(const std::string& dir) const
       SEMITRI_EXCLUDES(mutex_);
-
-  // Loads tables previously written by SaveCsv, replacing content. A
-  // torn final record (unparseable last line with no trailing newline —
-  // a crash mid-append) is dropped and counted in torn_rows_tolerated()
-  // instead of failing the whole load; any other malformed row is still
-  // Corruption.
-  [[nodiscard]] common::Status LoadCsv(const std::string& dir) SEMITRI_EXCLUDES(mutex_);
 
   // --- durability (durable_dir mode) ----------------------------------
 
@@ -311,12 +285,6 @@ class SemanticTrajectoryStore {
   // Unavailable while degraded; OK otherwise.
   [[nodiscard]] common::Status CheckWritableLocked() const
       SEMITRI_REQUIRES(mutex_);
-  // Appends rows row(begin) .. row(end - 1) to `file` under
-  // write_through_dir; rows are only formatted when write-through is on.
-  [[nodiscard]] common::Status AppendWriteThrough(
-      const std::string& file, const std::string& header, size_t begin,
-      size_t end, const std::function<std::string(size_t)>& row)
-      SEMITRI_REQUIRES(mutex_);
   // Draws the next sealed-segment/snapshot sequence number; the first
   // call after construction or Recover() scans durable_dir for the
   // highest number in use.
@@ -395,7 +363,6 @@ class SemanticTrajectoryStore {
   size_t gps_record_count_ SEMITRI_GUARDED_BY(mutex_) = 0;
   size_t episode_count_ SEMITRI_GUARDED_BY(mutex_) = 0;
   size_t semantic_episode_count_ SEMITRI_GUARDED_BY(mutex_) = 0;
-  size_t torn_rows_tolerated_ SEMITRI_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace semitri::store

@@ -46,8 +46,8 @@
 // interleaving across objects — then CloseAll() leaves the store
 // bit-identical to running the offline
 // SemiTriPipeline::ProcessStream(object_id, stream, first_id) per
-// object, with first_id = object_id * ids_per_object (the
-// core::BatchProcessor id-block convention). Admission budgets shrink
+// object, with first_id = object_id * ids_per_object (the offline
+// ProcessStream id-block convention). Admission budgets shrink
 // *which* fixes are accepted under overload, never the handling of the
 // accepted ones.
 
@@ -111,7 +111,7 @@ struct SessionManagerConfig {
   // parallel.
   size_t num_shards = 16;
   // Trajectory-id block reserved per object (ids start at
-  // object_id * ids_per_object), mirroring core::BatchProcessor.
+  // object_id * ids_per_object), the offline ProcessStream convention.
   core::TrajectoryId ids_per_object = 1000;
   // Global overload budgets & policies (default: everything unbounded).
   AdmissionConfig admission;

@@ -1,7 +1,7 @@
 // Randomized stress tests ("fuzz-style", deterministic seeds):
 //   * R*-tree under interleaved inserts/removes vs a brute-force oracle;
 //   * preprocessing + segmentation on adversarial GPS streams;
-//   * store round-trips on randomized content;
+//   * store Checkpoint()/Recover() round-trips on randomized content;
 //   * world I/O round-trips on randomized worlds + malformed-input
 //     rejection (every failure a Status, never UB — run these under
 //     ASan/UBSan);
@@ -127,28 +127,6 @@ TEST(PipelineRobustness, AdversarialGpsStreams) {
   }
 }
 
-TEST(StoreRobustness, LoadRejectsCorruptRows) {
-  namespace fs = std::filesystem;
-  std::string dir = (fs::temp_directory_path() / "semitri_corrupt").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  auto write = [&](const std::string& name, const std::string& content) {
-    std::ofstream out(dir + "/" + name);
-    out << content;
-  };
-  write("gps.csv", "object_id,trajectory_id,x,y,t\n1,2,3.0\n");  // short row
-  write("episodes.csv",
-        "trajectory_id,index,kind,begin,end,time_in,time_out,center_x,"
-        "center_y,min_x,min_y,max_x,max_y\n");
-  write("semantic_episodes.csv",
-        "object_id,trajectory_id,interpretation,index,kind,place_kind,"
-        "place_id,time_in,time_out,annotations\n");
-  store::SemanticTrajectoryStore store;
-  common::Status status = store.LoadCsv(dir);
-  EXPECT_EQ(status.code(), common::StatusCode::kCorruption);
-  fs::remove_all(dir);
-}
-
 TEST(StoreRobustness, RandomizedRoundTrips) {
   namespace fs = std::filesystem;
   common::Rng rng(123);
@@ -156,7 +134,9 @@ TEST(StoreRobustness, RandomizedRoundTrips) {
       (fs::temp_directory_path() / "semitri_fuzz_store").string();
   for (int trial = 0; trial < 5; ++trial) {
     fs::remove_all(dir);
-    store::SemanticTrajectoryStore store;
+    store::StoreConfig config;
+    config.durable_dir = dir;
+    store::SemanticTrajectoryStore store(config);
     size_t expected_records = 0, expected_semantic = 0;
     int num_trajectories = static_cast<int>(rng.UniformInt(1, 6));
     for (int t = 0; t < num_trajectories; ++t) {
@@ -193,12 +173,15 @@ TEST(StoreRobustness, RandomizedRoundTrips) {
       expected_semantic += sst.episodes.size();
       ASSERT_TRUE(store.PutInterpretation(sst).ok());
     }
-    ASSERT_TRUE(store.SaveCsv(dir).ok());
-    store::SemanticTrajectoryStore loaded;
-    ASSERT_TRUE(loaded.LoadCsv(dir).ok());
-    EXPECT_EQ(loaded.num_gps_records(), expected_records);
-    EXPECT_EQ(loaded.num_semantic_episodes(), expected_semantic);
-    EXPECT_EQ(loaded.num_trajectories(),
+    ASSERT_TRUE(store.Checkpoint().ok());
+    store::SemanticTrajectoryStore recovered;
+    auto stats = recovered.Recover(dir);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_TRUE(stats->checkpoint_loaded);
+    EXPECT_TRUE(recovered.ContentEquals(store));
+    EXPECT_EQ(recovered.num_gps_records(), expected_records);
+    EXPECT_EQ(recovered.num_semantic_episodes(), expected_semantic);
+    EXPECT_EQ(recovered.num_trajectories(),
               static_cast<size_t>(num_trajectories));
   }
   fs::remove_all(dir);

@@ -272,18 +272,6 @@ TEST(StoreAppendTest, ReplayRejectsStartPastStoredLength) {
   }
 }
 
-TEST(StoreAppendTest, WriteThroughAppendWritesOnlyNewRows) {
-  std::string dir = TempDir("semitri_append_write_through");
-  store::StoreConfig config;
-  config.write_through_dir = dir;
-  store::SemanticTrajectoryStore store(config);
-  ASSERT_TRUE(store.PutRawTrajectory(Trajectory(1, 4, 0.0)).ok());
-  ASSERT_TRUE(store.AppendRawPoints(Trajectory(1, 6, 0.0), 4).ok());
-  std::string csv = ReadFile(dir + "/gps.csv");
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 1 + 6);
-  fs::remove_all(dir);
-}
-
 TEST(StoreRecoverTest, SealedSegmentRecordsAreCounted) {
   std::string dir = TempDir("semitri_recover_sealed_count");
   store::StoreConfig config;

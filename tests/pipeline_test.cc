@@ -302,12 +302,12 @@ TEST_F(PipelineFixture, ResultRoundTripsThroughStore) {
 
 
 TEST_F(PipelineFixture, StoreWriteFailureSurfaces) {
-  // Write-through into an unwritable location must surface an IoError
+  // A durable store in an unwritable location must surface an IoError
   // from ProcessStream rather than being swallowed.
   datagen::PersonSpec spec = factory_->MakePersonSpec(0);
   datagen::SimulatedTrack track = factory_->SimulatePersonDays(5, spec, 1);
   store::StoreConfig bad;
-  bad.write_through_dir = "/proc/semitri_definitely_unwritable";
+  bad.durable_dir = "/proc/semitri_definitely_unwritable";
   store::SemanticTrajectoryStore store(bad);
   SemiTriPipeline pipeline(&world_->regions, nullptr, nullptr,
                            PipelineConfig{}, &store);

@@ -1,8 +1,8 @@
 // Crash-recovery and graceful-degradation harness.
 //
 // The durability contract under test: after a crash at *any* fault site
-// — WAL append, WAL sync, checkpoint compaction, write-through append,
-// stage execution — re-opening the durable directory with
+// — WAL append, WAL sync, checkpoint compaction, stage execution —
+// re-opening the durable directory with
 // SemanticTrajectoryStore::Recover and re-running the workload leaves
 // the store ContentEquals-identical to a run that never crashed. The
 // harness discovers every registered fault site dynamically (sites
@@ -431,36 +431,6 @@ TEST_F(RecoveryFixture, PoiFailureDegradesToRegionAndLine) {
     EXPECT_TRUE(std::find(interps.begin(), interps.end(), "point") ==
                 interps.end());
   }
-}
-
-TEST_F(RecoveryFixture, TransientStoreFaultIsRetried) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
-  common::FaultInjector& fi = common::FaultInjector::Global();
-  // A transient fault in the landuse join: one failure, then success.
-  // Retry(3) with zero backoff absorbs it; the result is complete and
-  // the stage report records the extra attempt.
-  store::SemanticTrajectoryStore store;
-  core::PipelineConfig config;
-  config.annotation_failure = core::FailurePolicy::Retry(3);
-  core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                 &world_->pois, config, &store);
-  fi.Arm(std::string("stage:") + core::kStageLanduseJoin,
-         common::FaultPolicy::FailOnce());
-  const datagen::SimulatedTrack& track = dataset_.tracks.front();
-  auto results = pipeline.ProcessStream(track.object_id, track.points, 0);
-  fi.Reset();
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_FALSE(results->empty());
-  const core::PipelineResult& first = results->front();
-  EXPECT_TRUE(first.region_layer.has_value());
-  EXPECT_FALSE(first.degraded());
-  auto it = first.stage_reports.find(core::kStageLanduseJoin);
-  ASSERT_TRUE(it != first.stage_reports.end());
-  EXPECT_EQ(it->second.attempts, 2u);
-  EXPECT_TRUE(it->second.status.ok());
-  EXPECT_FALSE(it->second.skipped);
 }
 
 // The migration leg of the kill-at-every-site sweep: a live session

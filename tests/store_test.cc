@@ -1,10 +1,12 @@
-// Tests for the Semantic Trajectory Store: table semantics, CSV
-// persistence round-trips, write-through mode.
+// Tests for the Semantic Trajectory Store: table semantics and the CSV
+// export.
 
 #include "store/semantic_trajectory_store.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,13 @@ namespace semitri::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
 core::RawTrajectory MakeTrajectory(core::TrajectoryId id,
                                    core::ObjectId object, int n) {
@@ -114,153 +123,68 @@ TEST(StoreTest, ListTrajectories) {
             (std::vector<core::TrajectoryId>{1, 3}));
 }
 
-TEST(StoreTest, SaveLoadCsvRoundTrip) {
-  std::string dir = (fs::temp_directory_path() / "semitri_store_test").string();
+TEST(StoreTest, SaveCsvWritesExportText) {
+  std::string dir = (fs::temp_directory_path() / "semitri_store_csv").string();
   fs::remove_all(dir);
-  {
-    SemanticTrajectoryStore store;
-    core::RawTrajectory t = MakeTrajectory(7, 2, 6);
-    ASSERT_TRUE(store.PutRawTrajectory(t).ok());
-    ASSERT_TRUE(store.PutEpisodes(7, MakeEpisodes(t)).ok());
-    ASSERT_TRUE(
-        store.PutInterpretation(MakeInterpretation(7, "region")).ok());
-    ASSERT_TRUE(
-        store.PutInterpretation(MakeInterpretation(7, "point")).ok());
-    ASSERT_TRUE(store.SaveCsv(dir).ok());
-  }
-  SemanticTrajectoryStore loaded;
-  ASSERT_TRUE(loaded.LoadCsv(dir).ok());
-  EXPECT_EQ(loaded.num_trajectories(), 1u);
-  EXPECT_EQ(loaded.num_gps_records(), 6u);
-  EXPECT_EQ(loaded.num_episodes(), 2u);
-  EXPECT_EQ(loaded.num_semantic_episodes(), 2u);
-
-  auto raw = loaded.GetRawTrajectory(7);
-  ASSERT_TRUE(raw.ok());
-  EXPECT_EQ(raw->object_id, 2);
-  EXPECT_NEAR(raw->points[3].position.x, 6.0, 1e-6);
-  EXPECT_NEAR(raw->points[3].time, 30.0, 1e-3);
-
-  auto episodes = loaded.GetEpisodes(7);
-  ASSERT_TRUE(episodes.ok());
-  EXPECT_EQ((*episodes)[0].kind, core::EpisodeKind::kStop);
-  EXPECT_EQ((*episodes)[1].kind, core::EpisodeKind::kMove);
-
-  auto interp = loaded.GetInterpretation(7, "region");
-  ASSERT_TRUE(interp.ok());
-  const auto& ep = interp->episodes[0];
-  EXPECT_EQ(ep.place.kind, core::PlaceKind::kRegion);
-  EXPECT_EQ(ep.place.id, 42);
-  EXPECT_EQ(ep.FindAnnotation("landuse"), "1.2");
-  EXPECT_EQ(ep.FindAnnotation("region_name"), "EPFL campus");
-  fs::remove_all(dir);
-}
-
-TEST(StoreTest, LoadMissingDirectoryFails) {
   SemanticTrajectoryStore store;
-  EXPECT_EQ(store.LoadCsv("/nonexistent/semitri").code(),
-            common::StatusCode::kIoError);
-}
-
-TEST(StoreTest, WriteThroughAppendsFiles) {
-  std::string dir =
-      (fs::temp_directory_path() / "semitri_write_through").string();
-  fs::remove_all(dir);
-  StoreConfig config;
-  config.write_through_dir = dir;
-  SemanticTrajectoryStore store(config);
-  core::RawTrajectory t = MakeTrajectory(1, 1, 5);
+  core::RawTrajectory t = MakeTrajectory(7, 2, 3);
+  t.points[1].position.x = 0.1;  // %.17g keeps every bit of it
   ASSERT_TRUE(store.PutRawTrajectory(t).ok());
-  ASSERT_TRUE(store.PutEpisodes(1, MakeEpisodes(t)).ok());
-  ASSERT_TRUE(store.PutInterpretation(MakeInterpretation(1, "line")).ok());
-  EXPECT_TRUE(fs::exists(dir + "/gps.csv"));
-  EXPECT_TRUE(fs::exists(dir + "/episodes.csv"));
-  EXPECT_TRUE(fs::exists(dir + "/semantic_episodes.csv"));
-  // Header + 5 rows.
-  std::ifstream in(dir + "/gps.csv");
-  size_t lines = 0;
-  std::string line;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 6u);
+  ASSERT_TRUE(store.PutEpisodes(7, MakeEpisodes(t)).ok());
+  core::StructuredSemanticTrajectory region = MakeInterpretation(7, "region");
+  region.episodes[0].source_episode = 0;
+  core::SemanticEpisode move;
+  move.kind = core::EpisodeKind::kMove;
+  move.place = {core::PlaceKind::kRegion, 43};
+  move.time_in = 15;
+  move.time_out = 40.5;
+  move.source_episode = 1;
+  move.AddAnnotation("landuse", "1.3");
+  move.AddAnnotation("region_name", "Av. Piccard, 1");
+  region.episodes.push_back(move);
+  ASSERT_TRUE(store.PutInterpretation(region).ok());
+  ASSERT_TRUE(store.SaveCsv(dir).ok());
+
+  EXPECT_EQ(ReadFile(dir + "/gps.csv"),
+            "object_id,trajectory_id,x,y,t\n"
+            "2,7,0,0,0\n"
+            "2,7,0.10000000000000001,3,10\n"
+            "2,7,4,6,20\n");
+  EXPECT_EQ(ReadFile(dir + "/episodes.csv"),
+            "trajectory_id,index,kind,begin,end,time_in,time_out,center_x,"
+            "center_y,min_x,min_y,max_x,max_y\n"
+            "7,0,stop,0,1,0,40,1,1,0,0,2,2\n"
+            "7,1,move,1,3,0,40,1,1,0,0,2,2\n");
+  // Annotations are `key=value;...`, CSV-quoted when they hold a comma.
+  EXPECT_EQ(ReadFile(dir + "/semantic_episodes.csv"),
+            "object_id,trajectory_id,interpretation,index,kind,place_kind,"
+            "place_id,time_in,time_out,annotations,source_episode\n"
+            "9,7,region,0,stop,region,42,5,15,"
+            "landuse=1.2;region_name=EPFL campus,0\n"
+            "9,7,region,1,move,region,43,15,40.5,"
+            "\"landuse=1.3;region_name=Av. Piccard, 1\",1\n");
   fs::remove_all(dir);
 }
 
-TEST(StoreTest, TornFinalRowIsToleratedAndCounted) {
-  std::string dir = (fs::temp_directory_path() / "semitri_torn_row").string();
-  fs::remove_all(dir);
-  {
-    SemanticTrajectoryStore store;
-    core::RawTrajectory t = MakeTrajectory(1, 9, 5);
-    ASSERT_TRUE(store.PutRawTrajectory(t).ok());
-    ASSERT_TRUE(store.SaveCsv(dir).ok());
-  }
-  // Simulate a crash mid-append: a half-written record with no trailing
-  // newline at the end of gps.csv.
-  {
-    std::ofstream out(dir + "/gps.csv", std::ios::app);
-    out << "1,99,3.25";  // torn: too few fields, no '\n'
-  }
-  SemanticTrajectoryStore loaded;
-  ASSERT_TRUE(loaded.LoadCsv(dir).ok());
-  EXPECT_EQ(loaded.torn_rows_tolerated(), 1u);
-  EXPECT_EQ(loaded.num_gps_records(), 5u);  // the torn row was dropped
-
-  // The same malformed row *with* a trailing newline is a fully written
-  // corrupt record — that is still Corruption, not a torn tail.
-  {
-    std::ofstream out(dir + "/gps.csv", std::ios::app);
-    out << "\n";
-  }
-  SemanticTrajectoryStore strict;
-  EXPECT_EQ(strict.LoadCsv(dir).code(), common::StatusCode::kCorruption);
-  fs::remove_all(dir);
-}
-
-TEST(StoreTest, TornMidFileRowIsStillCorruption) {
-  std::string dir =
-      (fs::temp_directory_path() / "semitri_torn_mid").string();
-  fs::remove_all(dir);
-  {
-    SemanticTrajectoryStore store;
-    ASSERT_TRUE(store.PutRawTrajectory(MakeTrajectory(1, 9, 3)).ok());
-    ASSERT_TRUE(store.SaveCsv(dir).ok());
-  }
-  // A bad row *before* intact rows cannot be a crash artifact.
-  std::ifstream in(dir + "/gps.csv");
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  in.close();
-  ASSERT_GE(lines.size(), 3u);
-  std::ofstream out(dir + "/gps.csv", std::ios::trunc);
-  out << lines[0] << "\n" << "garbage,row" << "\n";
-  for (size_t i = 1; i < lines.size(); ++i) out << lines[i] << "\n";
-  out.close();
-  SemanticTrajectoryStore loaded;
-  EXPECT_EQ(loaded.LoadCsv(dir).code(), common::StatusCode::kCorruption);
-  fs::remove_all(dir);
-}
-
-TEST(StoreTest, SourceEpisodeSurvivesCsvRoundTrip) {
+TEST(StoreTest, SaveCsvWritesSourceEpisode) {
   std::string dir =
       (fs::temp_directory_path() / "semitri_source_episode").string();
   fs::remove_all(dir);
   core::StructuredSemanticTrajectory t = MakeInterpretation(3, "region");
   t.episodes[0].source_episode = 7;
-  {
-    SemanticTrajectoryStore store;
-    ASSERT_TRUE(store.PutInterpretation(t).ok());
-    ASSERT_TRUE(store.SaveCsv(dir).ok());
-  }
-  SemanticTrajectoryStore loaded;
-  ASSERT_TRUE(loaded.LoadCsv(dir).ok());
-  auto interp = loaded.GetInterpretation(3, "region");
-  ASSERT_TRUE(interp.ok());
-  EXPECT_EQ(interp->episodes[0].source_episode, 7u);
-  // Full bit-exact equality via the recovery contract's comparator.
-  SemanticTrajectoryStore original;
-  ASSERT_TRUE(original.PutInterpretation(t).ok());
-  EXPECT_TRUE(loaded.ContentEquals(original));
+  // A derived sub-episode keeps the SIZE_MAX "no source" marker.
+  t.episodes.push_back(t.episodes[0]);
+  t.episodes[1].source_episode = SIZE_MAX;
+  SemanticTrajectoryStore store;
+  ASSERT_TRUE(store.PutInterpretation(t).ok());
+  ASSERT_TRUE(store.SaveCsv(dir).ok());
+  EXPECT_EQ(ReadFile(dir + "/semantic_episodes.csv"),
+            "object_id,trajectory_id,interpretation,index,kind,place_kind,"
+            "place_id,time_in,time_out,annotations,source_episode\n"
+            "9,3,region,0,stop,region,42,5,15,"
+            "landuse=1.2;region_name=EPFL campus,7\n"
+            "9,3,region,1,stop,region,42,5,15,"
+            "landuse=1.2;region_name=EPFL campus,18446744073709551615\n");
   fs::remove_all(dir);
 }
 

@@ -331,8 +331,8 @@ TEST_F(StreamFixture, SessionManagerMatchesOfflinePerObjectRuns) {
   std::vector<std::vector<core::GpsPoint>> streams;
   for (int i = 0; i < kObjects; ++i) streams.push_back(PersonStream(i, 2));
 
-  // Offline reference: one ProcessStream per object with the
-  // BatchProcessor id-block convention.
+  // Offline reference: one ProcessStream per object with the offline
+  // id-block convention.
   store::SemanticTrajectoryStore offline_store;
   core::SemiTriPipeline offline(&world_->regions, &world_->roads,
                                 &world_->pois, core::PipelineConfig{},
