@@ -190,11 +190,7 @@ int main() {
   double checksum = 0.0;
   double kernel_speedup = reporter.GatePairedSpeedup(
       "kernel_speedup", "match_batched", "match_scalar_ref", kIters,
-      [&] {
-        common::Status status =
-            matcher.MatchPoints(batch.View(), nullptr, &scratch, &matched);
-        if (!status.ok()) std::abort();
-      },
+      [&] { matcher.MatchPoints(batch.View(), &scratch, &matched); },
       [&] {
         checksum += ReferenceMatchScalar(world.roads, matcher.config(),
                                          batch.View());

@@ -525,7 +525,7 @@ int main(int argc, char** argv) {
         "kernel_speedup", "viterbi_flat", "viterbi_scalar_ref", kIters,
         [&] {
           arena.Reset();
-          auto result = hmm::Viterbi(model, emissions, nullptr, &arena);
+          auto result = hmm::Viterbi(model, emissions, &arena);
           if (!result.ok()) std::abort();
         },
         [&] { checksum += ReferenceViterbiScalar(model, emissions); });

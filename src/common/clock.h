@@ -2,16 +2,13 @@
 #define SEMITRI_COMMON_CLOCK_H_
 
 // Injectable time source for everything in the library that reads the
-// wall clock or sleeps: deadline checks, retry backoff
-// (common::RetryPolicy), circuit-breaker open/half-open transitions,
-// session idle tracking and admission token buckets.
+// wall clock or sleeps: retry backoff (common::RetryPolicy), failure
+// detection and session idle tracking.
 //
 // Production code uses Clock::Real() (std::chrono::steady_clock).
-// Tests inject a FakeClock so retry/backoff/deadline/eviction behavior
-// is exercised deterministically in milliseconds of real time: FakeClock
-// never blocks — SleepFor simply advances the fake now — and an optional
-// auto-advance makes every NowNanos() call move time forward, which lets
-// a test expire a deadline in the middle of a loop without threads.
+// Tests inject a FakeClock so retry/backoff/eviction behavior is
+// exercised deterministically in milliseconds of real time: FakeClock
+// never blocks — SleepFor simply advances the fake now.
 //
 // All methods are const so a `const Clock*` can be shared freely across
 // threads; FakeClock keeps its state in atomics.
@@ -44,8 +41,6 @@ class FakeClock final : public Clock {
   explicit FakeClock(int64_t start_nanos = 0) : now_nanos_(start_nanos) {}
 
   int64_t NowNanos() const override {
-    int64_t step = auto_advance_nanos_.load(std::memory_order_relaxed);
-    if (step != 0) return now_nanos_.fetch_add(step) + step;
     return now_nanos_.load(std::memory_order_relaxed);
   }
 
@@ -58,17 +53,8 @@ class FakeClock final : public Clock {
     now_nanos_.fetch_add(static_cast<int64_t>(seconds * 1e9));
   }
 
-  // Every NowNanos() call advances time by `seconds` — deadline checks
-  // themselves consume wall time, so a loop with periodic checks runs
-  // out of budget deterministically, without threads or real waiting.
-  void set_auto_advance(double seconds) {
-    auto_advance_nanos_.store(static_cast<int64_t>(seconds * 1e9),
-                              std::memory_order_relaxed);
-  }
-
  private:
   mutable std::atomic<int64_t> now_nanos_;
-  std::atomic<int64_t> auto_advance_nanos_{0};
 };
 
 }  // namespace semitri::common

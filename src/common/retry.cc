@@ -50,19 +50,10 @@ double RetryPolicy::BackoffSeconds(size_t retry_index, uint64_t stream) const {
 }
 
 RetryPolicy::Outcome RetryPolicy::Run(
-    const std::function<Status()>& op, const ExecControl* exec,
-    uint64_t stream, const std::function<void()>& on_backoff) const {
+    const std::function<Status()>& op, uint64_t stream,
+    const std::function<void()>& on_backoff) const {
   Outcome out;
   for (size_t attempt = 1;; ++attempt) {
-    if (exec != nullptr) {
-      Status alive = exec->Check("retry");
-      if (!alive.ok()) {
-        // Deadline expired before this attempt: report that, keeping
-        // the attempt count honest (only attempts actually made).
-        out.status = alive;
-        return out;
-      }
-    }
     ++out.attempts;
     out.status = op();
     if (out.status.ok()) {
@@ -73,14 +64,6 @@ RetryPolicy::Outcome RetryPolicy::Run(
       return out;
     }
     double backoff = BackoffSeconds(attempt, stream);
-    if (exec != nullptr && !exec->deadline.infinite()) {
-      double remaining = exec->deadline.remaining_seconds();
-      if (remaining <= 0.0) {
-        out.status = Status::DeadlineExceeded("retry deadline exceeded");
-        return out;
-      }
-      backoff = std::min(backoff, remaining);
-    }
     if (on_backoff) on_backoff();
     clock_->SleepFor(backoff);
     out.slept_seconds += backoff;

@@ -2,11 +2,10 @@
 #define SEMITRI_COMMON_RETRY_H_
 
 // Reusable retry policy for transient failures: capped exponential
-// backoff with deterministic, decorrelated jitter, deadline-aware via
-// ExecControl. The shard router uses it so a Feed() that lands on a
-// failing-over shard waits out the detection + promotion window instead
-// of hard-failing; anything else with an at-least-once contract can
-// reuse it.
+// backoff with deterministic, decorrelated jitter. The shard router
+// uses it so a Feed() that lands on a failing-over shard waits out the
+// detection + promotion window instead of hard-failing; anything else
+// with an at-least-once contract can reuse it.
 //
 // A RetryPolicy is an immutable value: all per-call state lives on the
 // caller's stack inside Run(), so one policy can serve every thread of
@@ -26,7 +25,6 @@
 #include <functional>
 
 #include "common/clock.h"
-#include "common/exec_control.h"
 #include "common/status.h"
 
 namespace semitri::common {
@@ -58,7 +56,7 @@ class RetryPolicy {
   double BackoffSeconds(size_t retry_index, uint64_t stream = 0) const;
 
   struct Outcome {
-    Status status;        // the last attempt's status (or DeadlineExceeded)
+    Status status;        // the last attempt's status
     size_t attempts = 0;  // attempts actually made (>= 1)
     double slept_seconds = 0.0;
     // True when the final attempt succeeded after at least one retry.
@@ -69,11 +67,8 @@ class RetryPolicy {
   // on the policy clock between attempts and calling `on_backoff`
   // (when set) just before each sleep — the hook the shard router uses
   // to tick its failure detector while waiting. Stops early when the
-  // error is not retryable or `exec` expires; an expired deadline
-  // returns DeadlineExceeded without burning the remaining attempts,
-  // and a backoff is clamped so it never sleeps past the deadline.
-  Outcome Run(const std::function<Status()>& op,
-              const ExecControl* exec = nullptr, uint64_t stream = 0,
+  // error is not retryable.
+  Outcome Run(const std::function<Status()>& op, uint64_t stream = 0,
               const std::function<void()>& on_backoff = nullptr) const;
 
   const RetryPolicyConfig& config() const { return config_; }

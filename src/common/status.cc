@@ -22,8 +22,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Corruption";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
     case StatusCode::kUnavailable:

@@ -25,15 +25,12 @@ enum class StatusCode {
   kIoError,
   kCorruption,
   kInternal,
-  // A deadline expired or the work was cancelled before it finished
-  // (cooperative cancellation; see common/exec_control.h).
-  kDeadlineExceeded,
-  // A resource budget (admission quota, rate limit, buffer cap) is
-  // exhausted; the request was refused, not failed — retrying later may
-  // succeed.
+  // A resource budget (admission quota, buffer cap) is exhausted; the
+  // request was refused, not failed — retrying later may succeed.
   kResourceExhausted,
-  // A dependency is temporarily refusing work (e.g. an open circuit
-  // breaker); callers should degrade or back off rather than retry hot.
+  // A dependency is temporarily refusing work (e.g. a shard that is
+  // down or mid failover); callers should back off rather than retry
+  // hot.
   kUnavailable,
 };
 
@@ -78,9 +75,6 @@ class [[nodiscard]] Status {
   }
   [[nodiscard]] static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  [[nodiscard]] static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
   [[nodiscard]] static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));

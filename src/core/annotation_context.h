@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
-#include "common/exec_control.h"
 #include "common/status.h"
 #include "core/types.h"
 #include "traj/point_batch.h"
@@ -28,7 +26,6 @@ class SemanticTrajectoryStore;
 
 namespace semitri::core {
 
-class Watchdog;
 struct AnnotationScratch;
 
 // The three annotation layers of Fig. 2.
@@ -45,9 +42,6 @@ struct StageReport {
   // The stage's error (also when the stage was skipped and the run
   // continued).
   common::Status status;
-  // 1 when the stage was entered, 0 when an open circuit breaker
-  // short-circuited it.
-  size_t attempts = 1;
   // True when the stage failed but its FailurePolicy let the graph
   // continue — the result is complete except for this stage's layer.
   bool skipped = false;
@@ -104,21 +98,6 @@ struct AnnotationContext {
   PipelineResult result;
   store::SemanticTrajectoryStore* store = nullptr;
   analytics::LatencyProfiler* profiler = nullptr;
-
-  // --- resource governance (all optional; null = unbounded run) -------
-  // Deadline + cancellation for this run. The stage graph checks it
-  // between stages (an expired run deadline aborts the run with
-  // DeadlineExceeded) and tightens each stage's view of it by
-  // exec->stage_timeout_seconds; the expensive annotator loops consult
-  // it every exec->check_interval iterations. During a stage execution
-  // this pointer temporarily refers to the per-stage tightened control.
-  const common::ExecControl* exec = nullptr;
-  // Hard backstop: deadline-bounded stage executions are registered here
-  // so a wedged stage is force-cancelled via the token (see watchdog.h).
-  Watchdog* watchdog = nullptr;
-  // Time source for retry backoff sleeps and stage timing (null = real
-  // clock; tests inject common::FakeClock to run backoff in zero time).
-  const common::Clock* clock = nullptr;
 
   // Per-run working memory (see core/annotation_scratch.h); null = the
   // run builds the point batch into `fallback_batch_` and the stages use

@@ -22,11 +22,6 @@ void AppendGauge(std::string* out, const char* name,
 }  // namespace
 
 bool HealthSnapshot::degraded() const {
-  for (const StageHealth& s : stages) {
-    if (s.breaker_present && s.breaker.state != BreakerState::kClosed) {
-      return true;
-    }
-  }
   for (const BudgetGauge* g : {&sessions, &buffered_fixes, &buffered_bytes}) {
     if (g->limit != 0 && g->utilization() >= 0.9) return true;
   }
@@ -44,20 +39,9 @@ std::string HealthSnapshot::ToString() const {
   out += "stages:\n";
   for (const StageHealth& s : stages) {
     char line[256];
-    if (s.breaker_present) {
-      std::snprintf(line, sizeof(line),
-                    "  %-22s breaker=%s opened=%zu rejected=%zu "
-                    "p50=%.3fms p99=%.3fms n=%zu\n",
-                    s.stage.c_str(), BreakerStateName(s.breaker.state),
-                    s.breaker.times_opened, s.breaker.rejected,
-                    s.latency.p50 * 1e3, s.latency.p99 * 1e3,
-                    s.latency.count);
-    } else {
-      std::snprintf(line, sizeof(line),
-                    "  %-22s p50=%.3fms p99=%.3fms n=%zu\n", s.stage.c_str(),
-                    s.latency.p50 * 1e3, s.latency.p99 * 1e3,
-                    s.latency.count);
-    }
+    std::snprintf(line, sizeof(line), "  %-22s p50=%.3fms p99=%.3fms n=%zu\n",
+                  s.stage.c_str(), s.latency.p50 * 1e3, s.latency.p99 * 1e3,
+                  s.latency.count);
     out += line;
   }
   if (!shards.empty()) {
@@ -66,10 +50,10 @@ std::string HealthSnapshot::ToString() const {
       char line[256];
       std::snprintf(line, sizeof(line),
                     "  shard %-4zu %-5s sessions=%zu buffered_bytes=%zu "
-                    "ship_lag=%zu seg (%zu B) breakers_open=%zu epoch=%zu%s%s\n",
+                    "ship_lag=%zu seg (%zu B) epoch=%zu%s%s\n",
                     s.shard_id, s.alive ? "up" : "DOWN", s.live_sessions,
                     s.buffered_bytes, s.wal_ship_lag_segments,
-                    s.wal_ship_lag_bytes, s.breakers_open, s.failover_epoch,
+                    s.wal_ship_lag_bytes, s.failover_epoch,
                     s.suspect ? " SUSPECT" : "",
                     s.degraded ? " DEGRADED" : "");
       out += line;
@@ -101,13 +85,10 @@ std::string HealthSnapshot::ToString() const {
   AppendGauge(&out, "buffered_bytes", buffered_bytes);
   char line[256];
   std::snprintf(line, sizeof(line),
-                "overload: shed=%zu rejected_sessions=%zu rate_limited=%zu "
-                "rejected_fixes=%zu deferred=%zu timeouts=%zu "
-                "data_loss_evictions=%zu watchdog_cancels=%zu\n",
+                "overload: shed=%zu rejected_sessions=%zu rejected_fixes=%zu "
+                "data_loss_evictions=%zu\n",
                 sessions_shed, admission_rejected_sessions,
-                rate_limited_fixes, overload_rejected_fixes,
-                admission_deferred, admission_timeouts,
-                evictions_with_data_loss, watchdog_force_cancels);
+                overload_rejected_fixes, evictions_with_data_loss);
   out += line;
   if (storage_degraded) {
     out += "storage: READ-ONLY DEGRADED (" + storage_fault + ")\n";

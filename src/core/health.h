@@ -1,18 +1,18 @@
 #ifndef SEMITRI_CORE_HEALTH_H_
 #define SEMITRI_CORE_HEALTH_H_
 
-// Operator-facing view of the resource-governance layer: per-stage
-// circuit-breaker state and latency digests, plus (when produced by
-// stream::SessionManager::Health) the admission budgets and shed/reject
-// counters. One snapshot answers "is the system degrading, and where" —
-// the signal an overload-aware load balancer or an on-call human needs.
+// Operator-facing view of a pipeline, manager or cluster: per-stage
+// latency digests, plus (when produced by stream::SessionManager::Health)
+// the admission budgets and shed/reject counters, and (for a cluster)
+// per-shard liveness, failover, storage and scrub state. One snapshot
+// answers "is the system degrading, and where" — the signal an
+// overload-aware load balancer or an on-call human needs.
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "analytics/latency_profiler.h"
-#include "core/circuit_breaker.h"
 
 namespace semitri::core {
 
@@ -30,8 +30,6 @@ struct BudgetGauge {
 
 struct StageHealth {
   std::string stage;
-  bool breaker_present = false;
-  CircuitBreaker::Stats breaker;  // zeros when no breaker is configured
   // p50/p99 etc. from the pipeline's LatencyProfiler (zeros without one).
   analytics::LatencyProfiler::StageSummary latency;
 };
@@ -56,8 +54,6 @@ struct ShardHealth {
   // How many times this shard slot has been promoted onto its standby
   // (0 = still serving from its original durable directory).
   size_t failover_epoch = 0;
-  // Circuit breakers currently not closed on this shard's pipeline.
-  size_t breakers_open = 0;
   // The shard's own snapshot reported degraded().
   bool degraded = false;
   // The shard's store refused writes after a disk fault (read-only
@@ -90,14 +86,8 @@ struct HealthSnapshot {
   // Overload decisions since construction.
   size_t sessions_shed = 0;
   size_t admission_rejected_sessions = 0;
-  size_t rate_limited_fixes = 0;
   size_t overload_rejected_fixes = 0;
-  size_t admission_deferred = 0;
-  size_t admission_timeouts = 0;
   size_t evictions_with_data_loss = 0;
-
-  // Watchdog force-cancels (when a watchdog is attached).
-  size_t watchdog_force_cancels = 0;
 
   // Self-healing counters (cluster-level snapshots only): standby
   // promotions and the retrying router's recovery ledger.
@@ -119,11 +109,10 @@ struct HealthSnapshot {
   size_t scrub_quarantined = 0;
   size_t scrub_cycles_completed = 0;
 
-  // True when any breaker is open/half-open, any budget is >= 90%
-  // utilized, storage is in read-only degraded mode, a scrub
-  // quarantined a file it could not repair, or any shard in the
-  // rollup is dead, suspect, or degraded — the cheap "should I stop
-  // sending traffic here" bit.
+  // True when any budget is >= 90% utilized, storage is in read-only
+  // degraded mode, a scrub quarantined a file it could not repair, or
+  // any shard in the rollup is dead, suspect, or degraded — the cheap
+  // "should I stop sending traffic here" bit.
   bool degraded() const;
 
   // Multi-line human-readable rendering.

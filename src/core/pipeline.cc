@@ -80,19 +80,10 @@ void SemiTriPipeline::BuildDefaultGraph(store::SemanticTrajectoryStore* store) {
 
 common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
     const RawTrajectory& raw) const {
-  return ProcessTrajectory(raw, RunControls{});
-}
-
-common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
-    const RawTrajectory& raw, const RunControls& controls) const {
   AnnotationContext context;
   context.raw = &raw;
   context.store = store_;
   context.profiler = profiler_;
-  context.exec = controls.exec;
-  context.watchdog = controls.watchdog;
-  context.clock = controls.clock;
-  context.scratch = controls.scratch;
   SEMITRI_RETURN_IF_ERROR(graph_.Run(context));
   return std::move(context.result);
 }
@@ -100,18 +91,12 @@ common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
 common::Result<std::vector<PipelineResult>> SemiTriPipeline::ProcessStream(
     ObjectId object_id, const std::vector<GpsPoint>& stream,
     TrajectoryId first_id) const {
-  return ProcessStream(object_id, stream, first_id, RunControls{});
-}
-
-common::Result<std::vector<PipelineResult>> SemiTriPipeline::ProcessStream(
-    ObjectId object_id, const std::vector<GpsPoint>& stream,
-    TrajectoryId first_id, const RunControls& controls) const {
   std::vector<PipelineResult> out;
   std::vector<RawTrajectory> trajectories =
       identifier_.Identify(object_id, stream, first_id);
   out.reserve(trajectories.size());
   for (const RawTrajectory& t : trajectories) {
-    common::Result<PipelineResult> result = ProcessTrajectory(t, controls);
+    common::Result<PipelineResult> result = ProcessTrajectory(t);
     if (!result.ok()) return result.status();
     out.push_back(std::move(*result));
   }
@@ -120,19 +105,10 @@ common::Result<std::vector<PipelineResult>> SemiTriPipeline::ProcessStream(
 
 common::Result<PipelineResult> SemiTriPipeline::AnnotateComputed(
     PipelineResult computed) const {
-  return AnnotateComputed(std::move(computed), RunControls{});
-}
-
-common::Result<PipelineResult> SemiTriPipeline::AnnotateComputed(
-    PipelineResult computed, const RunControls& controls) const {
   AnnotationContext context;
   context.result = std::move(computed);
   context.store = store_;
   context.profiler = profiler_;
-  context.exec = controls.exec;
-  context.watchdog = controls.watchdog;
-  context.clock = controls.clock;
-  context.scratch = controls.scratch;
   // Same stage sequence as a full run, minus trajectory computation —
   // the stable topological order keeps store rows and latency samples
   // in the exact ProcessTrajectory order.
@@ -146,14 +122,9 @@ common::Result<PipelineResult> SemiTriPipeline::AnnotateComputed(
 HealthSnapshot SemiTriPipeline::Health() const {
   HealthSnapshot snapshot;
   for (const std::string& name : graph_.ExecutionOrder()) {
-    const AnnotationStage* stage = graph_.Find(name);
     StageHealth health;
     health.stage = name;
-    if (const CircuitBreaker* breaker = stage->circuit_breaker()) {
-      health.breaker_present = true;
-      health.breaker = breaker->stats();
-    }
-    if (profiler_ != nullptr && stage->profiled()) {
+    if (profiler_ != nullptr && graph_.Find(name)->profiled()) {
       health.latency = profiler_->Summarize(name);
     }
     snapshot.stages.push_back(std::move(health));

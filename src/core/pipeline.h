@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "analytics/latency_profiler.h"
-#include "common/exec_control.h"
 #include "common/status.h"
 #include "core/health.h"
 #include "core/stage.h"
@@ -30,23 +29,6 @@
 #include "traj/segmentation.h"
 
 namespace semitri::core {
-
-class Watchdog;
-struct AnnotationScratch;
-
-// Per-run resource-governance hooks (all optional; the default is an
-// unbounded run, byte-identical to the pre-governance behaviour).
-struct RunControls {
-  // Deadline + cancellation + per-stage budget (see common/exec_control.h).
-  const common::ExecControl* exec = nullptr;
-  // Hard backstop for wedged stages (see core/watchdog.h).
-  Watchdog* watchdog = nullptr;
-  // Clock for retry backoff and breaker stage timing (null = real).
-  const common::Clock* clock = nullptr;
-  // Reusable data-plane working memory (see core/annotation_scratch.h);
-  // null = per-run local scratch.
-  AnnotationScratch* scratch = nullptr;
-};
 
 struct PipelineConfig {
   traj::PreprocessConfig preprocess;
@@ -85,23 +67,11 @@ class SemiTriPipeline {
   [[nodiscard]] common::Result<PipelineResult> ProcessTrajectory(
       const RawTrajectory& raw) const;
 
-  // Deadline/cancellation-governed variant: the stage graph checks
-  // controls.exec between stages and the annotator loops consult it at
-  // bounded intervals; controls.watchdog force-cancels wedged stages.
-  [[nodiscard]] common::Result<PipelineResult> ProcessTrajectory(
-      const RawTrajectory& raw, const RunControls& controls) const;
-
   // Splits a continuous GPS stream into raw trajectories and processes
   // each.
   [[nodiscard]] common::Result<std::vector<PipelineResult>> ProcessStream(
       ObjectId object_id, const std::vector<GpsPoint>& stream,
       TrajectoryId first_id = 0) const;
-
-  // Governed variant of ProcessStream (controls apply to the whole
-  // batch: the run deadline spans every identified trajectory).
-  [[nodiscard]] common::Result<std::vector<PipelineResult>> ProcessStream(
-      ObjectId object_id, const std::vector<GpsPoint>& stream,
-      TrajectoryId first_id, const RunControls& controls) const;
 
   // Recomputes one annotation layer from the cached trajectory
   // computation in `result` (cleaned trace + episodes), leaving the
@@ -122,22 +92,13 @@ class SemiTriPipeline {
   [[nodiscard]] common::Result<PipelineResult> AnnotateComputed(PipelineResult computed)
       const;
 
-  // Governed variant of AnnotateComputed.
-  [[nodiscard]] common::Result<PipelineResult> AnnotateComputed(
-      PipelineResult computed, const RunControls& controls) const;
-
   // The stage graph this pipeline runs (finalized; inspect with
   // ExecutionOrder / Find).
   const StageGraph& graph() const { return graph_; }
 
-  // Mutable access for installing per-stage circuit breakers and
-  // failure policies after construction (neither affects ordering).
-  StageGraph& mutable_graph() { return graph_; }
-
-  // Per-stage health: breaker state (when one is installed via
-  // mutable_graph().SetCircuitBreaker) and latency digests from the
-  // attached profiler. Budget gauges stay zero here — the streaming
-  // SessionManager::Health merges them in.
+  // Per-stage latency digests from the attached profiler. Budget gauges
+  // stay zero here — the streaming SessionManager::Health merges them
+  // in.
   HealthSnapshot Health() const;
 
   const PipelineConfig& config() const { return config_; }

@@ -24,7 +24,6 @@
 
 #include "common/status.h"
 #include "core/annotation_context.h"
-#include "core/circuit_breaker.h"
 
 namespace semitri::core {
 
@@ -76,15 +75,6 @@ class AnnotationStage {
     failure_policy_ = policy;
   }
 
-  // Optional circuit breaker wrapping this stage's FailurePolicy: while
-  // open, the graph short-circuits the stage with Status::Unavailable
-  // without running it (see circuit_breaker.h). The breaker is
-  // internally synchronized, so a shared graph stays thread-safe.
-  void set_circuit_breaker(std::unique_ptr<CircuitBreaker> breaker) {
-    breaker_ = std::move(breaker);
-  }
-  CircuitBreaker* circuit_breaker() const { return breaker_.get(); }
-
   [[nodiscard]] virtual common::Status Run(AnnotationContext& context) const = 0;
 
  private:
@@ -92,7 +82,6 @@ class AnnotationStage {
   std::vector<std::string> dependencies_;
   bool profiled_;
   FailurePolicy failure_policy_;
-  std::unique_ptr<CircuitBreaker> breaker_;
 };
 
 // A stage backed by a callable — extension point for custom annotation
@@ -137,13 +126,6 @@ class StageGraph {
   // the name is unknown.
   [[nodiscard]] common::Status SetFailurePolicy(std::string_view name,
                                   FailurePolicy policy);
-
-  // Installs a circuit breaker on a registered stage (allowed before or
-  // after Finalize). `clock` drives the open/half-open transitions (null
-  // = real clock). Error if the name is unknown.
-  [[nodiscard]] common::Status SetCircuitBreaker(std::string_view name,
-                                   CircuitBreakerConfig config,
-                                   const common::Clock* clock = nullptr);
 
   // Stage names in execution order (finalized graphs only).
   std::vector<std::string> ExecutionOrder() const;

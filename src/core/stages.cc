@@ -48,8 +48,6 @@ void KeepSharedRows(AnnotationContext& context, Layer which,
   if (previous.has_value()) {
     size_t n = std::min({mark, previous->episodes.size(),
                          fresh.episodes.size()});
-    // semitri-lint: allow(exec-checkpoint-coverage) — one linear
-    // compare of two already-computed layers after the polled pass.
     while (shared < n && previous->episodes[shared] == fresh.episodes[shared]) {
       ++shared;
     }
@@ -94,18 +92,15 @@ common::Status RegionAnnotationStage::Run(AnnotationContext& context) const {
   const size_t first = context.annotated_episodes;
   if (first > 0 && first <= context.result.episodes.size() &&
       current.has_value() && annotator_->per_episode()) {
-    const size_t before = current->episodes.size();
-    common::Status status = annotator_->AnnotateEpisodesFrom(
-        context.result.cleaned, context.result.episodes, first, context.exec,
-        &*current);
-    if (!status.ok()) current->episodes.resize(before);
-    return status;
+    annotator_->AnnotateEpisodesFrom(context.result.cleaned,
+                                     context.result.episodes, first,
+                                     &*current);
+    return common::Status::OK();
   }
-  common::Result<StructuredSemanticTrajectory> layer = annotator_->Annotate(
-      context.result.cleaned, context.result.episodes, context.exec);
-  if (!layer.ok()) return layer.status();
-  KeepSharedRows(context, Layer::kRegion, *layer);
-  current = std::move(*layer);
+  StructuredSemanticTrajectory layer =
+      annotator_->Annotate(context.result.cleaned, context.result.episodes);
+  KeepSharedRows(context, Layer::kRegion, layer);
+  current = std::move(layer);
   return common::Status::OK();
 }
 
@@ -117,18 +112,14 @@ common::Status LineAnnotationStage::Run(AnnotationContext& context) const {
   const size_t first = context.annotated_episodes;
   if (first > 0 && first <= context.result.episodes.size() &&
       current.has_value()) {
-    const size_t before = current->episodes.size();
-    common::Status status = annotator_->AnnotateFrom(
-        context.PointsBatch(), context.result.episodes, first, context.exec,
-        scratch, &current->episodes);
-    if (!status.ok()) current->episodes.resize(before);
-    return status;
+    annotator_->AnnotateFrom(context.PointsBatch(), context.result.episodes,
+                             first, scratch, &current->episodes);
+    return common::Status::OK();
   }
-  common::Result<StructuredSemanticTrajectory> layer = annotator_->Annotate(
-      context.PointsBatch(), context.result.episodes, context.exec, scratch);
-  if (!layer.ok()) return layer.status();
-  KeepSharedRows(context, Layer::kLine, *layer);
-  current = std::move(*layer);
+  StructuredSemanticTrajectory layer = annotator_->Annotate(
+      context.PointsBatch(), context.result.episodes, scratch);
+  KeepSharedRows(context, Layer::kLine, layer);
+  current = std::move(layer);
   return common::Status::OK();
 }
 
@@ -139,7 +130,7 @@ common::Status StoreMatchStage::Run(AnnotationContext& context) const {
 
 common::Status PointAnnotationStage::Run(AnnotationContext& context) const {
   common::Result<StructuredSemanticTrajectory> layer = annotator_->Annotate(
-      context.result.cleaned, context.result.episodes, context.exec,
+      context.result.cleaned, context.result.episodes,
       context.scratch != nullptr ? &context.scratch->point : nullptr);
   if (!layer.ok()) return layer.status();
   KeepSharedRows(context, Layer::kPoint, *layer);

@@ -7,9 +7,6 @@ namespace semitri::geo {
 void DistancesToSegments(const double* ax, const double* ay,
                          const double* bx, const double* by, size_t n,
                          double qx, double qy, double* out) {
-  // semitri-lint: allow(exec-checkpoint-coverage) — leaf kernel over a
-  // caller-bounded candidate batch; the owning matcher loop polls its
-  // checkpoint per point.
   for (size_t i = 0; i < n; ++i) {
     // Segment::ClosestParameter, unrolled per lane.
     const double dx = bx[i] - ax[i];
@@ -30,8 +27,6 @@ void DistancesToSegments(const double* ax, const double* ay,
 
 void DistancesToPoints(const double* xs, const double* ys, size_t n,
                        double qx, double qy, double* out) {
-  // semitri-lint: allow(exec-checkpoint-coverage) — leaf kernel over a
-  // caller-bounded point batch; governed loops poll around it.
   for (size_t i = 0; i < n; ++i) {
     out[i] = std::hypot(qx - xs[i], qy - ys[i]);
   }

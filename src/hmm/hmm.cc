@@ -25,9 +25,6 @@ common::Status CheckEmissions(const HmmModel& model,
         "emission matrix has %zu columns, model has %zu states",
         emissions.cols(), model.num_states()));
   }
-  // semitri-lint: allow(exec-checkpoint-coverage) — O(T·N) flat scan
-  // validating before decoding starts; Viterbi itself polls the
-  // checkpoint every check_interval steps.
   for (double e : emissions.data()) {
     if (e < 0.0 || !std::isfinite(e)) {
       return common::Status::InvalidArgument(
@@ -128,7 +125,6 @@ std::vector<std::vector<double>> MakeDefaultTransition(size_t num_states,
 
 common::Result<ViterbiResult> Viterbi(const HmmModel& model,
                                       const EmissionMatrix& emissions,
-                                      const common::ExecControl* exec,
                                       common::Arena* scratch) {
   SEMITRI_RETURN_IF_ERROR(ValidateModel(model));
   SEMITRI_RETURN_IF_ERROR(CheckEmissions(model, emissions));
@@ -137,7 +133,6 @@ common::Result<ViterbiResult> Viterbi(const HmmModel& model,
 
   const size_t n = model.num_states();
   const size_t t_max = emissions.rows();
-  common::ExecCheckpoint checkpoint(exec);
 
   // Decode working set, bump-allocated: the column-major log-transition
   // matrix (so the argmax inner loop reads contiguously), two rolling
@@ -164,7 +159,6 @@ common::Result<ViterbiResult> Viterbi(const HmmModel& model,
     psi[i] = 0;
   }
   for (size_t t = 1; t < t_max; ++t) {
-    SEMITRI_RETURN_IF_ERROR(checkpoint.Check("hmm_viterbi"));
     EffectiveRow(emissions, t, b_row.data());
     uint32_t* psi_t = psi.data() + t * n;
     for (size_t j = 0; j < n; ++j) {
@@ -271,8 +265,6 @@ double ForwardBackward(const HmmModel& model, const EmissionMatrix& emissions,
   work->a.resize(n * n);
   FlattenTransition(model, work->a.data());
   work->b_eff.resize(t_max * n);
-  // semitri-lint: allow(exec-checkpoint-coverage) — offline training
-  // path; bounded by the sequence length, not a serving deadline.
   for (size_t t = 0; t < t_max; ++t) {
     EffectiveRow(emissions, t, work->b_eff.data() + t * n);
   }
@@ -338,9 +330,6 @@ common::Result<EmissionMatrix> PosteriorDecode(
   const size_t n = model.num_states();
   const size_t t_max = emissions.rows();
   gamma = EmissionMatrix(t_max, n);
-  // semitri-lint: allow(exec-checkpoint-coverage) — O(T·N)
-  // normalization right after ForwardBackward; no checkpoint is in
-  // scope in this free training-path function.
   for (size_t t = 0; t < t_max; ++t) {
     const double* alpha_t = work.alpha.data() + t * n;
     const double* beta_t = work.beta.data() + t * n;
@@ -388,9 +377,6 @@ common::Result<BaumWelchResult> BaumWelch(
     double total_ll = 0.0;
     size_t used_sequences = 0;
 
-    // semitri-lint: allow(exec-checkpoint-coverage) — offline training
-    // path with no ExecControl plumbed; bounded by max_iterations and
-    // the caller's sequence count, not a serving deadline.
     for (const EmissionMatrix& emissions : sequences) {
       if (emissions.empty()) continue;
       ++used_sequences;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/exec_control.h"
 #include "common/status.h"
 #include "hmm/emission_matrix.h"
 
@@ -48,15 +47,11 @@ struct ViterbiResult {
 // Most likely hidden state sequence for `emissions`, where
 // emissions.At(t, i) = Pr(o_t | state i) (any nonnegative, relative
 // scale per row is sufficient). Rows with all-zero emissions are
-// treated as uninformative (uniform). The sweep consults `exec` (when
-// non-null) every exec->check_interval observation rows and aborts with
-// DeadlineExceeded, so a pathological stop sequence cannot pin the
-// point-annotation stage past its deadline. `scratch` (when non-null)
+// treated as uninformative (uniform). `scratch` (when non-null)
 // provides the decode working set — backpointers, rolling delta rows,
 // the log-transition matrix — so repeated decodes allocate nothing.
 [[nodiscard]] common::Result<ViterbiResult> Viterbi(
     const HmmModel& model, const EmissionMatrix& emissions,
-    const common::ExecControl* exec = nullptr,
     common::Arena* scratch = nullptr);
 
 // Total observation likelihood log Pr(O | λ) via the forward algorithm

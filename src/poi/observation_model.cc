@@ -18,8 +18,6 @@ geo::BoundingBox GridExtent(const PoiSet& pois, double cell) {
 
 }  // namespace
 
-// semitri-lint: allow(exec-checkpoint-coverage) — straight-line batched
-// kernel; deadline polling happens at the call sites' granularity.
 void AccumulateGaussianDensities(const double* px, const double* py,
                                  const double* two_sigma2, const double* norm,
                                  const int32_t* cat, size_t n, double qx,

@@ -1,6 +1,5 @@
 #include "poi/point_annotator.h"
 
-#include "common/check.h"
 #include "common/strings.h"
 
 namespace semitri::poi {
@@ -46,29 +45,24 @@ void PointAnnotator::EmissionsForEpisodeInto(const core::Episode& ep,
   observation_model_.EmissionsAtInto(ep.center, out);
 }
 
-common::Status PointAnnotator::BuildEmissions(
-    const std::vector<core::Episode>& episodes,
-    const common::ExecControl* exec, hmm::EmissionMatrix* out) const {
-  common::ExecCheckpoint checkpoint(exec);
+void PointAnnotator::BuildEmissions(const std::vector<core::Episode>& episodes,
+                                    hmm::EmissionMatrix* out) const {
   out->Reset(pois_->num_categories());
   for (const core::Episode& ep : episodes) {
     if (ep.kind != core::EpisodeKind::kStop) continue;
-    SEMITRI_RETURN_IF_ERROR(checkpoint.Check("poi_emissions"));
     EmissionsForEpisodeInto(ep, out->AppendRow());
   }
-  return common::Status::OK();
 }
 
 common::Result<std::vector<int>> PointAnnotator::InferStopCategories(
-    const std::vector<core::Episode>& episodes,
-    const common::ExecControl* exec, PointScratch* scratch) const {
+    const std::vector<core::Episode>& episodes, PointScratch* scratch) const {
   PointScratch local;
   PointScratch& s = scratch != nullptr ? *scratch : local;
   s.arena.Reset();
-  SEMITRI_RETURN_IF_ERROR(BuildEmissions(episodes, exec, &s.emissions));
+  BuildEmissions(episodes, &s.emissions);
   if (s.emissions.rows() == 0) return std::vector<int>{};
   common::Result<hmm::ViterbiResult> decoded =
-      hmm::Viterbi(model_, s.emissions, exec, &s.arena);
+      hmm::Viterbi(model_, s.emissions, &s.arena);
   if (!decoded.ok()) return decoded.status();
   std::vector<int> categories;
   categories.reserve(decoded->states.size());
@@ -80,8 +74,7 @@ common::Result<std::vector<int>> PointAnnotator::InferStopCategories(
 
 common::Result<core::StructuredSemanticTrajectory> PointAnnotator::Annotate(
     const core::RawTrajectory& trajectory,
-    const std::vector<core::Episode>& episodes,
-    const common::ExecControl* exec, PointScratch* scratch) const {
+    const std::vector<core::Episode>& episodes, PointScratch* scratch) const {
   PointScratch local;
   PointScratch& s = scratch != nullptr ? *scratch : local;
 
@@ -89,7 +82,7 @@ common::Result<core::StructuredSemanticTrajectory> PointAnnotator::Annotate(
   // confidence pass (the paper's "probabilistic estimates of the purpose
   // behind that stop").
   common::Result<std::vector<int>> categories =
-      InferStopCategories(episodes, exec, &s);
+      InferStopCategories(episodes, &s);
   if (!categories.ok()) return categories.status();
   hmm::EmissionMatrix posterior;
   if (s.emissions.rows() > 0) {
@@ -105,8 +98,6 @@ common::Result<core::StructuredSemanticTrajectory> PointAnnotator::Annotate(
   out.interpretation = "point";
 
   size_t stop_index = 0;
-  // semitri-lint: allow(exec-checkpoint-coverage) — linear pass
-  // attaching categories already computed under the polled path above.
   for (size_t e = 0; e < episodes.size(); ++e) {
     const core::Episode& episode = episodes[e];
     if (episode.kind != core::EpisodeKind::kStop) continue;
@@ -150,11 +141,9 @@ common::Result<hmm::BaumWelchResult> PointAnnotator::FitTransitions(
     const std::vector<std::vector<core::Episode>>& episode_sequences,
     const hmm::BaumWelchOptions& options) {
   std::vector<hmm::EmissionMatrix> sequences;
-  // semitri-lint: allow(exec-checkpoint-coverage) — offline training
-  // marshalling, linear in episodes; no deadline governs model fitting.
   for (const std::vector<core::Episode>& episodes : episode_sequences) {
     hmm::EmissionMatrix emissions;
-    SEMITRI_CHECK_OK(BuildEmissions(episodes, /*exec=*/nullptr, &emissions));
+    BuildEmissions(episodes, &emissions);
     if (emissions.rows() > 0) sequences.push_back(std::move(emissions));
   }
   if (sequences.empty()) {
@@ -171,9 +160,6 @@ common::Result<hmm::BaumWelchResult> PointAnnotator::FitTransitions(
 std::vector<int> NearestPoiAnnotator::InferStopCategories(
     const std::vector<core::Episode>& episodes) const {
   std::vector<int> out;
-  // semitri-lint: allow(exec-checkpoint-coverage) — one POI-index
-  // probe per stop in a const helper with no ExecControl in scope;
-  // episode counts are orders of magnitude below point counts.
   for (const core::Episode& ep : episodes) {
     if (ep.kind != core::EpisodeKind::kStop) continue;
     core::PlaceId nearest = pois_->Nearest(ep.center);

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/exec_control.h"
 #include "common/status.h"
 #include "core/types.h"
 #include "hmm/emission_matrix.h"
@@ -68,22 +67,18 @@ class PointAnnotator {
   PointAnnotator(const PoiSet* pois, PointAnnotatorConfig config = {});
 
   // Decoded POI category per stop episode (kStop entries of `episodes`,
-  // in order). Error if the model is malformed. When `exec` is non-null
-  // the emissions loop and the Viterbi grid sweep consult it and abort
-  // with DeadlineExceeded. `scratch` (when non-null) supplies the
-  // emission matrix and Viterbi working memory.
+  // in order). Error if the model is malformed. `scratch` (when
+  // non-null) supplies the emission matrix and Viterbi working memory.
   [[nodiscard]] common::Result<std::vector<int>> InferStopCategories(
       const std::vector<core::Episode>& episodes,
-      const common::ExecControl* exec = nullptr,
       PointScratch* scratch = nullptr) const;
 
   // Full Algorithm 3: emits one semantic episode per stop, annotated
   // with the decoded category and linked to a concrete POI when one is
-  // close enough; interpretation "point". `exec` and `scratch` as above.
+  // close enough; interpretation "point". `scratch` as above.
   [[nodiscard]] common::Result<core::StructuredSemanticTrajectory> Annotate(
       const core::RawTrajectory& trajectory,
       const std::vector<core::Episode>& episodes,
-      const common::ExecControl* exec = nullptr,
       PointScratch* scratch = nullptr) const;
 
   // Learns a personalized transition matrix (and initial distribution)
@@ -103,11 +98,9 @@ class PointAnnotator {
  private:
   void EmissionsForEpisodeInto(const core::Episode& ep,
                                std::span<double> out) const;
-  // Fills `out` with one emission row per stop episode, consulting the
-  // "poi_emissions" checkpoint between stops.
-  [[nodiscard]] common::Status BuildEmissions(
-      const std::vector<core::Episode>& episodes,
-      const common::ExecControl* exec, hmm::EmissionMatrix* out) const;
+  // Fills `out` with one emission row per stop episode.
+  void BuildEmissions(const std::vector<core::Episode>& episodes,
+                      hmm::EmissionMatrix* out) const;
 
   const PoiSet* pois_;
   PointAnnotatorConfig config_;

@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "common/check.h"
-
 namespace semitri::region {
 
 namespace {
@@ -34,9 +32,6 @@ std::vector<core::PlaceId> RegionAnnotator::ClassifyPoints(
     const core::RawTrajectory& trajectory) const {
   std::vector<core::PlaceId> out;
   out.reserve(trajectory.points.size());
-  // semitri-lint: allow(exec-checkpoint-coverage) — const helper with
-  // no ExecControl in scope; the deadline-aware Annotate entry point
-  // polls per point before and after this classification pass.
   for (const core::GpsPoint& p : trajectory.points) {
     out.push_back(BestRegionFor(p.position));
   }
@@ -55,31 +50,14 @@ void RegionAnnotator::AttachRegionAnnotations(
 
 core::StructuredSemanticTrajectory RegionAnnotator::AnnotateTrajectory(
     const core::RawTrajectory& trajectory) const {
-  common::Result<core::StructuredSemanticTrajectory> result =
-      AnnotateTrajectory(trajectory, /*exec=*/nullptr);
-  // Unbounded runs cannot hit the only error path (DeadlineExceeded).
-  SEMITRI_CHECK(result.ok()) << result.status().message();
-  return std::move(result).value();
-}
-
-common::Result<core::StructuredSemanticTrajectory>
-RegionAnnotator::AnnotateTrajectory(const core::RawTrajectory& trajectory,
-                                    const common::ExecControl* exec) const {
   core::StructuredSemanticTrajectory out;
   out.trajectory_id = trajectory.id;
   out.object_id = trajectory.object_id;
   out.interpretation = "region";
   if (trajectory.points.empty()) return out;
 
-  // Per-point spatial join (the R*-tree bulk queries) with deadline
-  // checkpoints.
-  common::ExecCheckpoint checkpoint(exec);
-  std::vector<core::PlaceId> point_regions;
-  point_regions.reserve(trajectory.points.size());
-  for (const core::GpsPoint& p : trajectory.points) {
-    SEMITRI_RETURN_IF_ERROR(checkpoint.Check("region_classify_points"));
-    point_regions.push_back(BestRegionFor(p.position));
-  }
+  // Per-point spatial join (the R*-tree bulk queries).
+  std::vector<core::PlaceId> point_regions = ClassifyPoints(trajectory);
 
   // Group continuous points with the same merge key into tuples
   // (Algorithm 1 lines 6–11).
@@ -93,8 +71,6 @@ RegionAnnotator::AnnotateTrajectory(const core::RawTrajectory& trajectory,
     AttachRegionAnnotations(point_regions[begin], &ep);
     out.episodes.push_back(std::move(ep));
   };
-  // semitri-lint: allow(exec-checkpoint-coverage) — episode grouping
-  // is one linear pass over the precomputed point_regions vector.
   for (size_t i = 1; i < trajectory.points.size(); ++i) {
     int64_t key =
         MergeKeyOf(*regions_, point_regions[i], config_.merge_policy);
@@ -111,36 +87,20 @@ RegionAnnotator::AnnotateTrajectory(const core::RawTrajectory& trajectory,
 core::StructuredSemanticTrajectory RegionAnnotator::AnnotateEpisodes(
     const core::RawTrajectory& trajectory,
     const std::vector<core::Episode>& episodes) const {
-  common::Result<core::StructuredSemanticTrajectory> result =
-      AnnotateEpisodes(trajectory, episodes, /*exec=*/nullptr);
-  SEMITRI_CHECK(result.ok()) << result.status().message();
-  return std::move(result).value();
-}
-
-common::Result<core::StructuredSemanticTrajectory>
-RegionAnnotator::AnnotateEpisodes(const core::RawTrajectory& trajectory,
-                                  const std::vector<core::Episode>& episodes,
-                                  const common::ExecControl* exec) const {
   core::StructuredSemanticTrajectory out;
   out.trajectory_id = trajectory.id;
   out.object_id = trajectory.object_id;
   out.interpretation = "region";
-  SEMITRI_RETURN_IF_ERROR(
-      AnnotateEpisodesFrom(trajectory, episodes, /*first=*/0, exec, &out));
+  AnnotateEpisodesFrom(trajectory, episodes, /*first=*/0, &out);
   return out;
 }
 
-common::Status RegionAnnotator::AnnotateEpisodesFrom(
+void RegionAnnotator::AnnotateEpisodesFrom(
     const core::RawTrajectory& trajectory,
     const std::vector<core::Episode>& episodes, size_t first,
-    const common::ExecControl* exec,
     core::StructuredSemanticTrajectory* out) const {
-  common::ExecCheckpoint checkpoint(exec);
   for (size_t e = first; e < episodes.size(); ++e) {
     const core::Episode& episode = episodes[e];
-    if (exec != nullptr) {
-      SEMITRI_RETURN_IF_ERROR(exec->Check("region_annotate_episodes"));
-    }
     core::SemanticEpisode ep;
     ep.kind = episode.kind;
     ep.time_in = episode.time_in;
@@ -163,7 +123,6 @@ common::Status RegionAnnotator::AnnotateEpisodesFrom(
       if (!candidates.empty()) {
         std::vector<size_t> votes(candidates.size(), 0);
         for (size_t i = episode.begin; i < episode.end; ++i) {
-          SEMITRI_RETURN_IF_ERROR(checkpoint.Check("region_majority_vote"));
           const geo::Point& p = trajectory.points[i].position;
           for (size_t c = 0; c < candidates.size(); ++c) {
             if (regions_->Get(candidates[c]).Contains(p)) {
@@ -182,7 +141,6 @@ common::Status RegionAnnotator::AnnotateEpisodesFrom(
     AttachRegionAnnotations(chosen, &ep);
     out->episodes.push_back(std::move(ep));
   }
-  return common::Status::OK();
 }
 
 }  // namespace semitri::region

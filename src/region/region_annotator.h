@@ -12,8 +12,6 @@
 
 #include <vector>
 
-#include "common/exec_control.h"
-#include "common/status.h"
 #include "core/types.h"
 #include "region/region_set.h"
 
@@ -68,24 +66,6 @@ class RegionAnnotator {
                          : AnnotateTrajectory(trajectory);
   }
 
-  // Deadline-aware variants: the per-point classification and the
-  // per-episode R*-tree join loops consult `exec` every
-  // exec->check_interval iterations and abort with DeadlineExceeded.
-  [[nodiscard]] common::Result<core::StructuredSemanticTrajectory> AnnotateTrajectory(
-      const core::RawTrajectory& trajectory,
-      const common::ExecControl* exec) const;
-  [[nodiscard]] common::Result<core::StructuredSemanticTrajectory> AnnotateEpisodes(
-      const core::RawTrajectory& trajectory,
-      const std::vector<core::Episode>& episodes,
-      const common::ExecControl* exec) const;
-  [[nodiscard]] common::Result<core::StructuredSemanticTrajectory> Annotate(
-      const core::RawTrajectory& trajectory,
-      const std::vector<core::Episode>& episodes,
-      const common::ExecControl* exec) const {
-    return per_episode() ? AnnotateEpisodes(trajectory, episodes, exec)
-                         : AnnotateTrajectory(trajectory, exec);
-  }
-
   // True for kPerEpisode granularity, where each episode's semantic
   // episode depends only on that episode and its points — so a growing
   // trajectory can be annotated episode by episode (AnnotateEpisodesFrom).
@@ -96,13 +76,11 @@ class RegionAnnotator {
 
   // Appends the semantic episodes of episodes[first, size) to
   // out->episodes — the incremental form of AnnotateEpisodes, which is
-  // this with first = 0 on an empty `out`. On error `out` may hold part
-  // of the new episodes.
-  [[nodiscard]] common::Status AnnotateEpisodesFrom(
-      const core::RawTrajectory& trajectory,
-      const std::vector<core::Episode>& episodes, size_t first,
-      const common::ExecControl* exec,
-      core::StructuredSemanticTrajectory* out) const;
+  // this with first = 0 on an empty `out`.
+  void AnnotateEpisodesFrom(const core::RawTrajectory& trajectory,
+                            const std::vector<core::Episode>& episodes,
+                            size_t first,
+                            core::StructuredSemanticTrajectory* out) const;
 
  private:
   void AttachRegionAnnotations(core::PlaceId region_id,

@@ -1,6 +1,5 @@
 #include "road/line_annotator.h"
 
-#include "common/check.h"
 #include "common/strings.h"
 
 namespace semitri::road {
@@ -8,24 +7,19 @@ namespace semitri::road {
 std::vector<core::SemanticEpisode> LineAnnotator::AnnotateMove(
     const traj::PointView& pts, size_t source_episode) const {
   std::vector<core::SemanticEpisode> out;
-  common::Status status = AnnotateMove(pts, source_episode, /*exec=*/nullptr,
-                                       /*scratch=*/nullptr, &out);
-  // Unbounded runs cannot hit the only error path (DeadlineExceeded).
-  SEMITRI_CHECK(status.ok()) << status.message();
+  AnnotateMove(pts, source_episode, /*scratch=*/nullptr, &out);
   return out;
 }
 
-common::Status LineAnnotator::AnnotateMove(
-    const traj::PointView& pts, size_t source_episode,
-    const common::ExecControl* exec, LineScratch* scratch,
+void LineAnnotator::AnnotateMove(
+    const traj::PointView& pts, size_t source_episode, LineScratch* scratch,
     std::vector<core::SemanticEpisode>* out) const {
-  if (pts.size == 0) return common::Status::OK();
+  if (pts.size == 0) return;
 
   LineScratch local;
   LineScratch& s = scratch != nullptr ? *scratch : local;
 
-  SEMITRI_RETURN_IF_ERROR(
-      matcher_.MatchPoints(pts, exec, &s.match, &s.matches));
+  matcher_.MatchPoints(pts, &s.match, &s.matches);
 
   // Build runs of consecutive points matched to the same segment
   // (Algorithm 2's preSeg grouping). Unmatched points form their own
@@ -88,46 +82,30 @@ common::Status LineAnnotator::AnnotateMove(
     }
     out->push_back(std::move(ep));
   }
-  return common::Status::OK();
 }
 
 core::StructuredSemanticTrajectory LineAnnotator::Annotate(
-    const traj::PointBatch& batch,
-    const std::vector<core::Episode>& episodes) const {
-  common::Result<core::StructuredSemanticTrajectory> result =
-      Annotate(batch, episodes, /*exec=*/nullptr);
-  SEMITRI_CHECK(result.ok()) << result.status().message();
-  return std::move(result).value();
-}
-
-common::Result<core::StructuredSemanticTrajectory> LineAnnotator::Annotate(
     const traj::PointBatch& batch, const std::vector<core::Episode>& episodes,
-    const common::ExecControl* exec, LineScratch* scratch) const {
+    LineScratch* scratch) const {
   core::StructuredSemanticTrajectory out;
   out.trajectory_id = batch.id();
   out.object_id = batch.object_id();
   out.interpretation = "line";
-  SEMITRI_RETURN_IF_ERROR(
-      AnnotateFrom(batch, episodes, /*first=*/0, exec, scratch, &out.episodes));
+  AnnotateFrom(batch, episodes, /*first=*/0, scratch, &out.episodes);
   return out;
 }
 
-common::Status LineAnnotator::AnnotateFrom(
+void LineAnnotator::AnnotateFrom(
     const traj::PointBatch& batch, const std::vector<core::Episode>& episodes,
-    size_t first, const common::ExecControl* exec, LineScratch* scratch,
+    size_t first, LineScratch* scratch,
     std::vector<core::SemanticEpisode>* out) const {
   LineScratch local;
   LineScratch& s = scratch != nullptr ? *scratch : local;
   for (size_t e = first; e < episodes.size(); ++e) {
     if (episodes[e].kind != core::EpisodeKind::kMove) continue;
-    if (exec != nullptr) {
-      SEMITRI_RETURN_IF_ERROR(exec->Check("line_annotate"));
-    }
-    SEMITRI_RETURN_IF_ERROR(
-        AnnotateMove(batch.View(episodes[e].begin, episodes[e].num_points()),
-                     e, exec, &s, out));
+    AnnotateMove(batch.View(episodes[e].begin, episodes[e].num_points()), e,
+                 &s, out);
   }
-  return common::Status::OK();
 }
 
 }  // namespace semitri::road

@@ -17,8 +17,6 @@
 
 #include <vector>
 
-#include "common/exec_control.h"
-#include "common/status.h"
 #include "core/types.h"
 #include "road/map_matcher.h"
 #include "road/road_network.h"
@@ -71,40 +69,29 @@ class LineAnnotator {
 
   // Annotates one move episode's points, appending one semantic episode
   // per matched road-segment run (Algorithm 2 lines 18–24) to `out`.
-  // `source_episode` tags the emitted episodes with their origin. The
-  // map-matching passes consult `exec` (when non-null) and the whole
-  // episode aborts with DeadlineExceeded once it expires, leaving `out`
-  // unchanged. `scratch` (when non-null) supplies all working memory.
-  [[nodiscard]] common::Status AnnotateMove(
-      const traj::PointView& pts, size_t source_episode,
-      const common::ExecControl* exec, LineScratch* scratch,
-      std::vector<core::SemanticEpisode>* out) const;
+  // `source_episode` tags the emitted episodes with their origin.
+  // `scratch` (when non-null) supplies all working memory.
+  void AnnotateMove(const traj::PointView& pts, size_t source_episode,
+                    LineScratch* scratch,
+                    std::vector<core::SemanticEpisode>* out) const;
 
-  // Convenience: unbounded run with local scratch.
+  // The same with local scratch, returning the episodes.
   std::vector<core::SemanticEpisode> AnnotateMove(const traj::PointView& pts,
                                                   size_t source_episode) const;
 
   // Annotates every kMove episode of the batch; interpretation "line".
-  // Checks `exec` between episodes and inside the per-episode matching
-  // loops.
-  [[nodiscard]] common::Result<core::StructuredSemanticTrajectory> Annotate(
-      const traj::PointBatch& batch, const std::vector<core::Episode>& episodes,
-      const common::ExecControl* exec, LineScratch* scratch = nullptr) const;
-
-  // Convenience: unbounded run with local scratch.
   core::StructuredSemanticTrajectory Annotate(
-      const traj::PointBatch& batch,
-      const std::vector<core::Episode>& episodes) const;
+      const traj::PointBatch& batch, const std::vector<core::Episode>& episodes,
+      LineScratch* scratch = nullptr) const;
 
   // Appends the semantic episodes of the kMove episodes among
   // episodes[first, size) to `out` — the incremental form of Annotate
   // (matching is scoped to one move, so each move's episodes depend only
-  // on its own points), which is this with first = 0. On error `out` may
-  // hold part of the new episodes.
-  [[nodiscard]] common::Status AnnotateFrom(
-      const traj::PointBatch& batch, const std::vector<core::Episode>& episodes,
-      size_t first, const common::ExecControl* exec, LineScratch* scratch,
-      std::vector<core::SemanticEpisode>* out) const;
+  // on its own points), which is this with first = 0.
+  void AnnotateFrom(const traj::PointBatch& batch,
+                    const std::vector<core::Episode>& episodes, size_t first,
+                    LineScratch* scratch,
+                    std::vector<core::SemanticEpisode>* out) const;
 
   const GlobalMapMatcher& matcher() const { return matcher_; }
   const TransportModeClassifier& classifier() const { return classifier_; }

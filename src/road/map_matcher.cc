@@ -16,8 +16,6 @@ double GlobalMapMatcher::MedianSpacing(const traj::PointView& pts,
   std::vector<double>& spacings = scratch != nullptr ? *scratch : local;
   spacings.clear();
   spacings.reserve(pts.size - 1);
-  // semitri-lint: allow(exec-checkpoint-coverage) — one O(n) spacing
-  // scan during setup, before the deadline-governed matching starts.
   for (size_t i = 1; i < pts.size; ++i) {
     spacings.push_back(
         std::hypot(pts.xs[i] - pts.xs[i - 1], pts.ys[i] - pts.ys[i - 1]));
@@ -31,21 +29,17 @@ double GlobalMapMatcher::MedianSpacing(const traj::PointView& pts,
 std::vector<MatchedPoint> GlobalMapMatcher::MatchPoints(
     const traj::PointView& pts) const {
   std::vector<MatchedPoint> out;
-  common::Status status =
-      MatchPoints(pts, /*exec=*/nullptr, /*scratch=*/nullptr, &out);
-  // Unbounded runs cannot hit the only error path (DeadlineExceeded).
-  SEMITRI_CHECK(status.ok()) << status.message();
+  MatchPoints(pts, /*scratch=*/nullptr, &out);
   return out;
 }
 
-common::Status GlobalMapMatcher::MatchPoints(
-    const traj::PointView& pts, const common::ExecControl* exec,
-    MatchScratch* scratch, std::vector<MatchedPoint>* out) const {
+void GlobalMapMatcher::MatchPoints(const traj::PointView& pts,
+                                   MatchScratch* scratch,
+                                   std::vector<MatchedPoint>* out) const {
   const size_t n = pts.size;
-  common::ExecCheckpoint checkpoint(exec);
   out->clear();
   out->resize(n);
-  if (n == 0) return common::Status::OK();
+  if (n == 0) return;
 
   MatchScratch local;
   MatchScratch& s = scratch != nullptr ? *scratch : local;
@@ -103,7 +97,6 @@ common::Status GlobalMapMatcher::MatchPoints(
       s.by[c] = net_by[seg];
     }
     for (size_t i = group_start; i < group_end; ++i) {
-      SEMITRI_RETURN_IF_ERROR(checkpoint.Check("map_match_candidates"));
       s.row_begin.push_back(s.cand_ids.size());
       if (m == 0) continue;
       geo::DistancesToSegments(s.ax.data(), s.ay.data(), s.bx.data(),
@@ -132,7 +125,6 @@ common::Status GlobalMapMatcher::MatchPoints(
 
   // Pass 2 — globalScore per point over its candidates (Eq. 3–4).
   for (size_t i = 0; i < n; ++i) {
-    SEMITRI_RETURN_IF_ERROR(checkpoint.Check("map_match_global_score"));
     const size_t row_first = s.row_begin[i];
     const size_t row_last = s.row_begin[i + 1];
     if (row_first == row_last) {
@@ -216,15 +208,11 @@ common::Status GlobalMapMatcher::MatchPoints(
     (*out)[i].snapped =
         network_->segment(best_seg).shape.ClosestPoint(pts.point(i));
   }
-  return common::Status::OK();
 }
 
 std::vector<MatchedPoint> GeometricMapMatcher::MatchPoints(
     const traj::PointView& pts) const {
   std::vector<MatchedPoint> out(pts.size);
-  // semitri-lint: allow(exec-checkpoint-coverage) — const helper with
-  // no ExecControl in scope; the deadline-aware Match() entry point
-  // polls around each window before delegating here.
   for (size_t i = 0; i < pts.size; ++i) {
     core::PlaceId seg = network_->NearestSegment(pts.point(i));
     out[i].segment = seg;

@@ -29,8 +29,6 @@
 
 #include <vector>
 
-#include "common/exec_control.h"
-#include "common/status.h"
 #include "core/types.h"
 #include "road/road_network.h"
 #include "traj/point_batch.h"
@@ -101,16 +99,12 @@ class GlobalMapMatcher {
 
   // Matches every point of `pts` (Algorithm 2 steps 1–5) into `out`
   // (cleared and resized). Points with no candidate segment get
-  // segment == kInvalidPlaceId and keep their raw position. Both passes
-  // consult `exec` (when non-null) every exec->check_interval points and
-  // abort with DeadlineExceeded, discarding partial matches. `scratch`
+  // segment == kInvalidPlaceId and keep their raw position. `scratch`
   // (when non-null) supplies all working memory.
-  [[nodiscard]] common::Status MatchPoints(const traj::PointView& pts,
-                                           const common::ExecControl* exec,
-                                           MatchScratch* scratch,
-                                           std::vector<MatchedPoint>* out) const;
+  void MatchPoints(const traj::PointView& pts, MatchScratch* scratch,
+                   std::vector<MatchedPoint>* out) const;
 
-  // Convenience: unbounded run with local scratch.
+  // The same with local scratch, returning the matches.
   std::vector<MatchedPoint> MatchPoints(const traj::PointView& pts) const;
 
   // Median spacing (m) between consecutive points; the unit behind R/σ.

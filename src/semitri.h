@@ -7,7 +7,6 @@
 
 // Error model & utilities.
 #include "common/clock.h"
-#include "common/exec_control.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -29,14 +28,12 @@
 
 // Data model and pipeline.
 #include "core/annotation_context.h"
-#include "core/circuit_breaker.h"
 #include "core/health.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
 #include "core/stage.h"
 #include "core/stages.h"
 #include "core/types.h"
-#include "core/watchdog.h"
 
 // Trajectory Computation Layer.
 #include "traj/identification.h"

@@ -108,8 +108,7 @@ std::shared_ptr<ShardRuntime> ShardCluster::RouteLocked(
 }
 
 common::Result<stream::AnnotationSession::FeedResult> ShardCluster::Feed(
-    core::ObjectId object_id, const core::GpsPoint& fix,
-    const common::ExecControl* exec) {
+    core::ObjectId object_id, const core::GpsPoint& fix) {
   common::Result<stream::AnnotationSession::FeedResult> result =
       common::Status::Unavailable("feed not attempted");
   auto attempt = [&]() -> common::Status {
@@ -138,7 +137,7 @@ common::Result<stream::AnnotationSession::FeedResult> ShardCluster::Feed(
     return result;
   }
   common::RetryPolicy::Outcome outcome = feed_retry_policy_.Run(
-      attempt, exec, static_cast<uint64_t>(object_id),
+      attempt, static_cast<uint64_t>(object_id),
       // A feed waiting out a backoff is the cluster's idle moment:
       // drive detection (and auto-failover) forward so the next
       // attempt has a promoted runtime to land on. Under a FakeClock
@@ -360,28 +359,6 @@ common::Status ShardCluster::RestartShard(ShardId shard) {
 
 common::Result<size_t> ShardCluster::Tick() {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<bool> probe_ok(runtimes_.size(), false);
-  for (ShardId id = 0; id < runtimes_.size(); ++id) {
-    // The in-process probe: is the runtime slot occupied? (Process
-    // isolation makes this "did the worker answer" in tools/shardd;
-    // richer signals arrive via ObserveHealth.)
-    probe_ok[id] = runtimes_[id] != nullptr;
-  }
-  return TickLocked(probe_ok);
-}
-
-common::Result<size_t> ShardCluster::ObserveHealth(
-    const core::HealthSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<bool> probe_ok(runtimes_.size(), false);
-  for (const core::ShardHealth& s : snapshot.shards) {
-    if (s.shard_id < probe_ok.size()) probe_ok[s.shard_id] = s.alive;
-  }
-  return TickLocked(probe_ok);
-}
-
-common::Result<size_t> ShardCluster::TickLocked(
-    const std::vector<bool>& probe_ok) {
   size_t failovers = 0;
   common::Status first = common::Status::OK();
   // One integrity-scrub increment per live shard per tick: the tick
@@ -393,7 +370,9 @@ common::Result<size_t> ShardCluster::TickLocked(
   }
   for (ShardId id = 0; id < runtimes_.size(); ++id) {
     if (!detector_->ProbeDue(id)) continue;
-    bool ok = id < probe_ok.size() && probe_ok[id];
+    // The in-process probe: is the runtime slot occupied? (Process
+    // isolation makes this "did the worker answer" in tools/shardd.)
+    bool ok = runtimes_[id] != nullptr;
     bool was_dead = detector_->StateOf(id) == Liveness::kDead;
     Liveness state = detector_->Observe(id, ok);
     if (state != Liveness::kDead) continue;
@@ -545,12 +524,8 @@ core::HealthSnapshot ShardCluster::Health() const {
     out.buffered_bytes.limit += shard.buffered_bytes.limit;
     out.sessions_shed += shard.sessions_shed;
     out.admission_rejected_sessions += shard.admission_rejected_sessions;
-    out.rate_limited_fixes += shard.rate_limited_fixes;
     out.overload_rejected_fixes += shard.overload_rejected_fixes;
-    out.admission_deferred += shard.admission_deferred;
-    out.admission_timeouts += shard.admission_timeouts;
     out.evictions_with_data_loss += shard.evictions_with_data_loss;
-    out.watchdog_force_cancels += shard.watchdog_force_cancels;
     if (shard.storage_degraded && !out.storage_degraded) {
       out.storage_degraded = true;
       out.storage_fault = shard.storage_fault;

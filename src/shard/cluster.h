@@ -51,15 +51,15 @@
 // single-process run.
 //
 // --- self-healing -----------------------------------------------------
-// A FailureDetector (probed from Tick() or an external HealthSnapshot
-// via ObserveHealth) walks dead runtime slots through alive -> suspect
-// -> dead; with auto_failover, a death declaration triggers
-// FailoverShard: the standby directory — shipped sealed segments plus
-// the shipped manager-checkpoint sidecar — is promoted to the shard's
-// new durable directory, a replacement runtime opens on it (sessions
-// resume mid-stream from the shipped checkpoint), and the old primary
-// directory is abandoned. Placements are untouched (the same ShardId
-// keeps serving), so routing heals the moment promotion completes.
+// A FailureDetector (probed from Tick()) walks dead runtime slots
+// through alive -> suspect -> dead; with auto_failover, a death
+// declaration triggers FailoverShard: the standby directory — shipped
+// sealed segments plus the shipped manager-checkpoint sidecar — is
+// promoted to the shard's new durable directory, a replacement runtime
+// opens on it (sessions resume mid-stream from the shipped checkpoint),
+// and the old primary directory is abandoned. Placements are untouched
+// (the same ShardId keeps serving), so routing heals the moment
+// promotion completes.
 // What promotion loses is bounded and ledgered in stats(): sealed-but-
 // unshipped segments and the active WAL tail, i.e. everything after
 // the last successful Checkpoint() ship. Drivers recover it exactly
@@ -122,8 +122,8 @@ struct ShardClusterConfig {
 
   // --- self-healing ---------------------------------------------------
   FailureDetectorConfig detector;
-  // Tick() / ObserveHealth promote the standby automatically once the
-  // detector declares a shard dead (requires ship_wal for a standby to
+  // Tick() promotes the standby automatically once the detector
+  // declares a shard dead (requires ship_wal for a standby to
   // exist). Off by default: tests of manual kill/restart semantics
   // keep their dead shards dead.
   bool auto_failover = false;
@@ -149,11 +149,9 @@ class ShardCluster {
   // Unavailable when that shard is killed and not yet restarted
   // (counted in stats). With retry_feeds: transient failures back off
   // and retry per feed_retry — each backoff ticks the detector, so a
-  // feed caught in a failover rides it out and recovers. `exec` bounds
-  // the retries (deadline/cancel); null = unbounded.
+  // feed caught in a failover rides it out and recovers.
   [[nodiscard]] common::Result<stream::AnnotationSession::FeedResult> Feed(
-      core::ObjectId object_id, const core::GpsPoint& fix,
-      const common::ExecControl* exec = nullptr);
+      core::ObjectId object_id, const core::GpsPoint& fix);
 
   // Flushing close on the owning shard (stream end for one object).
   [[nodiscard]] common::Status CloseObject(core::ObjectId object_id);
@@ -210,12 +208,6 @@ class ShardCluster {
   // state, and — with auto_failover — promotes the standby of every
   // shard newly declared dead. Returns failovers performed this tick.
   [[nodiscard]] common::Result<size_t> Tick() SEMITRI_EXCLUDES(mutex_);
-
-  // Same pass, but probe results come from an externally produced
-  // rollup (e.g. a supervisor probing worker processes): each
-  // ShardHealth row's alive bit is one observation for that shard.
-  [[nodiscard]] common::Result<size_t> ObserveHealth(
-      const core::HealthSnapshot& snapshot) SEMITRI_EXCLUDES(mutex_);
 
   // Promotes the shard's standby directory (shipped sealed segments +
   // shipped manager checkpoint) to its new durable directory and opens
@@ -318,11 +310,6 @@ class ShardCluster {
       SEMITRI_REQUIRES(mutex_);
   [[nodiscard]] common::Status FailoverLocked(ShardId shard)
       SEMITRI_REQUIRES(mutex_);
-  // Observes one probe result per due shard (probe_ok[i] for shard i;
-  // ids beyond the vector probe as dead) and auto-fails-over newly
-  // declared deaths. Returns failovers performed.
-  [[nodiscard]] common::Result<size_t> TickLocked(
-      const std::vector<bool>& probe_ok) SEMITRI_REQUIRES(mutex_);
   const common::Clock* cluster_clock() const {
     return clock_ != nullptr ? clock_ : common::Clock::Real();
   }

@@ -155,12 +155,6 @@ core::ShardHealth ShardRuntime::ShardHealthInfo() const {
     info.wal_ship_lag_segments = lag.segments;
     info.wal_ship_lag_bytes = lag.bytes;
   }
-  for (const core::StageHealth& stage : snapshot.stages) {
-    if (stage.breaker_present &&
-        stage.breaker.state != core::BreakerState::kClosed) {
-      ++info.breakers_open;
-    }
-  }
   info.storage_degraded = snapshot.storage_degraded;
   info.storage_fault = snapshot.storage_fault;
   info.scrub_files_scanned = snapshot.scrub_files_scanned;

@@ -1,6 +1,5 @@
 #include "stream/session_manager.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -164,8 +163,7 @@ bool SessionManager::ShedOldestIdle(core::ObjectId exclude) {
 }
 
 common::Status SessionManager::ResolveOverload(core::ObjectId exclude) {
-  const AdmissionConfig& adm = config_.admission;
-  switch (adm.overload_policy) {
+  switch (config_.admission.overload_policy) {
     case OverloadPolicy::kRejectNew:
       return common::Status::ResourceExhausted(
           "admission budget exceeded (policy: reject-new)");
@@ -177,45 +175,8 @@ common::Status SessionManager::ResolveOverload(core::ObjectId exclude) {
         }
       }
       return common::Status::OK();
-    case OverloadPolicy::kBlockWithDeadline: {
-      admission_deferred_.fetch_add(1, std::memory_order_relaxed);
-      const int64_t give_up =
-          clock_->NowNanos() +
-          static_cast<int64_t>(adm.block_deadline_seconds * 1e9);
-      while (OverBudget()) {
-        if (clock_->NowNanos() >= give_up) {
-          admission_timeouts_.fetch_add(1, std::memory_order_relaxed);
-          return common::Status::DeadlineExceeded(
-              "admission blocked past block_deadline_seconds");
-        }
-        // Clock-paced poll: under a FakeClock SleepFor advances fake
-        // time, so a test that never frees capacity resolves to the
-        // timeout deterministically and in zero wall time.
-        clock_->SleepFor(std::max(adm.block_poll_seconds, 1e-4));
-      }
-      return common::Status::OK();
-    }
   }
   return common::Status::Internal("unknown overload policy");
-}
-
-bool SessionManager::ConsumeToken(Entry& entry, int64_t now) const {
-  const AdmissionConfig& adm = config_.admission;
-  if (adm.fix_rate_per_second <= 0.0) return true;
-  if (!entry.bucket_primed) {
-    entry.tokens = adm.fix_burst;
-    entry.token_refill_nanos = now;
-    entry.bucket_primed = true;
-  }
-  double elapsed = static_cast<double>(now - entry.token_refill_nanos) * 1e-9;
-  if (elapsed > 0.0) {
-    entry.tokens = std::min(adm.fix_burst,
-                            entry.tokens + elapsed * adm.fix_rate_per_second);
-    entry.token_refill_nanos = now;
-  }
-  if (entry.tokens < 1.0) return false;
-  entry.tokens -= 1.0;
-  return true;
 }
 
 common::Result<AnnotationSession::FeedResult> SessionManager::Feed(
@@ -292,12 +253,6 @@ common::Result<AnnotationSession::FeedResult> SessionManager::Feed(
       claimed_session = false;
     }
     Entry& entry = it->second;
-    if (!ConsumeToken(entry, now)) {
-      rate_limited_fixes_.fetch_add(1, std::memory_order_relaxed);
-      buffered_fixes_.fetch_sub(1, std::memory_order_relaxed);
-      return common::Status::ResourceExhausted(
-          "fix rate limit exceeded for this object (token bucket empty)");
-    }
     entry.last_feed_nanos = now;
     result = entry.session->Feed(fix);
     // Reconcile the optimistic +1 claim to the session's true buffered
@@ -721,14 +676,8 @@ SessionManager::Stats SessionManager::stats() const {
   out.sessions_shed = sessions_shed_.load(std::memory_order_relaxed);
   out.admission_rejected_sessions =
       admission_rejected_sessions_.load(std::memory_order_relaxed);
-  out.rate_limited_fixes =
-      rate_limited_fixes_.load(std::memory_order_relaxed);
   out.overload_rejected_fixes =
       overload_rejected_fixes_.load(std::memory_order_relaxed);
-  out.admission_deferred =
-      admission_deferred_.load(std::memory_order_relaxed);
-  out.admission_timeouts =
-      admission_timeouts_.load(std::memory_order_relaxed);
   out.sessions_restored = sessions_restored_.load(std::memory_order_relaxed);
   out.resume_cursors_restored =
       resume_cursors_restored_.load(std::memory_order_relaxed);
@@ -748,14 +697,8 @@ core::HealthSnapshot SessionManager::Health() const {
   snapshot.sessions_shed = sessions_shed_.load(std::memory_order_relaxed);
   snapshot.admission_rejected_sessions =
       admission_rejected_sessions_.load(std::memory_order_relaxed);
-  snapshot.rate_limited_fixes =
-      rate_limited_fixes_.load(std::memory_order_relaxed);
   snapshot.overload_rejected_fixes =
       overload_rejected_fixes_.load(std::memory_order_relaxed);
-  snapshot.admission_deferred =
-      admission_deferred_.load(std::memory_order_relaxed);
-  snapshot.admission_timeouts =
-      admission_timeouts_.load(std::memory_order_relaxed);
   size_t data_loss = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);

@@ -26,15 +26,10 @@
 //   * kShedOldestIdle  — evict the globally least-recently-fed session
 //                        (through the flushing Close path, so shedding
 //                        never loses durably-written rows) until the
-//                        budget fits, then admit;
-//   * kBlockWithDeadline — poll (clock-paced, so deterministic under a
-//                        FakeClock) until capacity frees up or
-//                        block_deadline_seconds elapses, then give up
-//                        with DeadlineExceeded.
+//                        budget fits, then admit.
 //
-// Per-object fix-rate token buckets bound how fast any single feeder
-// can consume the shared budgets. Every shed / reject / rate-limit /
-// defer decision is counted in stats() and surfaced via Health().
+// Every shed / reject decision is counted in stats() and surfaced via
+// Health().
 //
 // The "least-recently-fed" order is maintained in a global min-heap of
 // last-activity ticks with lazy invalidation (at most one heap entry
@@ -79,7 +74,6 @@ namespace semitri::stream {
 enum class OverloadPolicy {
   kRejectNew = 0,
   kShedOldestIdle,
-  kBlockWithDeadline,
 };
 
 struct AdmissionConfig {
@@ -92,17 +86,6 @@ struct AdmissionConfig {
   size_t max_buffered_bytes = 0;
 
   OverloadPolicy overload_policy = OverloadPolicy::kRejectNew;
-  // kBlockWithDeadline: how long one Feed may wait for capacity, and
-  // how often it re-checks (sleeps go through the injected Clock, so a
-  // FakeClock resolves the wait deterministically).
-  double block_deadline_seconds = 0.5;
-  double block_poll_seconds = 0.01;
-
-  // Per-object token bucket: sustained fixes/second and burst capacity.
-  // A fix arriving with an empty bucket is rejected with
-  // ResourceExhausted and counted in rate_limited_fixes. 0 disables.
-  double fix_rate_per_second = 0.0;
-  double fix_burst = 32.0;
 };
 
 struct SessionManagerConfig {
@@ -127,9 +110,8 @@ class SessionManager {
   // cleaned prefix bookkeeping, map nodes).
   static constexpr size_t kSessionOverheadBytes = 512;
 
-  // `pipeline` must outlive the manager. `clock` drives idle ticks,
-  // token-bucket refill and block-with-deadline waits (null = real
-  // clock; tests inject common::FakeClock).
+  // `pipeline` must outlive the manager. `clock` drives idle ticks
+  // (null = real clock; tests inject common::FakeClock).
   SessionManager(const core::SemiTriPipeline* pipeline,
                  SessionManagerConfig config = {},
                  const common::Clock* clock = nullptr);
@@ -137,8 +119,8 @@ class SessionManager {
   // Feeds one fix to `object_id`'s session, creating it on first use.
   // Feeds for the same object must be time-ordered (out-of-order fixes
   // are rejected in the FeedResult); different objects are independent.
-  // Under overload returns ResourceExhausted (reject/shed-failed/rate-
-  // limited) or DeadlineExceeded (block-with-deadline timed out).
+  // Under overload returns ResourceExhausted (rejected, or nothing left
+  // to shed).
   [[nodiscard]] common::Result<AnnotationSession::FeedResult> Feed(
       core::ObjectId object_id, const core::GpsPoint& fix);
 
@@ -186,17 +168,10 @@ class SessionManager {
     size_t buffered_fixes = 0;
     // Sessions evicted by kShedOldestIdle to make room.
     size_t sessions_shed = 0;
-    // New sessions turned away (budget + kRejectNew, or a failed shed /
-    // timed-out block).
+    // New sessions turned away (budget + kRejectNew, or a failed shed).
     size_t admission_rejected_sessions = 0;
-    // Fixes turned away by the per-object token bucket.
-    size_t rate_limited_fixes = 0;
     // Fixes to *existing* sessions turned away by the global budgets.
     size_t overload_rejected_fixes = 0;
-    // Feeds that had to wait under kBlockWithDeadline...
-    size_t admission_deferred = 0;
-    // ...and how many of those gave up at the deadline.
-    size_t admission_timeouts = 0;
     // --- checkpoint restore (re-adoption after restart/failover) ------
     // What the most recent Restore() rebuilt: live sessions resumed
     // mid-stream, and idle objects whose trajectory-id cursors came
@@ -208,8 +183,8 @@ class SessionManager {
   // Aggregated over live and evicted sessions.
   Stats stats() const;
 
-  // One-call operator view: per-stage breaker/latency health from the
-  // pipeline plus this manager's budget gauges and overload counters.
+  // One-call operator view: per-stage latency from the pipeline plus
+  // this manager's budget gauges and overload counters.
   core::HealthSnapshot Health() const;
 
   // --- checkpoint / restore -------------------------------------------
@@ -299,10 +274,6 @@ class SessionManager {
     // Buffered fixes this session is currently charged for against the
     // global budget.
     size_t charged_fixes = 0;
-    // Per-object rate-limit token bucket.
-    double tokens = 0.0;
-    int64_t token_refill_nanos = 0;
-    bool bucket_primed = false;
   };
   struct Shard {
     mutable std::mutex mutex;
@@ -338,14 +309,12 @@ class SessionManager {
   // True while any configured budget is exceeded by current usage.
   bool OverBudget() const;
   // Applies the overload policy until the budgets fit (shedding spares
-  // `exclude`). OK = admitted; ResourceExhausted / DeadlineExceeded =
-  // give up (the caller rolls its optimistic claims back).
+  // `exclude`). OK = admitted; ResourceExhausted = give up (the caller
+  // rolls its optimistic claims back).
   [[nodiscard]] common::Status ResolveOverload(core::ObjectId exclude);
   // Evicts the least-recently-fed session other than `exclude`; false
   // when no candidate exists.
   bool ShedOldestIdle(core::ObjectId exclude);
-  // Token-bucket admission for one fix of `entry` at `now`.
-  bool ConsumeToken(Entry& entry, int64_t now) const;
 
   const core::SemiTriPipeline* pipeline_;
   SessionManagerConfig config_;
@@ -366,10 +335,7 @@ class SessionManager {
   // Overload decision counters (monotonic).
   std::atomic<size_t> sessions_shed_{0};
   std::atomic<size_t> admission_rejected_sessions_{0};
-  std::atomic<size_t> rate_limited_fixes_{0};
   std::atomic<size_t> overload_rejected_fixes_{0};
-  std::atomic<size_t> admission_deferred_{0};
-  std::atomic<size_t> admission_timeouts_{0};
 };
 
 }  // namespace semitri::stream

@@ -13,8 +13,6 @@ void FillArrays(std::span<const core::GpsPoint> points,
   xs->reserve(points.size());
   ys->reserve(points.size());
   ts->reserve(points.size());
-  // semitri-lint: allow(exec-checkpoint-coverage) — one O(n) transpose
-  // per trajectory at batch-build time, before any governed stage loop.
   for (const core::GpsPoint& p : points) {
     xs->push_back(p.position.x);
     ys->push_back(p.position.y);
@@ -33,8 +31,6 @@ void PointBatch::BuildFrom(const core::RawTrajectory& trajectory) {
 void PointBatch::Extend(const core::RawTrajectory& trajectory) {
   id_ = trajectory.id;
   object_id_ = trajectory.object_id;
-  // semitri-lint: allow(exec-checkpoint-coverage) — O(new points)
-  // transpose at batch-build time, before any governed stage loop.
   for (size_t i = size(); i < trajectory.points.size(); ++i) {
     const core::GpsPoint& p = trajectory.points[i];
     xs_.push_back(p.position.x);

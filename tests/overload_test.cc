@@ -1,9 +1,9 @@
 // Admission control & backpressure tests for stream::SessionManager:
-// global session / buffered-fix / byte budgets, the three overload
-// policies (reject-new, shed-oldest-idle, block-with-deadline),
-// per-object token buckets, heap-driven idle eviction, checkpoint /
-// restore of the budget accounting, the Health() operator view, and a
-// deterministic 10x-oversubscribed saturation run under a FakeClock.
+// global session / buffered-fix / byte budgets, the two overload
+// policies (reject-new, shed-oldest-idle), heap-driven idle eviction,
+// checkpoint / restore of the budget accounting, the Health() operator
+// view, and a deterministic 10x-oversubscribed saturation run under a
+// FakeClock.
 
 #include "stream/session_manager.h"
 
@@ -226,68 +226,6 @@ TEST_F(OverloadFixture, SheddingPreservesDurableRows) {
   // Object 5 has written nothing yet (one fix, no closed episodes), so
   // the live store holds exactly object 4's offline end state.
   EXPECT_TRUE(live_store.ContentEquals(offline_store));
-}
-
-// ---------------------------------------------------------------------
-// Block-with-deadline.
-// ---------------------------------------------------------------------
-
-TEST_F(OverloadFixture, BlockWithDeadlineTimesOutDeterministically) {
-  AdmissionConfig admission;
-  admission.max_sessions = 1;
-  admission.overload_policy = OverloadPolicy::kBlockWithDeadline;
-  admission.block_deadline_seconds = 0.5;
-  admission.block_poll_seconds = 0.01;
-  SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock_);
-
-  ASSERT_TRUE(manager.Feed(1, Fix(0.0)).ok());
-  const int64_t before = clock_.NowNanos();
-  // No other thread frees capacity: the poll loop (paced by the fake
-  // clock, so it consumes no wall time) must give up at the deadline.
-  common::Result<AnnotationSession::FeedResult> timed_out =
-      manager.Feed(2, Fix(0.0));
-  EXPECT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
-  const double waited =
-      static_cast<double>(clock_.NowNanos() - before) * 1e-9;
-  EXPECT_GE(waited, 0.5);
-  EXPECT_LT(waited, 0.6);
-
-  SessionManager::Stats stats = manager.stats();
-  EXPECT_EQ(stats.admission_deferred, 1u);
-  EXPECT_EQ(stats.admission_timeouts, 1u);
-  EXPECT_EQ(stats.admission_rejected_sessions, 1u);
-  EXPECT_EQ(manager.ActiveSessions(), 1u);
-}
-
-// ---------------------------------------------------------------------
-// Per-object token buckets.
-// ---------------------------------------------------------------------
-
-TEST_F(OverloadFixture, TokenBucketRateLimitsPerObject) {
-  AdmissionConfig admission;
-  admission.fix_rate_per_second = 1.0;
-  admission.fix_burst = 2.0;
-  SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock_);
-
-  // Burst of 2 is admitted back to back; the 3rd fix finds the bucket
-  // empty.
-  ASSERT_TRUE(manager.Feed(1, Fix(0.0)).ok());
-  ASSERT_TRUE(manager.Feed(1, Fix(1.0)).ok());
-  common::Result<AnnotationSession::FeedResult> limited =
-      manager.Feed(1, Fix(2.0));
-  EXPECT_FALSE(limited.ok());
-  EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(manager.stats().rate_limited_fixes, 1u);
-
-  // Buckets are per object: another feeder is unaffected.
-  ASSERT_TRUE(manager.Feed(2, Fix(0.0)).ok());
-
-  // One second refills one token.
-  clock_.Advance(1.0);
-  EXPECT_TRUE(manager.Feed(1, Fix(2.0)).ok());
-  EXPECT_FALSE(manager.Feed(1, Fix(3.0)).ok());
-  EXPECT_EQ(manager.stats().rate_limited_fixes, 2u);
 }
 
 // ---------------------------------------------------------------------

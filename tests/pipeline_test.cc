@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "datagen/presets.h"
 #include "datagen/world.h"
 
@@ -314,6 +318,54 @@ TEST_F(PipelineFixture, StoreWriteFailureSurfaces) {
   auto results = pipeline.ProcessStream(5, track.points);
   EXPECT_FALSE(results.ok());
   EXPECT_EQ(results.status().code(), common::StatusCode::kIoError);
+}
+
+TEST_F(PipelineFixture, PointLayerFailureFollowsAnnotationFailurePolicy) {
+  // A 1x1 transition matrix does not fit the POI category space, so
+  // Viterbi's model check fails on every trajectory with a stop.
+  datagen::PersonSpec spec = factory_->MakePersonSpec(2);
+  datagen::SimulatedTrack track = factory_->SimulatePersonDays(2, spec, 2);
+  PipelineConfig config;
+  config.point.transition = {{1.0}};
+
+  // Skip-and-record: the run completes, each trajectory with a stop
+  // keeps its region and line layers, and the store gets no point rows.
+  config.annotation_failure = FailurePolicy::SkipAndRecord();
+  store::SemanticTrajectoryStore store;
+  SemiTriPipeline degrading(&world_->regions, &world_->roads, &world_->pois,
+                            config, &store);
+  auto results = degrading.ProcessStream(2, track.points);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  size_t with_stops = 0;
+  for (const PipelineResult& r : *results) {
+    if (r.NumStops() == 0) continue;
+    ++with_stops;
+    EXPECT_TRUE(r.region_layer.has_value());
+    EXPECT_TRUE(r.line_layer.has_value());
+    EXPECT_FALSE(r.point_layer.has_value());
+    EXPECT_TRUE(r.degraded());
+    auto report = r.stage_reports.find(kStagePointAnnotation);
+    ASSERT_TRUE(report != r.stage_reports.end());
+    EXPECT_TRUE(report->second.skipped);
+    EXPECT_EQ(report->second.status.code(),
+              common::StatusCode::kInvalidArgument);
+    std::vector<std::string> stored = store.ListInterpretations(r.cleaned.id);
+    auto has = [&](const char* name) {
+      return std::find(stored.begin(), stored.end(), name) != stored.end();
+    };
+    EXPECT_TRUE(has("region"));
+    EXPECT_TRUE(has("line"));
+    EXPECT_FALSE(has("point"));
+  }
+  EXPECT_GT(with_stops, 0u);
+
+  // Fail-fast (the default): the same error aborts the stream.
+  config.annotation_failure = FailurePolicy::FailFast();
+  SemiTriPipeline strict(&world_->regions, &world_->roads, &world_->pois,
+                         config);
+  auto failed = strict.ProcessStream(2, track.points);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

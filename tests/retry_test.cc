@@ -1,8 +1,8 @@
 // Tests for common::RetryPolicy: deterministic capped-exponential
-// backoff with jitter, deadline-aware Run(), retryable-code
-// classification, and the on_backoff hook the shard router hangs its
-// failure-detector ticks on. Everything runs on a FakeClock — sleeping
-// advances fake time, so the whole retry timeline is asserted exactly.
+// backoff with jitter, retryable-code classification, and the
+// on_backoff hook the shard router hangs its failure-detector ticks on.
+// Everything runs on a FakeClock — sleeping advances fake time, so the
+// whole retry timeline is asserted exactly.
 
 #include "common/retry.h"
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/exec_control.h"
 #include "common/status.h"
 
 namespace semitri::common {
@@ -136,70 +135,6 @@ TEST(RetryPolicyTest, ExhaustsAttemptsAndReportsLastError) {
                                               policy.BackoffSeconds(3));
 }
 
-TEST(RetryPolicyTest, DeadlineClampsBackoffAndStopsRetrying) {
-  FakeClock clock;
-  RetryPolicyConfig config;
-  config.max_attempts = 10;
-  config.initial_backoff_seconds = 1.0;
-  config.backoff_multiplier = 1.0;
-  config.max_backoff_seconds = 1.0;
-  config.jitter_fraction = 0.0;
-  RetryPolicy policy(config, &clock);
-
-  ExecControl exec;
-  exec.clock = &clock;
-  exec.deadline = Deadline::After(1.5, &clock);
-
-  size_t calls = 0;
-  auto outcome = policy.Run([&]() {
-    ++calls;
-    return Status::Unavailable("down");
-  }, &exec);
-  // Attempt 1 at t=0, full 1 s backoff; attempt 2 at t=1, backoff
-  // clamped to the 0.5 s remaining; the pre-attempt deadline check at
-  // t=1.5 then fails without burning another attempt.
-  EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(outcome.attempts, 2u);
-  EXPECT_EQ(calls, 2u);
-  EXPECT_DOUBLE_EQ(outcome.slept_seconds, 1.5);
-}
-
-TEST(RetryPolicyTest, ExpiredDeadlineSkipsTheFirstAttempt) {
-  FakeClock clock;
-  RetryPolicy policy({}, &clock);
-  ExecControl exec;
-  exec.clock = &clock;
-  exec.deadline = Deadline::After(1.0, &clock);
-  clock.Advance(2.0);
-
-  size_t calls = 0;
-  auto outcome = policy.Run([&]() {
-    ++calls;
-    return Status::OK();
-  }, &exec);
-  EXPECT_EQ(outcome.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(outcome.attempts, 0u);
-  EXPECT_EQ(calls, 0u);
-}
-
-TEST(RetryPolicyTest, CancellationStopsBetweenAttempts) {
-  FakeClock clock;
-  RetryPolicyConfig config;
-  config.max_attempts = 10;
-  RetryPolicy policy(config, &clock);
-  ExecControl exec;
-  exec.clock = &clock;
-
-  size_t calls = 0;
-  auto outcome = policy.Run([&]() {
-    ++calls;
-    if (calls == 2) exec.token.Cancel();
-    return Status::Unavailable("down");
-  }, &exec);
-  EXPECT_FALSE(outcome.status.ok());
-  EXPECT_EQ(calls, 2u);
-}
-
 TEST(RetryPolicyTest, OnBackoffHookRunsBeforeEverySleep) {
   FakeClock clock;
   RetryPolicyConfig config;
@@ -210,7 +145,7 @@ TEST(RetryPolicyTest, OnBackoffHookRunsBeforeEverySleep) {
   std::vector<double> hook_times;
   auto outcome = policy.Run(
       []() { return Status::Unavailable("down"); },
-      /*exec=*/nullptr, /*stream=*/0,
+      /*stream=*/0,
       [&]() {
         hook_times.push_back(static_cast<double>(clock.NowNanos()) * 1e-9);
       });

@@ -79,23 +79,6 @@ std::string StripAngleBrackets(std::string s) {
   return s;
 }
 
-// Code text strictly between (l1, c1) and (l2, c2) — unlike
-// SourceFile::CodeRange, partial first/last lines are trimmed to the
-// span, so e.g. a function body excludes its signature.
-std::string CodeSpan(const SourceFile& f, size_t l1, size_t c1, size_t l2,
-                     size_t c2) {
-  std::string out;
-  for (size_t li = l1; li <= l2 && li <= f.line_count(); ++li) {
-    std::string code = f.code_line(li);
-    if (li == l2 && c2 <= code.size()) code = code.substr(0, c2);
-    if (li == l1 && c1 < code.size()) code = code.substr(c1 + 1);
-    if (li == l1 && c1 >= code.size()) code.clear();
-    if (!out.empty()) out.push_back('\n');
-    out += code;
-  }
-  return out;
-}
-
 std::string LastIdentifierComponent(const std::string& qualified) {
   size_t at = qualified.rfind("::");
   return at == std::string::npos ? qualified : qualified.substr(at + 2);
@@ -234,195 +217,6 @@ std::vector<Finding> UncheckedStatusImpl(const Corpus& corpus) {
            "result of Status/Result-returning `" + callee +
                "` is dropped; check it, propagate it, or discard "
                "explicitly with `(void)` and a comment"});
-    }
-  }
-  return findings;
-}
-
-// ---------------------------------------------------------------------
-// exec-checkpoint-coverage
-// ---------------------------------------------------------------------
-
-constexpr char kExecCheckpoint[] = "exec-checkpoint-coverage";
-
-// The translation units whose loops PR 5 governs (annotators, map
-// matcher, HMM, stage graph).
-bool InExecCheckpointScope(const std::string& path) {
-  if (!StartsWith(path, "src/")) return false;
-  static const char* kBasenames[] = {
-      "/hmm.cc",          "/map_matcher.cc",      "/line_annotator.cc",
-      "/point_annotator.cc", "/region_annotator.cc", "/stage.cc",
-      "/stages.cc"};
-  for (const char* base : kBasenames) {
-    if (EndsWith(path, base)) return true;
-  }
-  return false;
-}
-
-struct Loop {
-  size_t header_line = 0;
-  std::string header;     // text inside the loop parentheses
-  size_t body_first = 0;  // inclusive line range of the body
-  size_t body_last = 0;
-  bool suppressed = false;
-  bool polls = false;     // body contains a checkpoint consult
-};
-
-bool ContainsPoll(const std::string& text) {
-  static const std::regex kPoll(
-      R"((\.|->)\s*Check\s*\(|ExecCheckpoint|check_interval)");
-  return std::regex_search(text, kPoll);
-}
-
-std::vector<Loop> CollectLoops(const SourceFile& f,
-                               const char* suppression_check) {
-  static const std::regex kLoopKeyword(R"((^|[^\w])(for|while)\s*\()");
-  std::vector<Loop> loops;
-  for (size_t li = 1; li <= f.line_count(); ++li) {
-    const std::string& code = f.code_line(li);
-    auto begin = std::sregex_iterator(code.begin(), code.end(), kLoopKeyword);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      size_t open_col =
-          static_cast<size_t>(it->position(0)) + it->str(0).size() - 1;
-      size_t hdr_close_line, hdr_close_col;
-      if (!f.FindMatching('(', ')', li, open_col, &hdr_close_line,
-                          &hdr_close_col)) {
-        continue;
-      }
-      Loop loop;
-      loop.header_line = li;
-      // Header text: the code between the parens (possibly multi-line).
-      std::string header = f.CodeRange(li, hdr_close_line);
-      // Trim to the span between this open paren and its close; on a
-      // single line that is exact, across lines keep it approximate.
-      if (hdr_close_line == li) {
-        header = code.substr(open_col + 1, hdr_close_col - open_col - 1);
-      }
-      loop.header = header;
-
-      // Body: `{...}` block or a single statement ending in `;`.
-      size_t bl = hdr_close_line, bc = hdr_close_col + 1;
-      bool found_body = false;
-      for (size_t scan = bl; scan <= f.line_count() && !found_body; ++scan) {
-        const std::string& scode = f.code_line(scan);
-        for (size_t col = (scan == bl ? bc : 0); col < scode.size(); ++col) {
-          char c = scode[col];
-          if (c == ' ' || c == '\t') continue;
-          if (c == '{') {
-            size_t close_l, close_c;
-            if (!f.FindMatching('{', '}', scan, col, &close_l, &close_c)) {
-              close_l = f.line_count();
-            }
-            loop.body_first = scan;
-            loop.body_last = close_l;
-          } else {
-            // Single-statement body: runs to the next `;`.
-            loop.body_first = scan;
-            loop.body_last = scan;
-            for (size_t sl = scan; sl <= f.line_count(); ++sl) {
-              const std::string& t = f.code_line(sl);
-              if (t.find(';', sl == scan ? col : 0) != std::string::npos) {
-                loop.body_last = sl;
-                break;
-              }
-            }
-          }
-          found_body = true;
-          break;
-        }
-      }
-      if (!found_body) continue;
-      loop.suppressed = f.IsSuppressed(suppression_check, loop.header_line);
-      loop.polls = ContainsPoll(f.CodeRange(loop.body_first, loop.body_last));
-      loops.push_back(std::move(loop));
-    }
-  }
-  return loops;
-}
-
-std::vector<Finding> ExecCheckpointImpl(const Corpus& corpus) {
-  static const char* kHotContainers[] = {"points", "candidates",
-                                         "categories", "episodes",
-                                         "emissions"};
-  std::vector<Finding> findings;
-  for (const SourceFile& f : corpus.files) {
-    if (!InExecCheckpointScope(f.path())) continue;
-
-    // Rule 1: a loop over the hot containers must consult a checkpoint
-    // in its body, or sit inside a loop that does (the enclosing poll
-    // bounds how stale the deadline can get per outer iteration).
-    std::vector<Loop> loops = CollectLoops(f, kExecCheckpoint);
-    for (const Loop& loop : loops) {
-      bool hot = false;
-      for (const char* word : kHotContainers) {
-        if (ContainsWord(loop.header, word)) {
-          hot = true;
-          break;
-        }
-      }
-      if (!hot || loop.polls || loop.suppressed) continue;
-      bool covered_by_enclosing = false;
-      for (const Loop& outer : loops) {
-        if (&outer == &loop) continue;
-        if (outer.body_first <= loop.header_line &&
-            loop.header_line <= outer.body_last &&
-            (outer.polls || outer.suppressed)) {
-          covered_by_enclosing = true;
-          break;
-        }
-      }
-      if (covered_by_enclosing) continue;
-      findings.push_back(
-          {kExecCheckpoint, f.path(), loop.header_line,
-           "loop over a hot container has no ExecCheckpoint/check_interval "
-           "poll in its body (PR 5 invariant: cooperative cancellation "
-           "must be consulted every check_interval iterations)"});
-    }
-
-    // Rule 2: a function that accepts an ExecControl* must consult it
-    // (construct an ExecCheckpoint, call Check, or forward it).
-    for (size_t li = 1; li <= f.line_count(); ++li) {
-      const std::string& code = f.code_line(li);
-      size_t at = code.find("ExecControl*");
-      if (at == std::string::npos) {
-        at = code.find("ExecControl *");
-        if (at == std::string::npos) continue;
-      }
-      // Find the end of this declaration: `;` = pure declaration
-      // (nothing to verify), `{` = definition body.
-      size_t body_open_line = 0, body_open_col = 0;
-      bool is_definition = false;
-      for (size_t scan = li; scan <= f.line_count() && scan < li + 8;
-           ++scan) {
-        const std::string& scode = f.code_line(scan);
-        size_t from = scan == li ? at : 0;
-        size_t semi = scode.find(';', from);
-        size_t brace = scode.find('{', from);
-        if (semi != std::string::npos &&
-            (brace == std::string::npos || semi < brace)) {
-          break;
-        }
-        if (brace != std::string::npos) {
-          is_definition = true;
-          body_open_line = scan;
-          body_open_col = brace;
-          break;
-        }
-      }
-      if (!is_definition) continue;
-      size_t body_close_line, body_close_col;
-      if (!f.FindMatching('{', '}', body_open_line, body_open_col,
-                          &body_close_line, &body_close_col)) {
-        continue;
-      }
-      std::string body = CodeSpan(f, body_open_line, body_open_col,
-                                  body_close_line, body_close_col);
-      if (ContainsWord(body, "exec") || ContainsPoll(body)) continue;
-      if (f.IsSuppressed(kExecCheckpoint, li)) continue;
-      findings.push_back(
-          {kExecCheckpoint, f.path(), li,
-           "function takes an ExecControl* but never consults or "
-           "forwards it — deadline/cancellation is silently ignored"});
     }
   }
   return findings;
@@ -813,6 +607,70 @@ bool IsContainerDeclaration(const std::string& code) {
          code.find("> &") == std::string::npos;
 }
 
+// A `for`/`while` loop: its header line and the line range of its body.
+struct Loop {
+  size_t header_line = 0;
+  size_t body_first = 0;  // inclusive line range of the body
+  size_t body_last = 0;
+  bool suppressed = false;
+};
+
+std::vector<Loop> CollectLoops(const SourceFile& f) {
+  static const std::regex kLoopKeyword(R"((^|[^\w])(for|while)\s*\()");
+  std::vector<Loop> loops;
+  for (size_t li = 1; li <= f.line_count(); ++li) {
+    const std::string& code = f.code_line(li);
+    auto begin = std::sregex_iterator(code.begin(), code.end(), kLoopKeyword);
+    for (auto it = begin; it != std::sregex_iterator(); ++it) {
+      size_t open_col =
+          static_cast<size_t>(it->position(0)) + it->str(0).size() - 1;
+      size_t hdr_close_line, hdr_close_col;
+      if (!f.FindMatching('(', ')', li, open_col, &hdr_close_line,
+                          &hdr_close_col)) {
+        continue;
+      }
+      Loop loop;
+      loop.header_line = li;
+
+      // Body: `{...}` block or a single statement ending in `;`.
+      size_t bl = hdr_close_line, bc = hdr_close_col + 1;
+      bool found_body = false;
+      for (size_t scan = bl; scan <= f.line_count() && !found_body; ++scan) {
+        const std::string& scode = f.code_line(scan);
+        for (size_t col = (scan == bl ? bc : 0); col < scode.size(); ++col) {
+          char c = scode[col];
+          if (c == ' ' || c == '\t') continue;
+          if (c == '{') {
+            size_t close_l, close_c;
+            if (!f.FindMatching('{', '}', scan, col, &close_l, &close_c)) {
+              close_l = f.line_count();
+            }
+            loop.body_first = scan;
+            loop.body_last = close_l;
+          } else {
+            // Single-statement body: runs to the next `;`.
+            loop.body_first = scan;
+            loop.body_last = scan;
+            for (size_t sl = scan; sl <= f.line_count(); ++sl) {
+              const std::string& t = f.code_line(sl);
+              if (t.find(';', sl == scan ? col : 0) != std::string::npos) {
+                loop.body_last = sl;
+                break;
+              }
+            }
+          }
+          found_body = true;
+          break;
+        }
+      }
+      if (!found_body) continue;
+      loop.suppressed = f.IsSuppressed(kHotPathAlloc, loop.header_line);
+      loops.push_back(std::move(loop));
+    }
+  }
+  return loops;
+}
+
 std::vector<Finding> HotPathAllocImpl(const Corpus& corpus) {
   std::vector<Finding> findings;
   for (const SourceFile& f : corpus.files) {
@@ -842,7 +700,7 @@ std::vector<Finding> HotPathAllocImpl(const Corpus& corpus) {
     // one allocation per iteration. Hoist the declaration and
     // clear()/reuse its capacity, or take storage from the Arena.
     std::vector<size_t> flagged;
-    for (const Loop& loop : CollectLoops(f, kHotPathAlloc)) {
+    for (const Loop& loop : CollectLoops(f)) {
       if (loop.suppressed) continue;
       for (size_t li = loop.body_first; li <= loop.body_last; ++li) {
         if (li == loop.header_line) continue;
@@ -925,18 +783,12 @@ std::vector<Finding> RawFilesystemImpl(const Corpus& corpus) {
 // ---------------------------------------------------------------------
 
 std::vector<std::string> AllCheckNames() {
-  return {kUncheckedStatus, kExecCheckpoint, kGuardedBy, kFaultSites,
-          kHotPathAlloc, kRawFilesystem};
+  return {kUncheckedStatus, kGuardedBy, kFaultSites, kHotPathAlloc,
+          kRawFilesystem};
 }
 
 std::vector<Finding> CheckUncheckedStatus(const Corpus& corpus) {
   std::vector<Finding> findings = UncheckedStatusImpl(corpus);
-  SortFindings(&findings);
-  return findings;
-}
-
-std::vector<Finding> CheckExecCheckpointCoverage(const Corpus& corpus) {
-  std::vector<Finding> findings = ExecCheckpointImpl(corpus);
   SortFindings(&findings);
   return findings;
 }
@@ -975,8 +827,6 @@ std::vector<Finding> RunChecks(const Corpus& corpus,
     std::vector<Finding> batch;
     if (check == kUncheckedStatus) {
       batch = UncheckedStatusImpl(corpus);
-    } else if (check == kExecCheckpoint) {
-      batch = ExecCheckpointImpl(corpus);
     } else if (check == kGuardedBy) {
       batch = GuardedByImpl(corpus);
     } else if (check == kFaultSites) {
@@ -1000,10 +850,23 @@ std::vector<Finding> RunChecks(const Corpus& corpus,
     findings.insert(findings.end(), batch.begin(), batch.end());
   }
   // Malformed suppressions are findings regardless of check selection:
-  // a waiver without a reason must never silently hold.
+  // a waiver without a reason, or one naming a check that does not
+  // exist (a typo, or a deleted check), must never silently hold.
+  const std::vector<std::string> known = AllCheckNames();
   for (const SourceFile& f : corpus.files) {
     const std::vector<Finding>& bad = f.malformed_suppressions();
     findings.insert(findings.end(), bad.begin(), bad.end());
+    for (const auto& [line, suppressions] : f.suppressions()) {
+      for (const Suppression& s : suppressions) {
+        if (std::find(known.begin(), known.end(), s.check) != known.end()) {
+          continue;
+        }
+        findings.push_back({"suppression", f.path(), line,
+                            "allow(" + s.check +
+                                ") names no semitri-lint check — fix the "
+                                "name or delete the stale waiver"});
+      }
+    }
   }
   SortFindings(&findings);
   return findings;

@@ -14,14 +14,6 @@
 //                             never fires, and drops with no explicit
 //                             (void) cast. (PR 1 / this PR)
 //
-//   exec-checkpoint-coverage  in the annotator/stage/hmm TUs, a loop
-//                             over points/candidates/categories/
-//                             episodes/emissions must poll an
-//                             ExecCheckpoint (directly or via an
-//                             enclosing polled loop), and a function
-//                             taking an ExecControl* must consult it.
-//                             (PR 5)
-//
 //   guarded-by-completeness   a class with a std::mutex member must
 //                             annotate every other mutable member
 //                             SEMITRI_GUARDED_BY; clang -Wthread-safety
@@ -49,7 +41,9 @@
 //                             Status. (PR 10)
 //
 // Every finding honors the `// semitri-lint: allow(<check>) — reason`
-// suppression protocol (see lint_util.h).
+// suppression protocol (see lint_util.h). A waiver without a reason,
+// or one naming a check outside AllCheckNames(), is itself reported
+// under `suppression`.
 
 #include <string>
 #include <vector>
@@ -64,13 +58,13 @@ std::vector<std::string> AllCheckNames();
 
 // Runs the named checks (empty = all) over the corpus and returns the
 // findings, deterministically ordered (file, line, check). Malformed
-// suppression comments are always reported, whatever `checks` says.
+// suppression comments (no reason, or an unknown check name) are
+// always reported, whatever `checks` says.
 std::vector<Finding> RunChecks(const Corpus& corpus,
                                const std::vector<std::string>& checks);
 
 // Individual passes, exposed for the fixture tests.
 std::vector<Finding> CheckUncheckedStatus(const Corpus& corpus);
-std::vector<Finding> CheckExecCheckpointCoverage(const Corpus& corpus);
 std::vector<Finding> CheckGuardedByCompleteness(const Corpus& corpus);
 std::vector<Finding> CheckFaultSiteRegistry(const Corpus& corpus);
 std::vector<Finding> CheckHotPathAlloc(const Corpus& corpus);

@@ -227,15 +227,6 @@ bool SourceFile::FindMatching(char open, char close, size_t line,
   return false;
 }
 
-std::string SourceFile::CodeRange(size_t first, size_t last) const {
-  std::string out;
-  for (size_t li = first; li <= last && li <= code_lines_.size(); ++li) {
-    if (!out.empty()) out.push_back('\n');
-    out += code_lines_[li - 1];
-  }
-  return out;
-}
-
 const SourceFile* Corpus::Find(const std::string& path_suffix) const {
   for (const SourceFile& f : files) {
     if (f.path().size() >= path_suffix.size() &&

@@ -12,9 +12,9 @@
 //
 // on line N itself or anywhere in the contiguous `//` comment block
 // directly above it (so reasons may wrap). The reason is mandatory; an
-// allow() without one is itself reported under the `suppression`
-// check, so waivers stay auditable. `--` and `-` are accepted in
-// place of the em dash.
+// allow() without one, or naming a check that does not exist, is
+// itself reported under the `suppression` check, so waivers stay
+// auditable. `--` and `-` are accepted in place of the em dash.
 
 #include <cstddef>
 #include <map>
@@ -71,15 +71,16 @@ class SourceFile {
     return malformed_suppressions_;
   }
 
+  // Every parsed allow() waiver, keyed by the line it is written on.
+  const std::map<size_t, std::vector<Suppression>>& suppressions() const {
+    return suppressions_;
+  }
+
   // Index of the matching `close` for the `open` at (line, col) on the
   // code view, scanning forward across lines. Returns false when
   // unbalanced. Lines/cols are 1-based / 0-based respectively.
   bool FindMatching(char open, char close, size_t line, size_t col,
                     size_t* match_line, size_t* match_col) const;
-
-  // Concatenated code text of [first, last] inclusive (1-based), with
-  // '\n' separators — for multi-line declarations and loop headers.
-  std::string CodeRange(size_t first, size_t last) const;
 
  private:
   std::string path_;

@@ -86,36 +86,6 @@ TEST(UncheckedStatusTest, ReasonlessSuppressionIsNotHonored) {
   }));
 }
 
-TEST(ExecCheckpointTest, FlagsUnpolledLoopAndIgnoredExec) {
-  Corpus corpus;
-  corpus.files.push_back(
-      LoadFixture("exec_checkpoint_bad.cc", "src/hmm/hmm.cc"));
-  const SourceFile& f = corpus.files[0];
-  std::vector<Finding> findings = CheckExecCheckpointCoverage(corpus);
-
-  EXPECT_EQ(findings.size(), 2u);
-  EXPECT_EQ(CountOnLine(findings, f.path(),
-                        LineOfMarker(f, "t < emissions.size()")),
-            1u);
-  EXPECT_EQ(CountOnLine(findings, f.path(), LineOfMarker(f, "IgnoredExec")),
-            1u);
-}
-
-TEST(ExecCheckpointTest, OutOfScopePathIsIgnored) {
-  Corpus corpus;
-  // The same bad fixture under a non-designated TU: no findings.
-  corpus.files.push_back(
-      LoadFixture("exec_checkpoint_bad.cc", "src/traj/segmentation.cc"));
-  EXPECT_TRUE(CheckExecCheckpointCoverage(corpus).empty());
-}
-
-TEST(ExecCheckpointTest, PassesPolledEnclosingAndSuppressed) {
-  Corpus corpus;
-  corpus.files.push_back(
-      LoadFixture("exec_checkpoint_good.cc", "src/road/map_matcher.cc"));
-  EXPECT_TRUE(CheckExecCheckpointCoverage(corpus).empty());
-}
-
 TEST(GuardedByTest, FlagsUnannotatedMemberNextToMutex) {
   Corpus corpus;
   corpus.files.push_back(
@@ -337,6 +307,24 @@ TEST(RawFilesystemTest, PassesEnvRoutedCommentsStringsAndSuppressed) {
       LoadFixture("raw_filesystem_good.cc", "src/store/some_store.cc"));
   std::vector<Finding> findings = CheckRawFilesystem(corpus);
   EXPECT_TRUE(findings.empty()) << findings[0].message;
+}
+
+TEST(SuppressionTest, WaiverNamingNoCheckIsReported) {
+  Corpus corpus;
+  corpus.files.push_back(
+      LoadFixture("suppression_unknown_check.cc",
+                  "src/fixture/suppression_unknown_check.cc"));
+  const SourceFile& f = corpus.files[0];
+  // Only the waiver naming no check is reported, whichever checks run,
+  // and the waiver naming unchecked-status still holds.
+  const std::vector<std::vector<std::string>> selections = {
+      {"unchecked-status"}, {"hot-path-alloc"}};
+  for (const std::vector<std::string>& checks : selections) {
+    std::vector<Finding> findings = RunChecks(corpus, checks);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].check, "suppression");
+    EXPECT_EQ(findings[0].line, LineOfMarker(f, "allow(no-such-check)"));
+  }
 }
 
 TEST(SuppressionTest, MultiLineReasonBlockStaysAttached) {
