@@ -7,9 +7,7 @@
 
 #include <cstdio>
 
-#include "core/pipeline.h"
-#include "datagen/presets.h"
-#include "datagen/world.h"
+#include "semitri.h"
 
 using namespace semitri;
 

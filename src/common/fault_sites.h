@@ -38,7 +38,7 @@ inline constexpr FaultSiteInfo kFaultSites[] = {
     {"migration_handoff", false},    // shard: packed-session transfer
     {"migration_pack", false},       // shard: source-side session pack
     {"migration_unpack", false},     // shard: destination-side adopt
-    {"stage:", true},             // stage graph: per-stage failure
+    {"stage:", true},             // pipeline: per-stage failure
     {"wal_append", false},           // wal: frame write
     {"wal_checkpoint", false},       // wal: checkpoint + truncate
     {"wal_ship", false},             // shard: sealed-segment copy to standby

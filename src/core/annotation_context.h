@@ -1,11 +1,11 @@
 #ifndef SEMITRI_CORE_ANNOTATION_CONTEXT_H_
 #define SEMITRI_CORE_ANNOTATION_CONTEXT_H_
 
-// Shared state flowing through the annotation stage graph (paper
-// Fig. 2): the raw input trajectory, the artifacts of the Trajectory
-// Computation Layer (cleaned trace, stop/move episodes), one
-// StructuredSemanticTrajectory per annotation layer, and the optional
-// sinks (store, latency profiler).
+// State flowing through the pipeline's stages (paper Fig. 2): the
+// artifacts of the Trajectory Computation Layer (cleaned trace,
+// stop/move episodes), one StructuredSemanticTrajectory per annotation
+// layer, the optional latency profiler, and a streaming session's
+// incremental-run cursors.
 
 #include <map>
 #include <optional>
@@ -20,10 +20,6 @@ namespace semitri::analytics {
 class LatencyProfiler;
 }  // namespace semitri::analytics
 
-namespace semitri::store {
-class SemanticTrajectoryStore;
-}  // namespace semitri::store
-
 namespace semitri::core {
 
 struct AnnotationScratch;
@@ -36,13 +32,11 @@ const char* LayerName(Layer layer);
 // How one stage execution ended. Recorded on PipelineResult only for
 // the interesting cases — a stage that was skipped by its failure
 // policy or failed the run — so the happy path stays allocation-free.
-// (Defined here rather than in stage.h because stage.h includes this
-// header.)
 struct StageReport {
   // The stage's error (also when the stage was skipped and the run
   // continued).
   common::Status status;
-  // True when the stage failed but its FailurePolicy let the graph
+  // True when the stage failed but its FailurePolicy let the run
   // continue — the result is complete except for this stage's layer.
   bool skipped = false;
 };
@@ -76,8 +70,9 @@ struct PipelineResult {
 // interpretation, equal to the same rows of the PipelineResult being
 // stored. A streaming session keeps one per open trajectory, so its
 // store stages log append records for the rows past the mark instead of
-// re-putting the whole prefix (see core/stages.h). Zero means nothing
-// is stored yet: the next write of that table is a full put.
+// re-putting the whole prefix (see SemiTriPipeline::RunDownstreamStages).
+// Zero means nothing is stored yet: the next write of that table is a
+// full put.
 struct StoreWatermark {
   size_t raw_points = 0;
   size_t episodes = 0;
@@ -88,15 +83,11 @@ struct StoreWatermark {
   size_t& layer(Layer which);
 };
 
-// Mutable context handed to every AnnotationStage::Run. Stages read the
-// artifacts earlier stages produced and write their own; the sinks are
-// shared and internally synchronized.
+// Mutable context of one pipeline run. Each stage reads the artifacts
+// earlier stages produced and writes its own. The profiler is shared
+// and internally synchronized; null runs unprofiled.
 struct AnnotationContext {
-  // Input trajectory; null when a stage graph is (re-)run from cached
-  // artifacts already present in `result` (see ReannotateLayer).
-  const RawTrajectory* raw = nullptr;
   PipelineResult result;
-  store::SemanticTrajectoryStore* store = nullptr;
   analytics::LatencyProfiler* profiler = nullptr;
 
   // Per-run working memory (see core/annotation_scratch.h); null = the

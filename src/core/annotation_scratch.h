@@ -5,7 +5,7 @@
 //
 // One AnnotationScratch is owned by whoever drives repeated annotation
 // runs (stream::AnnotationSession, batch drivers) and threaded to the
-// stages via AnnotationContext. It holds the trajectory's
+// pipeline's stages via AnnotationContext. It holds the trajectory's
 // SoA point batch plus every layer's reusable buffers, so steady-state
 // annotation performs no heap allocation: buffers grow to the high-water
 // mark of the workload and are then only cleared/reused (see DESIGN.md

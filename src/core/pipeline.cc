@@ -1,11 +1,134 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
-#include "common/check.h"
+#include "common/fault_injection.h"
+#include "core/annotation_scratch.h"
 
 namespace semitri::core {
+
+namespace {
+
+// Writes one table of the trajectory: a full put when no watermark is
+// attached or the store holds none of its rows yet, otherwise an append
+// record for the rows from the mark on. Advances the mark on success.
+template <typename Put, typename Append>
+common::Status WriteRows(size_t* mark, size_t rows, Put put, Append append) {
+  if (mark == nullptr || *mark == 0) {
+    SEMITRI_RETURN_IF_ERROR(put());
+  } else {
+    SEMITRI_RETURN_IF_ERROR(append(std::min(*mark, rows)));
+  }
+  if (mark != nullptr) *mark = rows;
+  return common::Status::OK();
+}
+
+common::Status WriteLayer(store::SemanticTrajectoryStore& store,
+                          AnnotationContext& context, Layer which) {
+  const std::optional<StructuredSemanticTrajectory>& layer =
+      context.result.layer(which);
+  if (!layer.has_value()) return common::Status::OK();
+  StoreWatermark* mark = context.store_watermark;
+  return WriteRows(
+      mark != nullptr ? &mark->layer(which) : nullptr, layer->episodes.size(),
+      [&] { return store.PutInterpretation(*layer); },
+      [&](size_t start) { return store.AppendInterpretation(*layer, start); });
+}
+
+// A stage that recomputed its layer instead of appending to it keeps
+// the watermark honest: the store holds the previous layer's rows, so
+// only the leading rows both versions share count as written.
+void KeepSharedRows(AnnotationContext& context, Layer which,
+                    const StructuredSemanticTrajectory& fresh) {
+  if (context.store_watermark == nullptr) return;
+  size_t& mark = context.store_watermark->layer(which);
+  const std::optional<StructuredSemanticTrajectory>& previous =
+      context.result.layer(which);
+  size_t shared = 0;
+  if (previous.has_value()) {
+    size_t n = std::min({mark, previous->episodes.size(),
+                         fresh.episodes.size()});
+    while (shared < n && previous->episodes[shared] == fresh.episodes[shared]) {
+      ++shared;
+    }
+  }
+  mark = shared;
+}
+
+// store_episode: persists the cleaned trace and its episodes.
+common::Status StoreEpisodes(store::SemanticTrajectoryStore& store,
+                             AnnotationContext& context) {
+  StoreWatermark* mark = context.store_watermark;
+  const RawTrajectory& cleaned = context.result.cleaned;
+  const std::vector<Episode>& episodes = context.result.episodes;
+  SEMITRI_RETURN_IF_ERROR(WriteRows(
+      mark != nullptr ? &mark->raw_points : nullptr, cleaned.points.size(),
+      [&] { return store.PutRawTrajectory(cleaned); },
+      [&](size_t start) { return store.AppendRawPoints(cleaned, start); }));
+  return WriteRows(
+      mark != nullptr ? &mark->episodes : nullptr, episodes.size(),
+      [&] { return store.PutEpisodes(cleaned.id, episodes); },
+      [&](size_t start) {
+        return store.AppendEpisodes(cleaned.id, episodes, start);
+      });
+}
+
+// landuse_join: Semantic Region Annotation Layer (Algorithm 1).
+common::Status AnnotateRegions(const region::RegionAnnotator& annotator,
+                               AnnotationContext& context) {
+  std::optional<StructuredSemanticTrajectory>& current =
+      context.result.region_layer;
+  const size_t first = context.annotated_episodes;
+  if (first > 0 && first <= context.result.episodes.size() &&
+      current.has_value()) {
+    annotator.AnnotateEpisodesFrom(context.result.cleaned,
+                                   context.result.episodes, first, &*current);
+    return common::Status::OK();
+  }
+  StructuredSemanticTrajectory layer = annotator.AnnotateEpisodes(
+      context.result.cleaned, context.result.episodes);
+  KeepSharedRows(context, Layer::kRegion, layer);
+  current = std::move(layer);
+  return common::Status::OK();
+}
+
+// map_match: Semantic Line Annotation Layer (Algorithm 2).
+common::Status AnnotateLines(const road::LineAnnotator& annotator,
+                             AnnotationContext& context) {
+  std::optional<StructuredSemanticTrajectory>& current =
+      context.result.line_layer;
+  road::LineScratch* scratch =
+      context.scratch != nullptr ? &context.scratch->line : nullptr;
+  const size_t first = context.annotated_episodes;
+  if (first > 0 && first <= context.result.episodes.size() &&
+      current.has_value()) {
+    annotator.AnnotateFrom(context.PointsBatch(), context.result.episodes,
+                           first, scratch, &current->episodes);
+    return common::Status::OK();
+  }
+  StructuredSemanticTrajectory layer = annotator.Annotate(
+      context.PointsBatch(), context.result.episodes, scratch);
+  KeepSharedRows(context, Layer::kLine, layer);
+  current = std::move(layer);
+  return common::Status::OK();
+}
+
+// point_annotation: Semantic Point Annotation Layer (Algorithm 3).
+common::Status AnnotatePoints(const poi::PointAnnotator& annotator,
+                              AnnotationContext& context) {
+  common::Result<StructuredSemanticTrajectory> layer = annotator.Annotate(
+      context.result.cleaned, context.result.episodes,
+      context.scratch != nullptr ? &context.scratch->point : nullptr);
+  if (!layer.ok()) return layer.status();
+  KeepSharedRows(context, Layer::kPoint, *layer);
+  context.result.point_layer = std::move(*layer);
+  return common::Status::OK();
+}
+
+}  // namespace
 
 SemiTriPipeline::SemiTriPipeline(const region::RegionSet* regions,
                                  const road::RoadNetwork* roads,
@@ -31,61 +154,93 @@ SemiTriPipeline::SemiTriPipeline(const region::RegionSet* regions,
     point_annotator_ =
         std::make_unique<poi::PointAnnotator>(pois, config_.point);
   }
-  BuildDefaultGraph(store);
 }
 
-void SemiTriPipeline::BuildDefaultGraph(store::SemanticTrajectoryStore* store) {
-  auto add = [this](std::unique_ptr<AnnotationStage> stage) {
-    common::Status status = graph_.Add(std::move(stage));
-    SEMITRI_CHECK(status.ok()) << status.ToString();
-  };
-  // Registration order is the legacy execution order: the stable
-  // topological sort keeps it, so store rows and latency samples appear
-  // exactly as the monolithic pipeline produced them.
-  add(std::make_unique<ComputeEpisodeStage>(&preprocessor_, &segmenter_));
-  if (store != nullptr) {
-    add(std::make_unique<StoreEpisodeStage>());
-  }
-  std::vector<std::string> annotation_stages;
-  if (region_annotator_ != nullptr) {
-    add(std::make_unique<RegionAnnotationStage>(region_annotator_.get()));
-    annotation_stages.push_back(kStageLanduseJoin);
-  }
-  if (line_annotator_ != nullptr) {
-    add(std::make_unique<LineAnnotationStage>(line_annotator_.get()));
-    annotation_stages.push_back(kStageMapMatch);
-    if (store != nullptr) {
-      add(std::make_unique<StoreMatchStage>());
+template <typename Body>
+common::Status SemiTriPipeline::RunStage(const char* name, StageKind kind,
+                                         AnnotationContext& context,
+                                         Body body) const {
+  // Every stage run is a fault site named "stage:<name>", so the
+  // crash-recovery harness can fail any step of the pipeline without
+  // bespoke hooks in each annotator.
+  common::Status status;
+  if (SEMITRI_FAULT_FIRE(std::string("stage:") + name) !=
+      common::FaultAction::kNone) {
+    status = common::Status::IoError(
+        std::string("injected failure in stage '") + name + "'");
+  } else {
+    std::optional<analytics::LatencyProfiler::Scope> timer;
+    if (kind != StageKind::kWriteBack && context.profiler != nullptr) {
+      timer.emplace(context.profiler, name);
     }
+    status = body();
   }
-  if (point_annotator_ != nullptr) {
-    add(std::make_unique<PointAnnotationStage>(point_annotator_.get()));
-    annotation_stages.push_back(kStagePointAnnotation);
-  }
-  if (store != nullptr) {
-    add(std::make_unique<StoreInterpretationStage>(
-        std::move(annotation_stages)));
-  }
-  for (const char* name :
-       {kStageLanduseJoin, kStageMapMatch, kStagePointAnnotation}) {
-    if (graph_.Find(name) != nullptr) {
-      common::Status status =
-          graph_.SetFailurePolicy(name, config_.annotation_failure);
-      SEMITRI_CHECK(status.ok()) << status.ToString();
-    }
-  }
-  common::Status status = graph_.Finalize();
-  SEMITRI_CHECK(status.ok()) << status.ToString();
+
+  // Only failures leave a report, so a clean run allocates nothing.
+  if (status.ok()) return status;
+  bool skip = kind == StageKind::kLayer &&
+              config_.annotation_failure.on_failure ==
+                  FailurePolicy::OnFailure::kSkip;
+  context.result.stage_reports[name] = StageReport{status, skip};
+  // Degrade: drop this layer and let the rest of the run complete.
+  if (skip) return common::Status::OK();
+  return status;
 }
 
 common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
     const RawTrajectory& raw) const {
   AnnotationContext context;
-  context.raw = &raw;
-  context.store = store_;
   context.profiler = profiler_;
-  SEMITRI_RETURN_IF_ERROR(graph_.Run(context));
+  SEMITRI_RETURN_IF_ERROR(
+      RunStage(kStageComputeEpisode, StageKind::kStep, context, [&] {
+        context.result.cleaned = preprocessor_.Clean(raw);
+        context.result.episodes = segmenter_.Segment(context.result.cleaned);
+        return common::Status::OK();
+      }));
+  SEMITRI_RETURN_IF_ERROR(RunDownstreamStages(context));
   return std::move(context.result);
+}
+
+common::Status SemiTriPipeline::RunDownstreamStages(
+    AnnotationContext& context) const {
+  if (store_ != nullptr) {
+    SEMITRI_RETURN_IF_ERROR(
+        RunStage(kStageStoreEpisode, StageKind::kStep, context, [&] {
+          return StoreEpisodes(*store_, context);
+        }));
+  }
+  if (region_annotator_ != nullptr) {
+    SEMITRI_RETURN_IF_ERROR(
+        RunStage(kStageLanduseJoin, StageKind::kLayer, context, [&] {
+          return AnnotateRegions(*region_annotator_, context);
+        }));
+  }
+  if (line_annotator_ != nullptr) {
+    SEMITRI_RETURN_IF_ERROR(
+        RunStage(kStageMapMatch, StageKind::kLayer, context, [&] {
+          return AnnotateLines(*line_annotator_, context);
+        }));
+    if (store_ != nullptr) {
+      SEMITRI_RETURN_IF_ERROR(
+          RunStage(kStageStoreMatch, StageKind::kStep, context, [&] {
+            return WriteLayer(*store_, context, Layer::kLine);
+          }));
+    }
+  }
+  if (point_annotator_ != nullptr) {
+    SEMITRI_RETURN_IF_ERROR(
+        RunStage(kStagePointAnnotation, StageKind::kLayer, context, [&] {
+          return AnnotatePoints(*point_annotator_, context);
+        }));
+  }
+  if (store_ != nullptr) {
+    SEMITRI_RETURN_IF_ERROR(RunStage(
+        kStageStoreInterpretation, StageKind::kWriteBack, context, [&] {
+          SEMITRI_RETURN_IF_ERROR(WriteLayer(*store_, context, Layer::kRegion));
+          return WriteLayer(*store_, context, Layer::kPoint);
+        }));
+  }
+  return common::Status::OK();
 }
 
 common::Result<std::vector<PipelineResult>> SemiTriPipeline::ProcessStream(
@@ -107,68 +262,32 @@ common::Result<PipelineResult> SemiTriPipeline::AnnotateComputed(
     PipelineResult computed) const {
   AnnotationContext context;
   context.result = std::move(computed);
-  context.store = store_;
   context.profiler = profiler_;
-  // Same stage sequence as a full run, minus trajectory computation —
-  // the stable topological order keeps store rows and latency samples
-  // in the exact ProcessTrajectory order.
-  for (const std::string& name : graph_.ExecutionOrder()) {
-    if (name == kStageComputeEpisode) continue;
-    SEMITRI_RETURN_IF_ERROR(graph_.RunStage(name, context));
-  }
+  SEMITRI_RETURN_IF_ERROR(RunDownstreamStages(context));
   return std::move(context.result);
 }
 
 HealthSnapshot SemiTriPipeline::Health() const {
+  // compute_episode, then what RunDownstreamStages runs, in its order.
+  std::vector<const char*> stages = {kStageComputeEpisode};
+  if (store_ != nullptr) stages.push_back(kStageStoreEpisode);
+  if (region_annotator_ != nullptr) stages.push_back(kStageLanduseJoin);
+  if (line_annotator_ != nullptr) {
+    stages.push_back(kStageMapMatch);
+    if (store_ != nullptr) stages.push_back(kStageStoreMatch);
+  }
+  if (point_annotator_ != nullptr) stages.push_back(kStagePointAnnotation);
+  if (store_ != nullptr) stages.push_back(kStageStoreInterpretation);
+
   HealthSnapshot snapshot;
-  for (const std::string& name : graph_.ExecutionOrder()) {
+  for (const char* name : stages) {
     StageHealth health;
     health.stage = name;
-    if (profiler_ != nullptr && graph_.Find(name)->profiled()) {
-      health.latency = profiler_->Summarize(name);
-    }
+    // The unprofiled write-back tail has no samples: its digest is zero.
+    if (profiler_ != nullptr) health.latency = profiler_->Summarize(name);
     snapshot.stages.push_back(std::move(health));
   }
   return snapshot;
-}
-
-common::Result<PipelineResult> SemiTriPipeline::ReannotateLayer(
-    PipelineResult result, Layer layer) const {
-  const char* stage_name = nullptr;
-  switch (layer) {
-    case Layer::kRegion:
-      stage_name = kStageLanduseJoin;
-      break;
-    case Layer::kLine:
-      stage_name = kStageMapMatch;
-      break;
-    case Layer::kPoint:
-      stage_name = kStagePointAnnotation;
-      break;
-  }
-  if (graph_.Find(stage_name) == nullptr) {
-    return common::Status::FailedPrecondition(
-        std::string("no ") + LayerName(layer) +
-        " annotation layer in this pipeline (semantic source not supplied)");
-  }
-  AnnotationContext context;
-  context.result = std::move(result);
-  context.store = store_;
-  context.profiler = profiler_;
-  SEMITRI_RETURN_IF_ERROR(graph_.RunStage(stage_name, context));
-  // Write the recomputed layer through to the store the same way a full
-  // run would: line results under the profiled store_match_result stage,
-  // region/point in the unprofiled write-back tail (but only this layer —
-  // the others on `result` are untouched).
-  if (layer == Layer::kLine) {
-    if (graph_.Find(kStageStoreMatch) != nullptr) {
-      SEMITRI_RETURN_IF_ERROR(graph_.RunStage(kStageStoreMatch, context));
-    }
-  } else if (store_ != nullptr && context.result.layer(layer).has_value()) {
-    SEMITRI_RETURN_IF_ERROR(
-        store_->PutInterpretation(*context.result.layer(layer)));
-  }
-  return std::move(context.result);
 }
 
 }  // namespace semitri::core

@@ -1,23 +1,21 @@
 #ifndef SEMITRI_CORE_PIPELINE_H_
 #define SEMITRI_CORE_PIPELINE_H_
 
-// SeMiTri end-to-end pipeline (paper Fig. 2), as a thin facade over an
-// annotation stage graph: the Trajectory Computation Layer (cleaning,
-// identification, stop/move episodes) feeds the three annotation layers
-// (region / line / point), which write their products into the Semantic
-// Trajectory Store with per-stage latency accounted under the Fig. 17
-// stage names. Layers are independent stages, so a single layer can be
-// recomputed from cached episodes (ReannotateLayer) — e.g. after a POI
-// repository refresh — without redoing trajectory computation.
+// SeMiTri end-to-end pipeline (paper Fig. 2). It runs a fixed stage
+// sequence (core/stages.h): the Trajectory Computation Layer (cleaning,
+// stop/move episodes), then the region, line and point annotation
+// layers, writing their products into the Semantic Trajectory Store,
+// with per-stage latency accounted under the Fig. 17 stage names. A
+// layer without its semantic source, and a store stage without a store,
+// is left out of the sequence, so partial pipelines stay partial.
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "analytics/latency_profiler.h"
 #include "common/status.h"
+#include "core/annotation_context.h"
 #include "core/health.h"
-#include "core/stage.h"
 #include "core/stages.h"
 #include "core/types.h"
 #include "poi/point_annotator.h"
@@ -29,6 +27,27 @@
 #include "traj/segmentation.h"
 
 namespace semitri::core {
+
+// What a run does when an annotation layer fails: fail fast (default —
+// the error aborts the run) or skip and record (the layer is dropped, a
+// StageReport lands on the result and the later stages still run —
+// graceful degradation, e.g. a broken POI repository still yields
+// region+line layers). A stage runs once per run; it is never retried.
+struct FailurePolicy {
+  enum class OnFailure {
+    kAbort,  // propagate the error; the run stops
+    kSkip,   // record a StageReport and continue with later stages
+  };
+
+  OnFailure on_failure = OnFailure::kAbort;
+
+  static FailurePolicy FailFast() { return {}; }
+  static FailurePolicy SkipAndRecord() {
+    FailurePolicy p;
+    p.on_failure = OnFailure::kSkip;
+    return p;
+  }
+};
 
 struct PipelineConfig {
   traj::PreprocessConfig preprocess;
@@ -62,8 +81,8 @@ class SemiTriPipeline {
                   store::SemanticTrajectoryStore* store = nullptr,
                   analytics::LatencyProfiler* profiler = nullptr);
 
-  // Full per-trajectory processing: runs the default stage graph
-  // (clean -> episodes -> annotate -> store).
+  // Full per-trajectory processing: every stage, from compute_episode
+  // (clean -> episodes) through the annotation layers to the store.
   [[nodiscard]] common::Result<PipelineResult> ProcessTrajectory(
       const RawTrajectory& raw) const;
 
@@ -73,15 +92,6 @@ class SemiTriPipeline {
       ObjectId object_id, const std::vector<GpsPoint>& stream,
       TrajectoryId first_id = 0) const;
 
-  // Recomputes one annotation layer from the cached trajectory
-  // computation in `result` (cleaned trace + episodes), leaving the
-  // other layers untouched. The recomputed layer is identical to what a
-  // full ProcessTrajectory would produce, and is written through to the
-  // store sink when one is attached. Error if the layer's semantic
-  // source was not supplied.
-  [[nodiscard]] common::Result<PipelineResult> ReannotateLayer(PipelineResult result,
-                                                 Layer layer) const;
-
   // Runs every stage except trajectory computation over an
   // already-computed cleaned trace + episode table (`computed.cleaned`
   // and `computed.episodes` must be set). Annotation layers, store rows
@@ -89,16 +99,28 @@ class SemiTriPipeline {
   // the underlying raw trajectory would produce them. A streaming
   // session's incremental passes (stream::AnnotationSession) must equal
   // this run over the same cleaned prefix and episodes.
-  [[nodiscard]] common::Result<PipelineResult> AnnotateComputed(PipelineResult computed)
-      const;
+  [[nodiscard]] common::Result<PipelineResult> AnnotateComputed(
+      PipelineResult computed) const;
 
-  // The stage graph this pipeline runs (finalized; inspect with
-  // ExecutionOrder / Find).
-  const StageGraph& graph() const { return graph_; }
+  // The six stages after compute_episode, in order, over a context whose
+  // result already carries the cleaned trace and episodes; stops at the
+  // first stage that fails the run. Rows are written to store(), latency
+  // samples to context.profiler.
+  //
+  // Incremental runs (context.store_watermark / annotated_episodes, set
+  // by stream::AnnotationSession): the region and line stages annotate
+  // only episodes past annotated_episodes and append to the layer
+  // already on the result; the point stage always recomputes its layer
+  // (Viterbi over every stop) and lowers its watermark to the rows that
+  // did not change; the store stages log append records for the rows
+  // past each table's watermark instead of full puts. Without a
+  // watermark every store stage writes full puts, exactly as offline.
+  [[nodiscard]] common::Status RunDownstreamStages(
+      AnnotationContext& context) const;
 
-  // Per-stage latency digests from the attached profiler. Budget gauges
-  // stay zero here — the streaming SessionManager::Health merges them
-  // in.
+  // One row per stage this pipeline runs, in execution order, with its
+  // latency digest from the attached profiler. Budget gauges stay zero
+  // here — the streaming SessionManager::Health merges them in.
   HealthSnapshot Health() const;
 
   const PipelineConfig& config() const { return config_; }
@@ -109,7 +131,20 @@ class SemiTriPipeline {
   analytics::LatencyProfiler* profiler() const { return profiler_; }
 
  private:
-  void BuildDefaultGraph(store::SemanticTrajectoryStore* store);
+  // How RunStage treats a stage's latency and failure.
+  enum class StageKind {
+    kStep,       // profiled; a failure fails the run
+    kLayer,      // profiled; a failure follows config_.annotation_failure
+    kWriteBack,  // unprofiled; a failure fails the run
+  };
+
+  // Runs `body` as stage `name`: fires the "stage:<name>" fault site,
+  // times profiled stages into context.profiler, and on failure records
+  // a StageReport on context.result. Returns OK when a failing layer is
+  // skipped by its policy.
+  template <typename Body>
+  common::Status RunStage(const char* name, StageKind kind,
+                          AnnotationContext& context, Body body) const;
 
   PipelineConfig config_;
   traj::Preprocessor preprocessor_;
@@ -120,7 +155,6 @@ class SemiTriPipeline {
   std::unique_ptr<poi::PointAnnotator> point_annotator_;
   store::SemanticTrajectoryStore* store_;
   analytics::LatencyProfiler* profiler_;
-  StageGraph graph_;
 };
 
 }  // namespace semitri::core

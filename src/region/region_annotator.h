@@ -26,10 +26,6 @@ struct RegionAnnotatorConfig {
   // When a point lies in both a named free-form region (campus, park) and
   // an underlying landuse cell, prefer the named region.
   bool prefer_named_regions = true;
-  // Layer granularity: per-stop/move-episode join (the default) or
-  // per-GPS-point Algorithm 1 as printed.
-  enum class Granularity { kPerEpisode, kPerPoint };
-  Granularity granularity = Granularity::kPerEpisode;
 };
 
 class RegionAnnotator {
@@ -51,32 +47,18 @@ class RegionAnnotator {
   core::StructuredSemanticTrajectory AnnotateTrajectory(
       const core::RawTrajectory& trajectory) const;
 
-  // Episode-level variant: annotates each stop/move episode with its
-  // dominant region; stop episodes use center containment first.
+  // Episode-level variant, the pipeline's region layer: annotates each
+  // stop/move episode with its dominant region; stop episodes use
+  // center containment first.
   core::StructuredSemanticTrajectory AnnotateEpisodes(
       const core::RawTrajectory& trajectory,
       const std::vector<core::Episode>& episodes) const;
 
-  // Dispatches on the configured granularity: AnnotateTrajectory for
-  // kPerPoint, AnnotateEpisodes for kPerEpisode.
-  core::StructuredSemanticTrajectory Annotate(
-      const core::RawTrajectory& trajectory,
-      const std::vector<core::Episode>& episodes) const {
-    return per_episode() ? AnnotateEpisodes(trajectory, episodes)
-                         : AnnotateTrajectory(trajectory);
-  }
-
-  // True for kPerEpisode granularity, where each episode's semantic
-  // episode depends only on that episode and its points — so a growing
-  // trajectory can be annotated episode by episode (AnnotateEpisodesFrom).
-  bool per_episode() const {
-    return config_.granularity ==
-           RegionAnnotatorConfig::Granularity::kPerEpisode;
-  }
-
   // Appends the semantic episodes of episodes[first, size) to
   // out->episodes — the incremental form of AnnotateEpisodes, which is
-  // this with first = 0 on an empty `out`.
+  // this with first = 0 on an empty `out`. Each episode's semantic
+  // episode depends only on that episode and its points, so a growing
+  // trajectory can be annotated episode by episode.
   void AnnotateEpisodesFrom(const core::RawTrajectory& trajectory,
                             const std::vector<core::Episode>& episodes,
                             size_t first,

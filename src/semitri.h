@@ -31,7 +31,6 @@
 #include "core/health.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"
-#include "core/stage.h"
 #include "core/stages.h"
 #include "core/types.h"
 

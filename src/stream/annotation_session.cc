@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "analytics/latency_profiler.h"
-#include "core/stages.h"
 #include "core/state_serialization.h"
 
 namespace semitri::stream {
@@ -99,18 +98,12 @@ common::Status AnnotationSession::RunIncremental(
       std::move(result->stage_reports);
   result->stage_reports.clear();
   context.result = std::move(*result);
-  context.store = pipeline_->store();
   context.profiler = profiler;
   context.scratch = &scratch_;
   context.store_watermark = &store_watermark_;
   context.annotated_episodes = annotated_episodes_;
   context.batch_points = batch_points_;
-  common::Status status = common::Status::OK();
-  for (const std::string& name : pipeline_->graph().ExecutionOrder()) {
-    if (name == core::kStageComputeEpisode) continue;
-    status = pipeline_->graph().RunStage(name, context);
-    if (!status.ok()) break;
-  }
+  common::Status status = pipeline_->RunDownstreamStages(context);
   *result = std::move(context.result);
   if (status.ok() && !result->degraded()) {
     annotated_episodes_ = result->episodes.size();

@@ -161,7 +161,7 @@ class AnnotationSession {
   // Finalization pass + store write-back for a closed trajectory,
   // continuing from the provisional layers.
   [[nodiscard]] common::Status FinalizeClosed(ClosedTrajectory closed);
-  // Runs every stage but trajectory computation over `result` as an
+  // Runs the pipeline's RunDownstreamStages over `result` as an
   // incremental pass (profiler: null for provisional passes), leaving
   // the result in `result` even on error. Advances the incremental
   // state after a clean pass; any failed or skipped stage resets it,

@@ -7,7 +7,7 @@
 // motion features) sweep coordinates and timestamps independently; the
 // AoS GpsPoint layout makes every such sweep a strided gather. A
 // PointBatch is built once per trajectory run from RawTrajectory and
-// threaded through the stage graph (core::AnnotationContext::
+// threaded through the pipeline's stages (core::AnnotationContext::
 // PointsBatch), so the kernels read three contiguous double arrays.
 // BuildFrom reuses capacity: a streaming session rebuilds into the same
 // storage trajectory after trajectory (the zero steady-state-allocation

@@ -314,8 +314,8 @@ TEST_F(OverloadFixture, HealthReportsBudgetGaugesAndOverloadCounters) {
   ASSERT_TRUE(manager.Feed(2, Fix(0.0)).ok());
 
   core::HealthSnapshot health = manager.Health();
-  // Per-stage rows come from the pipeline's graph.
-  EXPECT_EQ(health.stages.size(), pipeline_->graph().size());
+  // Per-stage rows come from the pipeline.
+  EXPECT_EQ(health.stages.size(), pipeline_->Health().stages.size());
   EXPECT_EQ(health.sessions.used, 2u);
   EXPECT_EQ(health.sessions.limit, 4u);
   EXPECT_EQ(health.buffered_fixes.used, 2u);
@@ -334,7 +334,7 @@ TEST_F(OverloadFixture, HealthReportsBudgetGaugesAndOverloadCounters) {
 
   // A bare pipeline snapshot carries stages but no budgets.
   core::HealthSnapshot bare = pipeline_->Health();
-  EXPECT_EQ(bare.stages.size(), pipeline_->graph().size());
+  EXPECT_EQ(bare.stages.size(), health.stages.size());
   EXPECT_EQ(bare.sessions.limit, 0u);
   EXPECT_FALSE(bare.degraded());
 }

@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/serial.h"
+#include "core/state_serialization.h"
 #include "datagen/presets.h"
 #include "datagen/world.h"
+#include "store/wal.h"
 
 namespace semitri::core {
 namespace {
@@ -53,6 +58,8 @@ TEST_F(PipelineFixture, FullPipelineProducesAllLayers) {
     // Point layer has one episode per stop.
     EXPECT_EQ(day.point_layer->episodes.size(), day.NumStops());
     total_stops += day.NumStops();
+    // A clean run leaves no stage report.
+    EXPECT_TRUE(day.stage_reports.empty());
   }
   EXPECT_GT(total_stops, 3u);
 
@@ -60,11 +67,14 @@ TEST_F(PipelineFixture, FullPipelineProducesAllLayers) {
   EXPECT_EQ(store.num_trajectories(), 3u);
   EXPECT_GT(store.num_gps_records(), 0u);
   EXPECT_GT(store.num_semantic_episodes(), 0u);
-  // All Fig. 17 stages recorded.
-  EXPECT_EQ(profiler.Count(kStageComputeEpisode), 3u);
-  EXPECT_EQ(profiler.Count(kStageStoreEpisode), 3u);
-  EXPECT_EQ(profiler.Count(kStageMapMatch), 3u);
-  EXPECT_EQ(profiler.Count(kStageLanduseJoin), 3u);
+  // One sample per trajectory for each Fig. 17 stage...
+  for (const char* stage :
+       {kStageComputeEpisode, kStageStoreEpisode, kStageLanduseJoin,
+        kStageMapMatch, kStageStoreMatch, kStagePointAnnotation}) {
+    EXPECT_EQ(profiler.Count(stage), 3u) << stage;
+  }
+  // ...and none for the unprofiled write-back tail.
+  EXPECT_EQ(profiler.Count(kStageStoreInterpretation), 0u);
 }
 
 TEST_F(PipelineFixture, PartialSourcesSkipLayers) {
@@ -92,20 +102,19 @@ TEST_F(PipelineFixture, PartialSourcesSkipLayers) {
 TEST_F(PipelineFixture, PerPointRegionInterpretation) {
   datagen::PersonSpec spec = factory_->MakePersonSpec(2);
   datagen::SimulatedTrack track = factory_->SimulatePersonDays(2, spec, 1);
-  PipelineConfig config;
-  config.region.granularity =
-      region::RegionAnnotatorConfig::Granularity::kPerPoint;
-  SemiTriPipeline pipeline(&world_->regions, nullptr, nullptr, config);
+  SemiTriPipeline pipeline(&world_->regions, nullptr, nullptr);
   auto results = pipeline.ProcessStream(2, track.points);
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
-  const PipelineResult& day = results->front();
-  ASSERT_TRUE(day.region_layer.has_value());
-  // Per-point tuples compress versus raw records (the §5.2 storage-
-  // compression claim; smartphone-rate data compresses less than the
-  // paper's 1 Hz taxi feed but still substantially).
-  EXPECT_LT(day.region_layer->episodes.size(), day.cleaned.size() / 3);
-  EXPECT_GT(day.region_layer->episodes.size(), 0u);
+  const RawTrajectory& day = results->front().cleaned;
+  // Algorithm 1 as printed, over the pipeline's cleaned day: per-point
+  // tuples compress versus raw records (the §5.2 storage-compression
+  // claim; smartphone-rate data compresses less than the paper's 1 Hz
+  // taxi feed but still substantially).
+  region::RegionAnnotator annotator(&world_->regions);
+  StructuredSemanticTrajectory per_point = annotator.AnnotateTrajectory(day);
+  EXPECT_LT(per_point.episodes.size(), day.size() / 3);
+  EXPECT_GT(per_point.episodes.size(), 0u);
 }
 
 TEST_F(PipelineFixture, AnnotateComputedMatchesFullRun) {
@@ -138,97 +147,90 @@ TEST_F(PipelineFixture, AnnotateComputedMatchesFullRun) {
   EXPECT_TRUE(computed_store.ContentEquals(full_store));
 }
 
-TEST_F(PipelineFixture, StageGraphExecutionOrderMatchesLegacyPipeline) {
+TEST_F(PipelineFixture, HealthListsStagesInRunOrder) {
+  auto stage_names = [](const SemiTriPipeline& pipeline) {
+    std::vector<std::string> names;
+    for (const StageHealth& stage : pipeline.Health().stages) {
+      names.push_back(stage.stage);
+    }
+    return names;
+  };
   store::SemanticTrajectoryStore store;
   SemiTriPipeline pipeline(&world_->regions, &world_->roads, &world_->pois,
                            PipelineConfig{}, &store);
-  EXPECT_EQ(pipeline.graph().ExecutionOrder(),
+  EXPECT_EQ(stage_names(pipeline),
             (std::vector<std::string>{
                 kStageComputeEpisode, kStageStoreEpisode, kStageLanduseJoin,
                 kStageMapMatch, kStageStoreMatch, kStagePointAnnotation,
                 kStageStoreInterpretation}));
 
-  // Without sinks/sources only the registered stages appear.
+  // Without sinks/sources only the stages that run appear.
   SemiTriPipeline regions_only(&world_->regions, nullptr, nullptr);
-  EXPECT_EQ(regions_only.graph().ExecutionOrder(),
+  EXPECT_EQ(stage_names(regions_only),
             (std::vector<std::string>{kStageComputeEpisode,
                                       kStageLanduseJoin}));
 }
 
-TEST_F(PipelineFixture, ReannotatePointLayerMatchesFullRun) {
-  datagen::PersonSpec spec = factory_->MakePersonSpec(3);
-  datagen::SimulatedTrack track = factory_->SimulatePersonDays(3, spec, 2);
-  analytics::LatencyProfiler profiler;
-  SemiTriPipeline pipeline(&world_->regions, &world_->roads, &world_->pois,
-                           PipelineConfig{}, nullptr, &profiler);
-  auto results = pipeline.ProcessStream(3, track.points);
-  ASSERT_TRUE(results.ok());
-  ASSERT_FALSE(results->empty());
-  for (const PipelineResult& day : *results) {
-    ASSERT_TRUE(day.point_layer.has_value());
-    auto redone = pipeline.ReannotateLayer(day, Layer::kPoint);
-    ASSERT_TRUE(redone.ok());
-    ASSERT_TRUE(redone->point_layer.has_value());
-    // Bit-identical to the layer the full run produced...
-    EXPECT_EQ(*redone->point_layer, *day.point_layer);
-    // ...and the other layers ride along untouched.
-    EXPECT_EQ(*redone->region_layer, *day.region_layer);
-    EXPECT_EQ(*redone->line_layer, *day.line_layer);
-  }
-  // Reannotation is profiled under the same Fig. 17 stage name.
-  EXPECT_EQ(profiler.Count(kStagePointAnnotation), 2 * results->size());
-}
-
-TEST_F(PipelineFixture, ReannotateAfterPoiSetSwapMatchesFreshRun) {
-  datagen::PersonSpec spec = factory_->MakePersonSpec(4);
-  datagen::SimulatedTrack track = factory_->SimulatePersonDays(4, spec, 1);
-  SemiTriPipeline pipeline(&world_->regions, &world_->roads, &world_->pois);
-  auto cached = pipeline.ProcessStream(4, track.points);
-  ASSERT_TRUE(cached.ok());
-  ASSERT_FALSE(cached->empty());
-
-  // A POI repository refresh: same category space, but only every other
-  // POI survives, so decoding changes.
-  poi::PoiSet modified = poi::PoiSet::MilanCategories();
-  const std::vector<poi::Poi>& original = world_->pois.pois();
-  for (size_t i = 0; i < original.size(); i += 2) {
-    modified.Add(original[i].position, original[i].category,
-                 original[i].name);
-  }
-  store::SemanticTrajectoryStore store;
-  SemiTriPipeline swapped(&world_->regions, &world_->roads, &modified,
-                          PipelineConfig{}, &store);
-  auto fresh = swapped.ProcessStream(4, track.points);
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_EQ(fresh->size(), cached->size());
-
-  for (size_t i = 0; i < cached->size(); ++i) {
-    auto redone = swapped.ReannotateLayer((*cached)[i], Layer::kPoint);
-    ASSERT_TRUE(redone.ok());
-    ASSERT_TRUE(redone->point_layer.has_value());
-    // Recomputing just the point layer from cached episodes matches a
-    // fresh end-to-end run against the new repository...
-    EXPECT_EQ(*redone->point_layer, *(*fresh)[i].point_layer);
-    // ...leaves the cached region/line layers alone...
-    EXPECT_EQ(*redone->region_layer, *(*cached)[i].region_layer);
-    EXPECT_EQ(*redone->line_layer, *(*cached)[i].line_layer);
-    // ...and writes the refreshed interpretation through to the store.
-    auto stored = store.GetInterpretation(redone->cleaned.id, "point");
-    ASSERT_TRUE(stored.ok());
-    EXPECT_EQ(*stored, *redone->point_layer);
-  }
-}
-
-TEST_F(PipelineFixture, ReannotateLayerWithoutSourceFails) {
+TEST_F(PipelineFixture, OfflineStoreWritesFollowStageOrder) {
   datagen::PersonSpec spec = factory_->MakePersonSpec(0);
-  datagen::SimulatedTrack track = factory_->SimulatePersonDays(0, spec, 1);
-  SemiTriPipeline regions_only(&world_->regions, nullptr, nullptr);
-  auto results = regions_only.ProcessStream(0, track.points);
+  datagen::SimulatedTrack track = factory_->SimulatePersonDays(0, spec, 2);
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "semitri_pipeline_write_order")
+                        .string();
+  std::filesystem::remove_all(dir);
+  store::StoreConfig durable;
+  durable.durable_dir = dir;
+  store::SemanticTrajectoryStore store(durable);
+  SemiTriPipeline pipeline(&world_->regions, &world_->roads, &world_->pois,
+                           PipelineConfig{}, &store);
+  auto results = pipeline.ProcessStream(0, track.points);
   ASSERT_TRUE(results.ok());
-  ASSERT_FALSE(results->empty());
-  auto redone = regions_only.ReannotateLayer(results->front(), Layer::kPoint);
-  EXPECT_FALSE(redone.ok());
-  EXPECT_EQ(redone.status().code(), common::StatusCode::kFailedPrecondition);
+  ASSERT_EQ(results->size(), 2u);
+
+  // The log, decoded as (trajectory, table) per record.
+  std::vector<std::pair<TrajectoryId, std::string>> writes;
+  auto replayed = store::ReplayWal(
+      dir + "/wal.log",
+      [&](store::WalRecordType type, std::string_view payload) {
+        common::StateReader reader(payload);
+        switch (type) {
+          case store::WalRecordType::kPutRawTrajectory: {
+            RawTrajectory raw;
+            SEMITRI_RETURN_IF_ERROR(RestoreState(&reader, &raw));
+            writes.emplace_back(raw.id, "raw");
+            break;
+          }
+          case store::WalRecordType::kPutEpisodes: {
+            int64_t id = 0;
+            SEMITRI_RETURN_IF_ERROR(reader.GetI64(&id));
+            writes.emplace_back(id, "episodes");
+            break;
+          }
+          case store::WalRecordType::kPutInterpretation: {
+            StructuredSemanticTrajectory layer;
+            SEMITRI_RETURN_IF_ERROR(RestoreState(&reader, &layer));
+            writes.emplace_back(layer.trajectory_id, layer.interpretation);
+            break;
+          }
+          default:
+            return common::Status::Corruption(
+                "an offline run logs full puts only");
+        }
+        return common::Status::OK();
+      },
+      /*truncate_torn_tail=*/false);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+
+  // Each trajectory logs its full puts in stage order — the order
+  // Recover() replays them in.
+  std::vector<std::pair<TrajectoryId, std::string>> expected;
+  for (const PipelineResult& day : *results) {
+    for (const char* table : {"raw", "episodes", "line", "region", "point"}) {
+      expected.emplace_back(day.cleaned.id, table);
+    }
+  }
+  EXPECT_EQ(writes, expected);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(PipelineFixture, StopsAnnotatedWithPlausibleCategories) {
@@ -359,13 +361,34 @@ TEST_F(PipelineFixture, PointLayerFailureFollowsAnnotationFailurePolicy) {
   }
   EXPECT_GT(with_stops, 0u);
 
-  // Fail-fast (the default): the same error aborts the stream.
+  // Fail-fast (the default): the same error aborts the stream at the
+  // first trajectory with a stop.
   config.annotation_failure = FailurePolicy::FailFast();
+  store::SemanticTrajectoryStore strict_store;
   SemiTriPipeline strict(&world_->regions, &world_->roads, &world_->pois,
-                         config);
+                         config, &strict_store);
   auto failed = strict.ProcessStream(2, track.points);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), common::StatusCode::kInvalidArgument);
+  // That trajectory's raw trace, episodes and line layer were stored
+  // before point_annotation failed; store_interpretation, which writes
+  // the region and point layers, never ran.
+  auto first_with_stops =
+      std::find_if(results->begin(), results->end(),
+                   [](const PipelineResult& r) { return r.NumStops() > 0; });
+  ASSERT_TRUE(first_with_stops != results->end());
+  TrajectoryId id = first_with_stops->cleaned.id;
+  auto raw = strict_store.GetRawTrajectory(id);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(*raw, first_with_stops->cleaned);
+  auto episodes = strict_store.GetEpisodes(id);
+  ASSERT_TRUE(episodes.ok());
+  EXPECT_EQ(*episodes, first_with_stops->episodes);
+  auto line = strict_store.GetInterpretation(id, "line");
+  ASSERT_TRUE(line.ok());
+  EXPECT_EQ(*line, *first_with_stops->line_layer);
+  EXPECT_EQ(strict_store.ListInterpretations(id),
+            std::vector<std::string>{"line"});
 }
 
 }  // namespace
