@@ -1,46 +1,29 @@
-// Ablation — spatial-index candidate retrieval versus linear scan, the
+// Ablation — R*-tree candidate retrieval versus linear scan, the
 // efficiency claim behind Algorithm 1 (O(n log m)) and Algorithm 2
 // ("candidate segments ... efficiently accessed with R*-tree index").
 //
-// Every repository programs against the SpatialIndex interface, so the
-// backend ablation (R*-tree vs uniform grid) is a pure config flip: the
-// same benchmark body runs once per IndexBackend, selected by the
-// second benchmark argument.
-//
 // google-benchmark microbenchmark: candidate-segment queries,
-// nearest-segment queries, and index construction against networks of
-// growing size.
+// nearest-segment queries (indexed and linear) against networks of
+// growing size, and R*-tree construction by repeated insertion versus
+// STR bulk loading.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "index/spatial_index.h"
+#include "index/rstar_tree.h"
 #include "road/road_network.h"
 
 using namespace semitri;
 
 namespace {
 
-index::SpatialIndexConfig BackendConfig(int64_t which) {
-  index::SpatialIndexConfig config;
-  config.backend = which == 0 ? index::IndexBackend::kRStarTree
-                              : index::IndexBackend::kUniformGrid;
-  return config;
-}
+using Tree = index::RStarTree<int>;
 
-void SetBackendLabel(benchmark::State& state, const road::RoadNetwork& net) {
-  state.SetLabel(std::string(index::IndexBackendName(
-                     net.spatial_index().backend())) +
-                 ", " + std::to_string(net.num_segments()) + " segments");
-}
-
-// Builds a synthetic grid-ish network with `approx_segments` segments
-// over the configured index backend.
-road::RoadNetwork MakeNetwork(size_t approx_segments,
-                              index::SpatialIndexConfig index_config) {
+// Builds a synthetic grid-ish network with `approx_segments` segments.
+road::RoadNetwork MakeNetwork(size_t approx_segments) {
   common::Rng rng(42);
-  road::RoadNetwork net(index_config);
+  road::RoadNetwork net;
   size_t nodes_per_side = static_cast<size_t>(
       std::sqrt(static_cast<double>(approx_segments) / 2.0)) + 1;
   double extent = 10000.0;
@@ -65,30 +48,27 @@ road::RoadNetwork MakeNetwork(size_t approx_segments,
 }
 
 void BM_CandidateSegments(benchmark::State& state) {
-  road::RoadNetwork net = MakeNetwork(static_cast<size_t>(state.range(0)),
-                                      BackendConfig(state.range(1)));
+  road::RoadNetwork net = MakeNetwork(static_cast<size_t>(state.range(0)));
   common::Rng rng(7);
   for (auto _ : state) {
     geo::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
     benchmark::DoNotOptimize(net.CandidateSegments(p, 60.0));
   }
-  SetBackendLabel(state, net);
+  state.SetLabel(std::to_string(net.num_segments()) + " segments");
 }
 
 void BM_NearestSegment(benchmark::State& state) {
-  road::RoadNetwork net = MakeNetwork(static_cast<size_t>(state.range(0)),
-                                      BackendConfig(state.range(1)));
+  road::RoadNetwork net = MakeNetwork(static_cast<size_t>(state.range(0)));
   common::Rng rng(7);
   for (auto _ : state) {
     geo::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
     benchmark::DoNotOptimize(net.NearestSegment(p));
   }
-  SetBackendLabel(state, net);
+  state.SetLabel(std::to_string(net.num_segments()) + " segments");
 }
 
 void BM_NearestSegmentLinear(benchmark::State& state) {
-  road::RoadNetwork net = MakeNetwork(static_cast<size_t>(state.range(0)),
-                                      index::SpatialIndexConfig{});
+  road::RoadNetwork net = MakeNetwork(static_cast<size_t>(state.range(0)));
   common::Rng rng(7);
   for (auto _ : state) {
     geo::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
@@ -96,56 +76,49 @@ void BM_NearestSegmentLinear(benchmark::State& state) {
   }
 }
 
-// Construction cost through the unified interface: repeated insertion
-// vs bulk loading, per backend.
-void BM_IndexBuildIncremental(benchmark::State& state) {
+// `n` random point entries over a 10 km square.
+std::vector<Tree::Entry> RandomPointEntries(size_t n) {
   common::Rng rng(42);
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<index::SpatialEntry<int>> entries;
+  std::vector<Tree::Entry> entries;
   for (size_t i = 0; i < n; ++i) {
     geo::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
     entries.push_back({geo::BoundingBox::FromPoint(p), static_cast<int>(i)});
   }
-  index::SpatialIndexConfig config = BackendConfig(state.range(1));
+  return entries;
+}
+
+// Construction cost: repeated insertion vs STR bulk loading.
+void BM_IndexBuildIncremental(benchmark::State& state) {
+  std::vector<Tree::Entry> entries =
+      RandomPointEntries(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto idx = index::MakeSpatialIndex<int>(config);
-    for (const auto& e : entries) idx->Insert(e.box, e.value);
-    benchmark::DoNotOptimize(idx->size());
+    Tree tree;
+    for (const Tree::Entry& e : entries) tree.Insert(e.box, e.value);
+    benchmark::DoNotOptimize(tree.size());
   }
-  state.SetLabel(index::IndexBackendName(config.backend));
 }
 
 void BM_IndexBuildBulkLoad(benchmark::State& state) {
-  common::Rng rng(42);
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<index::SpatialEntry<int>> entries;
-  for (size_t i = 0; i < n; ++i) {
-    geo::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
-    entries.push_back({geo::BoundingBox::FromPoint(p), static_cast<int>(i)});
-  }
-  index::SpatialIndexConfig config = BackendConfig(state.range(1));
+  std::vector<Tree::Entry> entries =
+      RandomPointEntries(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto copy = entries;
-    auto idx = index::MakeSpatialIndex<int>(config);
-    idx->BulkLoad(std::move(copy));
-    benchmark::DoNotOptimize(idx->size());
+    Tree tree = Tree::BulkLoad(entries);
+    benchmark::DoNotOptimize(tree.size());
   }
-  state.SetLabel(index::IndexBackendName(config.backend));
 }
 
 }  // namespace
 
-// Second argument: 0 = rstar_tree, 1 = uniform_grid.
-BENCHMARK(BM_CandidateSegments)
-    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}});
-BENCHMARK(BM_NearestSegment)
-    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}});
+BENCHMARK(BM_CandidateSegments)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_NearestSegment)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_NearestSegmentLinear)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_IndexBuildIncremental)
-    ->ArgsProduct({{10000, 100000}, {0, 1}})
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IndexBuildBulkLoad)
-    ->ArgsProduct({{10000, 100000}, {0, 1}})
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

@@ -29,8 +29,6 @@ class Clock {
   // advances instead of blocking.
   virtual void SleepFor(double seconds) const = 0;
 
-  double NowSeconds() const { return static_cast<double>(NowNanos()) * 1e-9; }
-
   // The process-wide real (steady) clock.
   static const Clock* Real();
 };

@@ -19,7 +19,6 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kOutOfRange,
   kAlreadyExists,
   kFailedPrecondition,
   kIoError,
@@ -57,9 +56,6 @@ class [[nodiscard]] Status {
   }
   [[nodiscard]] static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  [[nodiscard]] static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   [[nodiscard]] static Status AlreadyExists(std::string msg) {
     return Status(StatusCode::kAlreadyExists, std::move(msg));

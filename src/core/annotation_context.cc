@@ -30,15 +30,6 @@ size_t& StoreWatermark::layer(Layer which) {
   return region;
 }
 
-const char* LayerName(Layer layer) {
-  switch (layer) {
-    case Layer::kRegion: return "region";
-    case Layer::kLine: return "line";
-    case Layer::kPoint: return "point";
-  }
-  return "unknown";
-}
-
 size_t PipelineResult::NumStops() const {
   size_t n = 0;
   for (const Episode& e : episodes) {

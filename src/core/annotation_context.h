@@ -27,8 +27,6 @@ struct AnnotationScratch;
 // The three annotation layers of Fig. 2.
 enum class Layer { kRegion, kLine, kPoint };
 
-const char* LayerName(Layer layer);
-
 // How one stage execution ended. Recorded on PipelineResult only for
 // the interesting cases — a stage that was skipped by its failure
 // policy or failed the run — so the happy path stays allocation-free.

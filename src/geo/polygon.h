@@ -9,7 +9,6 @@
 
 #include "geo/box.h"
 #include "geo/point.h"
-#include "geo/segment.h"
 
 namespace semitri::geo {
 
@@ -63,16 +62,6 @@ class Polygon {
       }
     }
     return inside;
-  }
-
-  // Distance from a point to the polygon boundary (0 if on it).
-  double BoundaryDistanceTo(const Point& p) const {
-    double best = std::numeric_limits<double>::infinity();
-    for (size_t i = 0, n = ring_.size(); i < n; ++i) {
-      Segment edge(ring_[i], ring_[(i + 1) % n]);
-      best = std::min(best, edge.DistanceTo(p));
-    }
-    return best;
   }
 
  private:

@@ -42,8 +42,6 @@ struct Segment {
     return a + (b - a) * t;
   }
 
-  Point Interpolate(double t) const { return a + (b - a) * t; }
-
   // SeMiTri Eq. (1): perpendicular distance when the projection falls on
   // the segment, else the distance to the nearer endpoint. Equivalent to
   // the distance to ClosestPoint, implemented directly for clarity.

@@ -47,13 +47,4 @@ std::vector<size_t> DouglasPeuckerIndices(const std::vector<Point>& points,
   return out;
 }
 
-Polyline SimplifyPolyline(const Polyline& line, double tolerance_meters) {
-  std::vector<size_t> indices =
-      DouglasPeuckerIndices(line.points(), tolerance_meters);
-  std::vector<Point> kept;
-  kept.reserve(indices.size());
-  for (size_t i : indices) kept.push_back(line[i]);
-  return Polyline(std::move(kept));
-}
-
 }  // namespace semitri::geo

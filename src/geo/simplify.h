@@ -1,15 +1,13 @@
 #ifndef SEMITRI_GEO_SIMPLIFY_H_
 #define SEMITRI_GEO_SIMPLIFY_H_
 
-// Polyline simplification (Douglas-Peucker). Used to compress move
-// episodes for storage/export: the semantic trajectory store keeps the
-// semantic episodes, and the raw geometry of a move can be thinned to a
-// tolerance without affecting its annotations.
+// Douglas-Peucker simplification of a point sequence. The KML export
+// uses it to thin the geometry of move episodes to a tolerance without
+// affecting their annotations.
 
 #include <vector>
 
 #include "geo/point.h"
-#include "geo/polyline.h"
 
 namespace semitri::geo {
 
@@ -18,9 +16,6 @@ namespace semitri::geo {
 // meters.
 std::vector<size_t> DouglasPeuckerIndices(const std::vector<Point>& points,
                                           double tolerance_meters);
-
-// Convenience: the simplified polyline itself.
-Polyline SimplifyPolyline(const Polyline& line, double tolerance_meters);
 
 }  // namespace semitri::geo
 

@@ -2,8 +2,7 @@
 #define SEMITRI_INDEX_GRID_INDEX_H_
 
 // Uniform grid over a bounded area. Used by the Semantic Point Annotation
-// layer to discretize the POI observation model (Pr(grid_jk | Ci), §4.3)
-// and as a cheap point index for the generators.
+// layer to discretize the POI observation model (Pr(grid_jk | Ci), §4.3).
 
 #include <cmath>
 #include <cstddef>
@@ -34,7 +33,6 @@ class GridIndex {
   size_t cols() const { return cols_; }
   size_t rows() const { return rows_; }
   double cell_size() const { return cell_size_; }
-  const geo::BoundingBox& extent() const { return extent_; }
 
   // Column/row of the cell containing p (clamped to the grid).
   std::pair<size_t, size_t> CellOf(const geo::Point& p) const {
@@ -60,16 +58,6 @@ class GridIndex {
   void Insert(const geo::Point& p, T value) {
     auto [cx, cy] = CellOf(p);
     cells_[cy * cols_ + cx].push_back(std::move(value));
-  }
-
-  // Direct cell insertion, for values that span several cells (the
-  // grid-backed SpatialIndex buckets a box into every overlapped cell).
-  void InsertAtCell(size_t cx, size_t cy, T value) {
-    cells_[cy * cols_ + cx].push_back(std::move(value));
-  }
-
-  const std::vector<T>& Cell(size_t cx, size_t cy) const {
-    return cells_[cy * cols_ + cx];
   }
 
   // Collects values in all cells within `ring` cells of the cell holding p

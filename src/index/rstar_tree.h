@@ -12,8 +12,12 @@
 //     per level per insertion.
 //
 // The tree stores (BoundingBox, T) pairs. T is typically an integer id
-// into an external table. Supports box/point queries, k-nearest-neighbor,
-// radius queries, and deletion with tree condensation.
+// into an external table. Supports box/point queries, k-nearest-neighbor
+// and radius queries.
+//
+// Queries are const and keep no scratch state, so a shared repository
+// (`RegionSet`, `RoadNetwork`, `PoiSet`) may serve many annotation
+// workers at once; shards query the shared repositories concurrently.
 
 #include <algorithm>
 #include <cmath>
@@ -76,7 +80,7 @@ class RStarTree {
   // al.): O(n log n) construction with near-full nodes — much faster
   // than repeated insertion for static datasets (landuse grids, road
   // networks). The resulting tree supports all queries and subsequent
-  // dynamic inserts/removals.
+  // inserts.
   static RStarTree BulkLoad(std::vector<Entry> entries,
                             size_t max_entries = 16) {
     RStarTree tree(max_entries);
@@ -152,24 +156,6 @@ class RStarTree {
     return tree;
   }
 
-  // Removes one entry matching (box, value). Returns false if absent.
-  bool Remove(const geo::BoundingBox& box, const T& value) {
-    Node* leaf = FindLeaf(root_.get(), box, value);
-    if (leaf == nullptr) return false;
-    auto it = std::find_if(leaf->entries.begin(), leaf->entries.end(),
-                           [&](const Entry& e) {
-                             return e.value == value &&
-                                    BoxesEqual(e.box, box);
-                           });
-    SEMITRI_DCHECK(it != leaf->entries.end())
-        << "FindLeaf returned a leaf that does not hold the entry";
-    leaf->entries.erase(it);
-    --size_;
-    UpdatePathBounds(leaf);
-    CondenseTree(leaf);
-    return true;
-  }
-
   // All values whose box intersects `query`.
   std::vector<T> Query(const geo::BoundingBox& query) const {
     std::vector<T> out;
@@ -192,12 +178,20 @@ class RStarTree {
   // Values whose box lies within `radius` of point `p` (box distance).
   std::vector<T> QueryRadius(const geo::Point& p, double radius) const {
     std::vector<T> out;
+    QueryRadiusInto(p, radius, &out);
+    return out;
+  }
+
+  // Appending form of QueryRadius: pushes matches onto `out` without
+  // clearing it, so a caller-owned buffer is reused across queries (the
+  // annotation hot loops run one query per GPS point).
+  void QueryRadiusInto(const geo::Point& p, double radius,
+                       std::vector<T>* out) const {
     geo::BoundingBox window =
         geo::BoundingBox::FromPoint(p).Inflated(radius);
     QueryVisit(window, [&](const Entry& e) {
-      if (e.box.DistanceTo(p) <= radius) out.push_back(e.value);
+      if (e.box.DistanceTo(p) <= radius) out->push_back(e.value);
     });
-    return out;
   }
 
   // k nearest entries to `p` by box distance (best-first search).
@@ -248,11 +242,6 @@ class RStarTree {
     std::vector<Entry> entries;                   // leaf payload
     std::vector<std::unique_ptr<Node>> children;  // inner payload
   };
-
-  static bool BoxesEqual(const geo::BoundingBox& a,
-                         const geo::BoundingBox& b) {
-    return a.min == b.min && a.max == b.max;
-  }
 
   // Reads the cached bounds.
   static const geo::BoundingBox& NodeBounds(const Node& n) {
@@ -586,69 +575,6 @@ class RStarTree {
       sibling->parent = n->parent;
       n->parent->children.push_back(std::move(sibling));
       UpdatePathBounds(n->parent);
-    }
-  }
-
-  // --- deletion -------------------------------------------------------
-
-  Node* FindLeaf(Node* n, const geo::BoundingBox& box, const T& value) {
-    if (n->leaf) {
-      for (const Entry& e : n->entries) {
-        if (e.value == value && BoxesEqual(e.box, box)) return n;
-      }
-      return nullptr;
-    }
-    for (auto& child : n->children) {
-      if (NodeBounds(*child).Intersects(box)) {
-        Node* found = FindLeaf(child.get(), box, value);
-        if (found != nullptr) return found;
-      }
-    }
-    return nullptr;
-  }
-
-  // Moves every leaf entry under `n` into `out`.
-  static void CollectEntries(Node* n, std::vector<Entry>* out) {
-    if (n->leaf) {
-      for (Entry& e : n->entries) out->push_back(std::move(e));
-      return;
-    }
-    for (auto& c : n->children) CollectEntries(c.get(), out);
-  }
-
-  void CondenseTree(Node* n) {
-    // Orphaned subtrees are flattened to leaf entries and reinserted at
-    // the leaf level: reinserting whole subtrees is fragile when the
-    // tree height changes mid-condense, and deletion is not on any hot
-    // path of the annotation pipeline.
-    std::vector<Entry> orphans;
-    while (n != root_.get()) {
-      Node* parent = n->parent;
-      if (NodeFill(n) < min_entries_) {
-        auto it = std::find_if(
-            parent->children.begin(), parent->children.end(),
-            [&](const std::unique_ptr<Node>& c) { return c.get() == n; });
-        SEMITRI_DCHECK(it != parent->children.end())
-            << "underfull node is not among its parent's children";
-        std::unique_ptr<Node> detached = std::move(*it);
-        parent->children.erase(it);
-        UpdatePathBounds(parent);
-        CollectEntries(detached.get(), &orphans);
-      }
-      n = parent;
-    }
-    // Shrink the root while it has a single inner child.
-    while (!root_->leaf && root_->children.size() == 1) {
-      std::unique_ptr<Node> child = std::move(root_->children.front());
-      child->parent = nullptr;
-      root_ = std::move(child);
-    }
-    if (!root_->leaf && root_->children.empty()) {
-      root_ = std::make_unique<Node>(/*leaf=*/true);
-    }
-    reinserted_levels_.assign(Height() + 2, true);  // no reinserts here
-    for (Entry& entry : orphans) {
-      InsertEntry(std::move(entry), /*target_level=*/0);
     }
   }
 

@@ -15,19 +15,17 @@ const char* MilanCategoryName(MilanCategory category) {
   return "unknown";
 }
 
-PoiSet::PoiSet(std::vector<std::string> category_names,
-               index::SpatialIndexConfig index_config)
+PoiSet::PoiSet(std::vector<std::string> category_names)
     : category_names_(std::move(category_names)),
-      category_counts_(category_names_.size(), 0),
-      index_(index::MakeSpatialIndex<core::PlaceId>(index_config)) {}
+      category_counts_(category_names_.size(), 0) {}
 
-PoiSet PoiSet::MilanCategories(index::SpatialIndexConfig index_config) {
+PoiSet PoiSet::MilanCategories() {
   std::vector<std::string> names;
   names.reserve(kNumMilanCategories);
   for (int c = 0; c < kNumMilanCategories; ++c) {
     names.push_back(MilanCategoryName(static_cast<MilanCategory>(c)));
   }
-  return PoiSet(std::move(names), index_config);
+  return PoiSet(std::move(names));
 }
 
 core::PlaceId PoiSet::Add(const geo::Point& position, int category,
@@ -39,7 +37,7 @@ core::PlaceId PoiSet::Add(const geo::Point& position, int category,
   p.name = std::move(name);
   pois_.push_back(std::move(p));
   ++category_counts_[static_cast<size_t>(category)];
-  index_->Insert(geo::BoundingBox::FromPoint(position), pois_.back().id);
+  index_.Insert(geo::BoundingBox::FromPoint(position), pois_.back().id);
   return pois_.back().id;
 }
 
@@ -59,7 +57,7 @@ std::vector<double> PoiSet::CategoryPriors() const {
 }
 
 core::PlaceId PoiSet::Nearest(const geo::Point& p) const {
-  auto nn = index_->NearestNeighbors(p, 1);
+  auto nn = index_.NearestNeighbors(p, 1);
   return nn.empty() ? core::kInvalidPlaceId : nn.front().value;
 }
 
@@ -68,7 +66,7 @@ core::PlaceId PoiSet::NearestOfCategory(const geo::Point& p,
   // Expanding-k search; POI boxes are points so box distance is exact.
   size_t k = 8;
   while (true) {
-    auto nn = index_->NearestNeighbors(p, std::min(k, pois_.size()));
+    auto nn = index_.NearestNeighbors(p, std::min(k, pois_.size()));
     for (const auto& entry : nn) {
       if (Get(entry.value).category == category) return entry.value;
     }
@@ -79,7 +77,7 @@ core::PlaceId PoiSet::NearestOfCategory(const geo::Point& p,
 
 std::vector<core::PlaceId> PoiSet::WithinRadius(const geo::Point& p,
                                                 double radius) const {
-  return index_->QueryRadius(p, radius);
+  return index_.QueryRadius(p, radius);
 }
 
 }  // namespace semitri::poi

@@ -6,13 +6,12 @@
 // The paper's Milan dataset has 5 top categories: services, feedings,
 // item sale, person life, unknown.
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/types.h"
 #include "geo/point.h"
-#include "index/spatial_index.h"
+#include "index/rstar_tree.h"
 
 namespace semitri::poi {
 
@@ -38,13 +37,11 @@ struct Poi {
 
 class PoiSet {
  public:
-  // `category_names` fixes the category space (HMM state space);
-  // `index_config` selects the spatial-index backend for the repository.
-  explicit PoiSet(std::vector<std::string> category_names,
-                  index::SpatialIndexConfig index_config = {});
+  // `category_names` fixes the category space (HMM state space).
+  explicit PoiSet(std::vector<std::string> category_names);
 
   // A PoiSet over the paper's five Milan categories.
-  static PoiSet MilanCategories(index::SpatialIndexConfig index_config = {});
+  static PoiSet MilanCategories();
 
   core::PlaceId Add(const geo::Point& position, int category,
                     std::string name = "");
@@ -80,17 +77,13 @@ class PoiSet {
   std::vector<core::PlaceId> WithinRadius(const geo::Point& p,
                                           double radius) const;
 
-  geo::BoundingBox Bounds() const { return index_->Bounds(); }
-
-  const index::SpatialIndex<core::PlaceId>& spatial_index() const {
-    return *index_;
-  }
+  geo::BoundingBox Bounds() const { return index_.Bounds(); }
 
  private:
   std::vector<std::string> category_names_;
   std::vector<Poi> pois_;
   std::vector<size_t> category_counts_;
-  std::unique_ptr<index::SpatialIndex<core::PlaceId>> index_;
+  index::RStarTree<core::PlaceId> index_;
 };
 
 }  // namespace semitri::poi

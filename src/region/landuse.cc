@@ -67,14 +67,4 @@ LanduseGroup LanduseGroupOf(LanduseCategory category) {
   return LanduseGroup::kUnproductive;
 }
 
-const char* LanduseGroupName(LanduseGroup group) {
-  switch (group) {
-    case LanduseGroup::kSettlement: return "Settlement and urban areas";
-    case LanduseGroup::kAgricultural: return "Agricultural areas";
-    case LanduseGroup::kWooded: return "Wooded areas";
-    case LanduseGroup::kUnproductive: return "Unproductive areas";
-  }
-  return "unknown";
-}
-
 }  // namespace semitri::region

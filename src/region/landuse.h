@@ -45,8 +45,6 @@ const char* LanduseCategoryName(LanduseCategory category);
 
 LanduseGroup LanduseGroupOf(LanduseCategory category);
 
-const char* LanduseGroupName(LanduseGroup group);
-
 }  // namespace semitri::region
 
 #endif  // SEMITRI_REGION_LANDUSE_H_

@@ -1,11 +1,6 @@
 #include "region/region_set.h"
 
-#include <algorithm>
-
 namespace semitri::region {
-
-RegionSet::RegionSet(index::SpatialIndexConfig index_config)
-    : index_(index::MakeSpatialIndex<core::PlaceId>(index_config)) {}
 
 core::PlaceId RegionSet::AddCell(const geo::BoundingBox& cell,
                                  LanduseCategory category, std::string name) {
@@ -15,7 +10,7 @@ core::PlaceId RegionSet::AddCell(const geo::BoundingBox& cell,
   r.name = std::move(name);
   r.bounds = cell;
   regions_.push_back(std::move(r));
-  index_->Insert(cell, regions_.back().id);
+  index_.Insert(cell, regions_.back().id);
   return regions_.back().id;
 }
 
@@ -29,14 +24,14 @@ core::PlaceId RegionSet::AddPolygon(geo::Polygon polygon,
   r.bounds = polygon.Bounds();
   r.polygon = std::move(polygon);
   regions_.push_back(std::move(r));
-  index_->Insert(regions_.back().bounds, regions_.back().id);
+  index_.Insert(regions_.back().bounds, regions_.back().id);
   return regions_.back().id;
 }
 
 std::vector<core::PlaceId> RegionSet::FindContaining(
     const geo::Point& p) const {
   std::vector<core::PlaceId> out;
-  for (core::PlaceId id : index_->QueryPoint(p)) {
+  for (core::PlaceId id : index_.QueryPoint(p)) {
     if (Get(id).Contains(p)) out.push_back(id);
   }
   return out;
@@ -44,37 +39,7 @@ std::vector<core::PlaceId> RegionSet::FindContaining(
 
 std::vector<core::PlaceId> RegionSet::FindIntersecting(
     const geo::BoundingBox& box) const {
-  return index_->Query(box);
-}
-
-std::vector<core::PlaceId> RegionSet::FindByPredicate(
-    geo::SpatialPredicate predicate, const geo::BoundingBox& box) const {
-  std::vector<core::PlaceId> out;
-  switch (predicate) {
-    // Predicates implying intersection: filter through the index.
-    case geo::SpatialPredicate::kIntersects:
-    case geo::SpatialPredicate::kWithin:
-    case geo::SpatialPredicate::kContains:
-    case geo::SpatialPredicate::kOverlaps:
-    case geo::SpatialPredicate::kTouches:
-    case geo::SpatialPredicate::kEquals: {
-      for (core::PlaceId id : index_->Query(box)) {
-        if (geo::EvaluatePredicate(predicate, Get(id).bounds, box)) {
-          out.push_back(id);
-        }
-      }
-      std::sort(out.begin(), out.end());
-      return out;
-    }
-    // Non-local predicates (disjoint, directional): full scan.
-    default:
-      for (const SemanticRegion& r : regions_) {
-        if (geo::EvaluatePredicate(predicate, r.bounds, box)) {
-          out.push_back(r.id);
-        }
-      }
-      return out;
-  }
+  return index_.Query(box);
 }
 
 }  // namespace semitri::region

@@ -9,15 +9,13 @@
 // queries through an R*-tree over region bounds, exactly how the paper
 // accelerates its spatial joins ([2]).
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/types.h"
 #include "geo/polygon.h"
-#include "geo/relations.h"
-#include "index/spatial_index.h"
+#include "index/rstar_tree.h"
 #include "region/landuse.h"
 
 namespace semitri::region {
@@ -34,19 +32,10 @@ struct SemanticRegion {
     if (!bounds.Contains(p)) return false;
     return !polygon.has_value() || polygon->Contains(p);
   }
-
-  bool Intersects(const geo::BoundingBox& box) const {
-    // Bounds test; for polygons this is the standard filter step (exact
-    // refinement is the caller's choice — Algorithm 1 works per point).
-    return bounds.Intersects(box);
-  }
 };
 
 class RegionSet {
  public:
-  // `index_config` selects the spatial-index backend for the repository.
-  explicit RegionSet(index::SpatialIndexConfig index_config = {});
-
   // Adds a rectangular cell region. Returns its id.
   core::PlaceId AddCell(const geo::BoundingBox& cell,
                         LanduseCategory category, std::string name = "");
@@ -69,22 +58,11 @@ class RegionSet {
   std::vector<core::PlaceId> FindIntersecting(
       const geo::BoundingBox& box) const;
 
-  // Regions whose bounds satisfy `predicate(region_bounds, box)` — the
-  // configurable join predicates of paper §4.1 (geo/relations.h).
-  // Containment-like predicates are index-accelerated; others fall back
-  // to a scan.
-  std::vector<core::PlaceId> FindByPredicate(
-      geo::SpatialPredicate predicate, const geo::BoundingBox& box) const;
-
-  geo::BoundingBox Bounds() const { return index_->Bounds(); }
-
-  const index::SpatialIndex<core::PlaceId>& spatial_index() const {
-    return *index_;
-  }
+  geo::BoundingBox Bounds() const { return index_.Bounds(); }
 
  private:
   std::vector<SemanticRegion> regions_;
-  std::unique_ptr<index::SpatialIndex<core::PlaceId>> index_;
+  index::RStarTree<core::PlaceId> index_;
 };
 
 }  // namespace semitri::region

@@ -20,9 +20,6 @@ bool IsRoadTypeWalkable(RoadType type) {
   return type != RoadType::kHighway && type != RoadType::kRailMetro;
 }
 
-RoadNetwork::RoadNetwork(index::SpatialIndexConfig index_config)
-    : index_(index::MakeSpatialIndex<core::PlaceId>(index_config)) {}
-
 NodeId RoadNetwork::AddNode(const geo::Point& position) {
   nodes_.push_back(position);
   node_segments_.emplace_back();
@@ -44,7 +41,7 @@ core::PlaceId RoadNetwork::AddSegment(NodeId from, NodeId to, RoadType type,
   seg_ay_.push_back(stored.shape.a.y);
   seg_bx_.push_back(stored.shape.b.x);
   seg_by_.push_back(stored.shape.b.y);
-  index_->Insert(stored.shape.Bounds(), stored.id);
+  index_.Insert(stored.shape.Bounds(), stored.id);
   node_segments_[static_cast<size_t>(from)].push_back(stored.id);
   node_segments_[static_cast<size_t>(to)].push_back(stored.id);
   return stored.id;
@@ -66,7 +63,7 @@ std::vector<core::PlaceId> RoadNetwork::CandidateSegments(
 void RoadNetwork::CandidateSegments(const geo::Point& p, double radius,
                                     std::vector<core::PlaceId>* out) const {
   out->clear();
-  index_->QueryRadiusInto(p, radius, out);
+  index_.QueryRadiusInto(p, radius, out);
   // Refine the box-distance prefilter by exact segment distance, in
   // place (Algorithm 2's candidateSegs keeps only true neighbors).
   size_t kept = 0;
@@ -95,9 +92,8 @@ core::PlaceId RoadNetwork::NearestSegment(const geo::Point& p) const {
   // a few nearest boxes and verify against the true metric.
   core::PlaceId best = core::kInvalidPlaceId;
   double best_dist = std::numeric_limits<double>::infinity();
-  size_t k = 8;
-  while (k <= segments_.size() * 2) {
-    auto nearest = index_->NearestNeighbors(p, std::min(k, segments_.size()));
+  for (size_t k = 8;; k *= 2) {
+    auto nearest = index_.NearestNeighbors(p, std::min(k, segments_.size()));
     for (const auto& entry : nearest) {
       double d = segment(entry.value).shape.DistanceTo(p);
       if (d < best_dist) {
@@ -105,16 +101,14 @@ core::PlaceId RoadNetwork::NearestSegment(const geo::Point& p) const {
         best = entry.value;
       }
     }
-    // Sound if the farthest retrieved *box* is farther than the best
-    // exact distance (box distance lower-bounds segment distance).
-    if (!nearest.empty() &&
-        (nearest.size() == segments_.size() ||
-         nearest.back().box.DistanceTo(p) >= best_dist)) {
-      break;
+    // Sound if the probe covered every segment, or if the farthest
+    // retrieved *box* is farther than the best exact distance (box
+    // distance lower-bounds segment distance).
+    if (nearest.size() == segments_.size() ||
+        nearest.back().box.DistanceTo(p) >= best_dist) {
+      return best;
     }
-    k *= 2;
   }
-  return best;
 }
 
 const std::vector<core::PlaceId>& RoadNetwork::SegmentsAtNode(

@@ -5,14 +5,13 @@
 // by an R*-tree, supporting the candidate-segment retrieval of the
 // global map matcher (Algorithm 2 selects only neighboring segments).
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/types.h"
 #include "geo/segment.h"
-#include "index/spatial_index.h"
+#include "index/rstar_tree.h"
 
 namespace semitri::road {
 
@@ -48,9 +47,6 @@ struct RoadSegment {
 
 class RoadNetwork {
  public:
-  // `index_config` selects the spatial-index backend for the network.
-  explicit RoadNetwork(index::SpatialIndexConfig index_config = {});
-
   NodeId AddNode(const geo::Point& position);
   core::PlaceId AddSegment(NodeId from, NodeId to, RoadType type,
                            std::string name = "");
@@ -98,11 +94,7 @@ class RoadNetwork {
   // Segments sharing an endpoint with `id` (excluding itself).
   std::vector<core::PlaceId> AdjacentSegments(core::PlaceId id) const;
 
-  geo::BoundingBox Bounds() const { return index_->Bounds(); }
-
-  const index::SpatialIndex<core::PlaceId>& spatial_index() const {
-    return *index_;
-  }
+  geo::BoundingBox Bounds() const { return index_.Bounds(); }
 
  private:
   std::vector<geo::Point> nodes_;
@@ -110,7 +102,7 @@ class RoadNetwork {
   // Endpoint SoA kept in lockstep with segments_ (see seg_ax()).
   std::vector<double> seg_ax_, seg_ay_, seg_bx_, seg_by_;
   std::vector<std::vector<core::PlaceId>> node_segments_;
-  std::unique_ptr<index::SpatialIndex<core::PlaceId>> index_;
+  index::RStarTree<core::PlaceId> index_;
 };
 
 }  // namespace semitri::road

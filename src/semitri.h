@@ -16,15 +16,12 @@
 #include "geo/latlon.h"
 #include "geo/point.h"
 #include "geo/polygon.h"
-#include "geo/polyline.h"
-#include "geo/relations.h"
 #include "geo/segment.h"
 #include "geo/simplify.h"
 
 // Spatial indexing.
 #include "index/grid_index.h"
 #include "index/rstar_tree.h"
-#include "index/spatial_index.h"
 
 // Data model and pipeline.
 #include "core/annotation_context.h"

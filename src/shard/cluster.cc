@@ -464,14 +464,6 @@ Liveness ShardCluster::ShardLiveness(ShardId shard) const {
   return detector_->StateOf(shard);
 }
 
-common::Status ShardCluster::CheckpointShard(ShardId shard) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shard >= runtimes_.size() || runtimes_[shard] == nullptr) {
-    return common::Status::Unavailable("shard is down");
-  }
-  return runtimes_[shard]->Checkpoint();
-}
-
 common::Status ShardCluster::CheckpointAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   common::Status first = common::Status::OK();

@@ -229,8 +229,6 @@ class ShardCluster {
 
   // --- durability -----------------------------------------------------
 
-  [[nodiscard]] common::Status CheckpointShard(ShardId shard)
-      SEMITRI_EXCLUDES(mutex_);
   [[nodiscard]] common::Status CheckpointAll() SEMITRI_EXCLUDES(mutex_);
   // Seal + ship every live shard's WAL; returns totals.
   [[nodiscard]] common::Result<WalShipper::ShipStats> SealAndShipAll()

@@ -5,18 +5,6 @@
 
 namespace semitri::shard {
 
-const char* LivenessName(Liveness state) {
-  switch (state) {
-    case Liveness::kAlive:
-      return "alive";
-    case Liveness::kSuspect:
-      return "suspect";
-    case Liveness::kDead:
-      return "dead";
-  }
-  return "unknown";
-}
-
 FailureDetector::FailureDetector(FailureDetectorConfig config,
                                  const common::Clock* clock)
     : config_(config),

@@ -39,8 +39,6 @@ namespace semitri::shard {
 
 enum class Liveness { kAlive, kSuspect, kDead };
 
-const char* LivenessName(Liveness state);
-
 struct FailureDetectorConfig {
   // Minimum spacing between probes of one shard; 0 probes every tick.
   double probe_interval_seconds = 0.5;

@@ -1,5 +1,4 @@
 // Randomized stress tests ("fuzz-style", deterministic seeds):
-//   * R*-tree under interleaved inserts/removes vs a brute-force oracle;
 //   * preprocessing + segmentation on adversarial GPS streams;
 //   * store Checkpoint()/Recover() round-trips on randomized content;
 //   * world I/O round-trips on randomized worlds + malformed-input
@@ -7,19 +6,16 @@
 //     ASan/UBSan);
 //   * KML export fed non-finite geometry.
 
-#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <map>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "export/kml_writer.h"
-#include "index/rstar_tree.h"
 #include "io/world_io.h"
 #include "store/semantic_trajectory_store.h"
 #include "traj/preprocess.h"
@@ -27,56 +23,6 @@
 
 namespace semitri {
 namespace {
-
-using geo::BoundingBox;
-using geo::Point;
-
-class RStarFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RStarFuzz, InterleavedInsertRemoveMatchesOracle) {
-  common::Rng rng(GetParam());
-  index::RStarTree<int> tree(6);
-  std::map<int, BoundingBox> oracle;
-  int next_id = 0;
-  for (int op = 0; op < 3000; ++op) {
-    double dice = rng.Uniform(0.0, 1.0);
-    if (dice < 0.6 || oracle.empty()) {
-      Point min{rng.Uniform(0, 500), rng.Uniform(0, 500)};
-      BoundingBox box(min, min + Point{rng.Uniform(0, 10),
-                                       rng.Uniform(0, 10)});
-      tree.Insert(box, next_id);
-      oracle[next_id] = box;
-      ++next_id;
-    } else {
-      // Remove a random live entry.
-      auto it = oracle.begin();
-      std::advance(it, rng.UniformInt(0, static_cast<int64_t>(
-                                             oracle.size()) - 1));
-      ASSERT_TRUE(tree.Remove(it->second, it->first));
-      oracle.erase(it);
-    }
-    if (op % 250 == 0) {
-      ASSERT_EQ(tree.size(), oracle.size());
-      Point min{rng.Uniform(0, 500), rng.Uniform(0, 500)};
-      BoundingBox query(min, min + Point{50, 50});
-      std::vector<int> got = tree.Query(query);
-      std::sort(got.begin(), got.end());
-      std::vector<int> expected;
-      for (const auto& [id, box] : oracle) {
-        if (box.Intersects(query)) expected.push_back(id);
-      }
-      ASSERT_EQ(got, expected) << "op " << op;
-    }
-  }
-  // Final sweep: every live entry findable, every removed entry gone.
-  for (const auto& [id, box] : oracle) {
-    std::vector<int> hits = tree.Query(box);
-    EXPECT_NE(std::find(hits.begin(), hits.end(), id), hits.end());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RStarFuzz,
-                         ::testing::Values(1, 2, 3, 5, 8, 13));
 
 TEST(PipelineRobustness, AdversarialGpsStreams) {
   // Streams with duplicates, out-of-order stamps, teleports, and

@@ -1,5 +1,5 @@
 // Geometry substrate tests: points, boxes, segments (paper Eq. 1),
-// polygons, polylines, WGS-84 projection.
+// polygons, WGS-84 projection.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "geo/latlon.h"
 #include "geo/point.h"
 #include "geo/polygon.h"
-#include "geo/polyline.h"
 #include "geo/segment.h"
 
 namespace semitri::geo {
@@ -89,7 +88,6 @@ TEST(SegmentTest, ClosestPointAndParameter) {
   EXPECT_DOUBLE_EQ(s.ClosestParameter(Point{-100, 0}), 0.0);
   EXPECT_DOUBLE_EQ(s.ClosestParameter(Point{100, 0}), 1.0);
   EXPECT_EQ(s.ClosestPoint(Point{7, -2}), Point(7, 0));
-  EXPECT_EQ(s.Interpolate(0.3), Point(3, 0));
 }
 
 TEST(SegmentTest, DegenerateSegment) {
@@ -132,21 +130,6 @@ TEST(PolygonTest, FromBoxAndBounds) {
   EXPECT_EQ(back.min, box.min);
   EXPECT_EQ(back.max, box.max);
   EXPECT_TRUE(p.Contains(Point{3, 5}));
-}
-
-TEST(PolylineTest, LengthAndArcInterpolation) {
-  Polyline line({{0, 0}, {10, 0}, {10, 10}});
-  EXPECT_DOUBLE_EQ(line.Length(), 20.0);
-  EXPECT_EQ(line.AtArcLength(0.0), Point(0, 0));
-  EXPECT_EQ(line.AtArcLength(5.0), Point(5, 0));
-  EXPECT_EQ(line.AtArcLength(15.0), Point(10, 5));
-  EXPECT_EQ(line.AtArcLength(100.0), Point(10, 10));
-}
-
-TEST(PolylineTest, DistanceToNearestSegment) {
-  Polyline line({{0, 0}, {10, 0}, {10, 10}});
-  EXPECT_DOUBLE_EQ(line.DistanceTo(Point{5, 2}), 2.0);
-  EXPECT_DOUBLE_EQ(line.DistanceTo(Point{12, 5}), 2.0);
 }
 
 TEST(LatLonTest, HaversineKnownDistance) {

@@ -1,5 +1,4 @@
-// Cell-geometry tests for the uniform grid index. Brute-force query
-// parity for the grid-backed SpatialIndex lives in spatial_index_test.cc.
+// Cell-geometry tests for the uniform grid index.
 
 #include "index/grid_index.h"
 
@@ -47,8 +46,8 @@ TEST(GridIndexTest, InsertAndRetrieve) {
   grid.Insert(Point{15, 15}, 1);
   grid.Insert(Point{16, 14}, 2);
   grid.Insert(Point{85, 85}, 3);
-  auto [cx, cy] = grid.CellOf(Point{15, 15});
-  EXPECT_EQ(grid.Cell(cx, cy).size(), 2u);
+  // Ring 0 is the cell holding the point.
+  EXPECT_EQ(grid.Neighborhood(Point{15, 15}, 0).size(), 2u);
 }
 
 TEST(GridIndexTest, NeighborhoodCoversRing) {
@@ -68,13 +67,6 @@ TEST(GridIndexTest, NeighborhoodCoversRing) {
   EXPECT_EQ(grid.Neighborhood(Point{5, 5}, 1).size(), 4u);
   // Ring 0 is the cell itself.
   EXPECT_EQ(grid.Neighborhood(Point{55, 55}, 0).size(), 1u);
-}
-
-TEST(GridIndexTest, InsertAtCellRetrievable) {
-  GridIndex<int> grid(BoundingBox({0, 0}, {100, 100}), 10.0);
-  grid.InsertAtCell(3, 7, 42);
-  ASSERT_EQ(grid.Cell(3, 7).size(), 1u);
-  EXPECT_EQ(grid.Cell(3, 7)[0], 42);
 }
 
 }  // namespace

@@ -203,30 +203,6 @@ TEST(RegionAnnotatorTest, EpisodeAnnotationMoveUsesMajority) {
   EXPECT_EQ(out.episodes[0].FindAnnotation("landuse"), "1.3");
 }
 
-
-TEST(RegionSetTest, FindByPredicate) {
-  RegionSet regions = MakeCellGrid();
-  // Box spanning the middle two cells exactly.
-  geo::BoundingBox two_cells({100, 0}, {300, 100});
-  // Within: cells fully inside the box (the transport + second building
-  // cell).
-  auto within = regions.FindByPredicate(
-      geo::SpatialPredicate::kWithin, two_cells);
-  EXPECT_EQ(within, (std::vector<core::PlaceId>{1, 2}));
-  // Touches: the neighbors sharing only a boundary edge.
-  auto touching = regions.FindByPredicate(
-      geo::SpatialPredicate::kTouches, two_cells);
-  EXPECT_EQ(touching, (std::vector<core::PlaceId>{0, 3}));
-  // Disjoint (scan path): none — every cell touches or overlaps.
-  auto disjoint = regions.FindByPredicate(
-      geo::SpatialPredicate::kDisjoint, two_cells);
-  EXPECT_TRUE(disjoint.empty());
-  // Directional (scan path): cells east of the first cell's box.
-  auto east = regions.FindByPredicate(
-      geo::SpatialPredicate::kEastOf, geo::BoundingBox({0, 0}, {100, 100}));
-  EXPECT_EQ(east.size(), 3u);
-}
-
 TEST(GpsIngestTest, LatLonRoundTripThroughPipelineFrame) {
   std::vector<core::LatLonFix> fixes = {
       {{46.5200, 6.6300}, 0.0},

@@ -70,6 +70,32 @@ TEST(RoadNetworkTest, NearestSegmentMatchesLinear) {
   }
 }
 
+TEST(RoadNetworkTest, NearestSegmentOnNetworksSmallerThanTheFirstProbe) {
+  // The indexed search first asks for the 8 nearest boxes; straight
+  // chains shorter and longer than that must still find the segment the
+  // linear scan finds. Queries sit beside each segment's midpoint, past
+  // both ends and far off the chain, so the nearest segment is unique.
+  for (int n = 1; n <= 9; ++n) {
+    RoadNetwork net;
+    NodeId prev = net.AddNode({0, 0});
+    for (int i = 1; i <= n; ++i) {
+      NodeId next = net.AddNode({100.0 * i, 0});
+      net.AddSegment(prev, next, RoadType::kResidential);
+      prev = next;
+    }
+    std::vector<Point> queries = {{-50, 0}, {100.0 * n + 50, 0}, {50, 1000}};
+    for (int i = 0; i < n; ++i) {
+      queries.push_back({100.0 * i + 50, 5});
+      queries.push_back({100.0 * i + 50, -5});
+    }
+    for (const Point& q : queries) {
+      EXPECT_NE(net.NearestSegmentLinear(q), core::kInvalidPlaceId);
+      EXPECT_EQ(net.NearestSegment(q), net.NearestSegmentLinear(q))
+          << n << " segments, query (" << q.x << ", " << q.y << ")";
+    }
+  }
+}
+
 TEST(RoadNetworkTest, Connectivity) {
   RoadNetwork net = MakeCross();
   EXPECT_EQ(net.SegmentsAtNode(0).size(), 3u);  // center
