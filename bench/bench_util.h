@@ -59,6 +59,33 @@ class JsonWriter {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
+// The revision a run record was measured at: $SEMITRI_GIT_REV when set,
+// else the HEAD of the source checkout the bench was built from, with
+// "-dirty" when its tree differs from HEAD (untracked files included);
+// "unknown" only outside a git checkout.
+inline std::string GitRevision() {
+  if (const char* rev = std::getenv("SEMITRI_GIT_REV")) return rev;
+#ifdef SEMITRI_SOURCE_DIR
+  auto git = [](const char* args, std::string* out) {
+    std::string command = std::string("git -C \"") + SEMITRI_SOURCE_DIR +
+                          "\" " + args + " 2>/dev/null";
+    std::FILE* pipe = popen(command.c_str(), "r");
+    if (pipe == nullptr) return false;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out->append(buf);
+    return pclose(pipe) == 0;
+  };
+  std::string head;
+  std::string changes;
+  if (git("rev-parse --verify HEAD", &head) &&
+      git("status --porcelain", &changes)) {
+    head.erase(head.find_last_not_of(" \n\r\t") + 1);
+    if (!head.empty()) return changes.empty() ? head : head + "-dirty";
+  }
+#endif
+  return "unknown";
+}
+
 // --- machine-readable run records (BENCH_<name>.json) -----------------
 // Every bench finishes by calling BenchReporter::Write(), which lands a
 // flat-JSON run record at $SEMITRI_BENCH_DIR/BENCH_<name>.json (default:
@@ -77,12 +104,12 @@ class JsonWriter {
 // exactly zero (the steady-state-allocation contract).
 class BenchReporter {
  public:
-  explicit BenchReporter(std::string name)
-      : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
+  explicit BenchReporter(std::string name) : name_(std::move(name)) {
     json_.Add("schema_version", static_cast<size_t>(1));
     json_.Add("bench", name_);
-    const char* rev = std::getenv("SEMITRI_GIT_REV");
-    json_.Add("git_rev", std::string(rev != nullptr ? rev : "unknown"));
+    json_.Add("git_rev", GitRevision());
+    // wall_ns starts after the revision lookup's git calls.
+    start_ = std::chrono::steady_clock::now();
   }
 
   // Runs `fn` `iters` times, recording the section's total wall time

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "common/fault_injection.h"
 #include "core/annotation_scratch.h"
 
@@ -130,30 +131,11 @@ common::Status AnnotatePoints(const poi::PointAnnotator& annotator,
 
 }  // namespace
 
-SemiTriPipeline::SemiTriPipeline(const region::RegionSet* regions,
-                                 const road::RoadNetwork* roads,
-                                 const poi::PoiSet* pois,
-                                 PipelineConfig config,
+SemiTriPipeline::SemiTriPipeline(std::shared_ptr<const AnnotationModel> model,
                                  store::SemanticTrajectoryStore* store,
                                  analytics::LatencyProfiler* profiler)
-    : config_(std::move(config)),
-      preprocessor_(config_.preprocess),
-      identifier_(config_.identification),
-      segmenter_(config_.segmentation),
-      store_(store),
-      profiler_(profiler) {
-  if (regions != nullptr) {
-    region_annotator_ =
-        std::make_unique<region::RegionAnnotator>(regions, config_.region);
-  }
-  if (roads != nullptr) {
-    line_annotator_ =
-        std::make_unique<road::LineAnnotator>(roads, config_.line);
-  }
-  if (pois != nullptr && !pois->empty()) {
-    point_annotator_ =
-        std::make_unique<poi::PointAnnotator>(pois, config_.point);
-  }
+    : model_(std::move(model)), store_(store), profiler_(profiler) {
+  SEMITRI_CHECK(model_ != nullptr) << "a pipeline needs a model";
 }
 
 template <typename Body>
@@ -179,7 +161,7 @@ common::Status SemiTriPipeline::RunStage(const char* name, StageKind kind,
   // Only failures leave a report, so a clean run allocates nothing.
   if (status.ok()) return status;
   bool skip = kind == StageKind::kLayer &&
-              config_.annotation_failure.on_failure ==
+              config().annotation_failure.on_failure ==
                   FailurePolicy::OnFailure::kSkip;
   context.result.stage_reports[name] = StageReport{status, skip};
   // Degrade: drop this layer and let the rest of the run complete.
@@ -193,8 +175,9 @@ common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
   context.profiler = profiler_;
   SEMITRI_RETURN_IF_ERROR(
       RunStage(kStageComputeEpisode, StageKind::kStep, context, [&] {
-        context.result.cleaned = preprocessor_.Clean(raw);
-        context.result.episodes = segmenter_.Segment(context.result.cleaned);
+        context.result.cleaned = model_->preprocessor().Clean(raw);
+        context.result.episodes =
+            model_->segmenter().Segment(context.result.cleaned);
         return common::Status::OK();
       }));
   SEMITRI_RETURN_IF_ERROR(RunDownstreamStages(context));
@@ -203,22 +186,25 @@ common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
 
 common::Status SemiTriPipeline::RunDownstreamStages(
     AnnotationContext& context) const {
+  const region::RegionAnnotator* regions = model_->region_annotator();
+  const road::LineAnnotator* lines = model_->line_annotator();
+  const poi::PointAnnotator* points = model_->point_annotator();
   if (store_ != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
         RunStage(kStageStoreEpisode, StageKind::kStep, context, [&] {
           return StoreEpisodes(*store_, context);
         }));
   }
-  if (region_annotator_ != nullptr) {
+  if (regions != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
         RunStage(kStageLanduseJoin, StageKind::kLayer, context, [&] {
-          return AnnotateRegions(*region_annotator_, context);
+          return AnnotateRegions(*regions, context);
         }));
   }
-  if (line_annotator_ != nullptr) {
+  if (lines != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
         RunStage(kStageMapMatch, StageKind::kLayer, context, [&] {
-          return AnnotateLines(*line_annotator_, context);
+          return AnnotateLines(*lines, context);
         }));
     if (store_ != nullptr) {
       SEMITRI_RETURN_IF_ERROR(
@@ -227,10 +213,10 @@ common::Status SemiTriPipeline::RunDownstreamStages(
           }));
     }
   }
-  if (point_annotator_ != nullptr) {
+  if (points != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
         RunStage(kStagePointAnnotation, StageKind::kLayer, context, [&] {
-          return AnnotatePoints(*point_annotator_, context);
+          return AnnotatePoints(*points, context);
         }));
   }
   if (store_ != nullptr) {
@@ -248,7 +234,7 @@ common::Result<std::vector<PipelineResult>> SemiTriPipeline::ProcessStream(
     TrajectoryId first_id) const {
   std::vector<PipelineResult> out;
   std::vector<RawTrajectory> trajectories =
-      identifier_.Identify(object_id, stream, first_id);
+      model_->identifier().Identify(object_id, stream, first_id);
   out.reserve(trajectories.size());
   for (const RawTrajectory& t : trajectories) {
     common::Result<PipelineResult> result = ProcessTrajectory(t);
@@ -271,12 +257,16 @@ HealthSnapshot SemiTriPipeline::Health() const {
   // compute_episode, then what RunDownstreamStages runs, in its order.
   std::vector<const char*> stages = {kStageComputeEpisode};
   if (store_ != nullptr) stages.push_back(kStageStoreEpisode);
-  if (region_annotator_ != nullptr) stages.push_back(kStageLanduseJoin);
-  if (line_annotator_ != nullptr) {
+  if (model_->region_annotator() != nullptr) {
+    stages.push_back(kStageLanduseJoin);
+  }
+  if (model_->line_annotator() != nullptr) {
     stages.push_back(kStageMapMatch);
     if (store_ != nullptr) stages.push_back(kStageStoreMatch);
   }
-  if (point_annotator_ != nullptr) stages.push_back(kStagePointAnnotation);
+  if (model_->point_annotator() != nullptr) {
+    stages.push_back(kStagePointAnnotation);
+  }
   if (store_ != nullptr) stages.push_back(kStageStoreInterpretation);
 
   HealthSnapshot snapshot;

@@ -6,80 +6,49 @@
 // stop/move episodes), then the region, line and point annotation
 // layers, writing their products into the Semantic Trajectory Store,
 // with per-stage latency accounted under the Fig. 17 stage names. A
-// layer without its semantic source, and a store stage without a store,
-// is left out of the sequence, so partial pipelines stay partial.
+// pipeline is an immutable AnnotationModel (core/annotation_model.h),
+// which pipelines over one world and config may share, plus its own
+// sinks: the store and the latency profiler. A layer without its
+// semantic source, and a store stage without a store, is left out of
+// the sequence, so partial pipelines stay partial.
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "analytics/latency_profiler.h"
 #include "common/status.h"
 #include "core/annotation_context.h"
+#include "core/annotation_model.h"
 #include "core/health.h"
 #include "core/stages.h"
 #include "core/types.h"
-#include "poi/point_annotator.h"
-#include "region/region_annotator.h"
-#include "road/line_annotator.h"
 #include "store/semantic_trajectory_store.h"
-#include "traj/identification.h"
-#include "traj/preprocess.h"
-#include "traj/segmentation.h"
 
 namespace semitri::core {
 
-// What a run does when an annotation layer fails: fail fast (default —
-// the error aborts the run) or skip and record (the layer is dropped, a
-// StageReport lands on the result and the later stages still run —
-// graceful degradation, e.g. a broken POI repository still yields
-// region+line layers). A stage runs once per run; it is never retried.
-struct FailurePolicy {
-  enum class OnFailure {
-    kAbort,  // propagate the error; the run stops
-    kSkip,   // record a StageReport and continue with later stages
-  };
-
-  OnFailure on_failure = OnFailure::kAbort;
-
-  static FailurePolicy FailFast() { return {}; }
-  static FailurePolicy SkipAndRecord() {
-    FailurePolicy p;
-    p.on_failure = OnFailure::kSkip;
-    return p;
-  }
-};
-
-struct PipelineConfig {
-  traj::PreprocessConfig preprocess;
-  traj::IdentificationConfig identification;
-  traj::SegmentationConfig segmentation;
-  region::RegionAnnotatorConfig region;
-  road::LineAnnotatorConfig line;
-  poi::PointAnnotatorConfig point;
-  // Failure policy applied to the three annotation-layer stages
-  // (landuse_join, map_match, point_annotation). The default fails
-  // fast; FailurePolicy::SkipAndRecord() degrades gracefully instead —
-  // a failing semantic source (e.g. an unreachable POI repository)
-  // yields the remaining layers plus a StageReport rather than an
-  // aborted trajectory. Trajectory computation and store stages always
-  // fail fast: without episodes nothing downstream is meaningful, and a
-  // store failure means data loss the caller must see.
-  FailurePolicy annotation_failure;
-};
-
 class SemiTriPipeline {
  public:
-  // Any of `regions` / `roads` / `pois` may be null: the corresponding
-  // layer is skipped (the paper notes SeMiTri produces partial
-  // annotations when 3rd-party sources are missing). `store` and
-  // `profiler` are optional sinks (both internally synchronized, so a
-  // pipeline with sinks may be shared across threads); all pointers
-  // must outlive the pipeline.
+  // Runs `model`'s layers (non-null; pipelines may share one model).
+  // `store` and `profiler` are optional sinks (both internally
+  // synchronized, so a pipeline with sinks may be shared across
+  // threads); both must outlive the pipeline.
+  explicit SemiTriPipeline(std::shared_ptr<const AnnotationModel> model,
+                           store::SemanticTrajectoryStore* store = nullptr,
+                           analytics::LatencyProfiler* profiler = nullptr);
+
+  // A pipeline over a model of its own:
+  // AnnotationModel::Build(regions, roads, pois, config). Any of
+  // `regions` / `roads` / `pois` may be null (that layer is left out);
+  // the world must outlive the pipeline.
   SemiTriPipeline(const region::RegionSet* regions,
                   const road::RoadNetwork* roads, const poi::PoiSet* pois,
                   PipelineConfig config = {},
                   store::SemanticTrajectoryStore* store = nullptr,
-                  analytics::LatencyProfiler* profiler = nullptr);
+                  analytics::LatencyProfiler* profiler = nullptr)
+      : SemiTriPipeline(
+            AnnotationModel::Build(regions, roads, pois, std::move(config)),
+            store, profiler) {}
 
   // Full per-trajectory processing: every stage, from compute_episode
   // (clean -> episodes) through the annotation layers to the store.
@@ -123,9 +92,10 @@ class SemiTriPipeline {
   // here — the streaming SessionManager::Health merges them in.
   HealthSnapshot Health() const;
 
-  const PipelineConfig& config() const { return config_; }
-  const traj::TrajectoryIdentifier& identifier() const { return identifier_; }
-  const traj::StopMoveSegmenter& segmenter() const { return segmenter_; }
+  const PipelineConfig& config() const { return model_->config(); }
+  const std::shared_ptr<const AnnotationModel>& model() const {
+    return model_;
+  }
   // Optional sinks this pipeline writes to (null when not supplied).
   store::SemanticTrajectoryStore* store() const { return store_; }
   analytics::LatencyProfiler* profiler() const { return profiler_; }
@@ -134,7 +104,7 @@ class SemiTriPipeline {
   // How RunStage treats a stage's latency and failure.
   enum class StageKind {
     kStep,       // profiled; a failure fails the run
-    kLayer,      // profiled; a failure follows config_.annotation_failure
+    kLayer,      // profiled; a failure follows config().annotation_failure
     kWriteBack,  // unprofiled; a failure fails the run
   };
 
@@ -146,13 +116,7 @@ class SemiTriPipeline {
   common::Status RunStage(const char* name, StageKind kind,
                           AnnotationContext& context, Body body) const;
 
-  PipelineConfig config_;
-  traj::Preprocessor preprocessor_;
-  traj::TrajectoryIdentifier identifier_;
-  traj::StopMoveSegmenter segmenter_;
-  std::unique_ptr<region::RegionAnnotator> region_annotator_;
-  std::unique_ptr<road::LineAnnotator> line_annotator_;
-  std::unique_ptr<poi::PointAnnotator> point_annotator_;
+  std::shared_ptr<const AnnotationModel> model_;
   store::SemanticTrajectoryStore* store_;
   analytics::LatencyProfiler* profiler_;
 };

@@ -13,7 +13,7 @@
 //
 // The tree stores (BoundingBox, T) pairs. T is typically an integer id
 // into an external table. Supports box/point queries, k-nearest-neighbor
-// and radius queries.
+// and radius queries, and a bounded nearest-match walk.
 //
 // Queries are const and keep no scratch state, so a shared repository
 // (`RegionSet`, `RoadNetwork`, `PoiSet`) may serve many annotation
@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -197,37 +198,29 @@ class RStarTree {
   // k nearest entries to `p` by box distance (best-first search).
   std::vector<Entry> NearestNeighbors(const geo::Point& p, size_t k) const {
     std::vector<Entry> out;
-    if (size_ == 0 || k == 0) return out;
-    struct QueueItem {
-      double dist;
-      const Node* node;    // nullptr when this is a data entry
-      const Entry* entry;  // valid when node == nullptr
-      bool operator>(const QueueItem& o) const { return dist > o.dist; }
-    };
-    std::priority_queue<QueueItem, std::vector<QueueItem>,
-                        std::greater<QueueItem>>
-        frontier;
-    frontier.push({NodeBounds(*root_).DistanceTo(p), root_.get(), nullptr});
-    while (!frontier.empty() && out.size() < k) {
-      QueueItem item = frontier.top();
-      frontier.pop();
-      if (item.node == nullptr) {
-        out.push_back(*item.entry);
-        continue;
-      }
-      const Node& n = *item.node;
-      if (n.leaf) {
-        for (const Entry& e : n.entries) {
-          frontier.push({e.box.DistanceTo(p), nullptr, &e});
-        }
-      } else {
-        for (const auto& child : n.children) {
-          frontier.push({NodeBounds(*child).DistanceTo(p), child.get(),
-                         nullptr});
-        }
-      }
-    }
+    if (k == 0) return out;
+    BestFirst(p, std::numeric_limits<double>::infinity(),
+              [&](const Entry& e) {
+                out.push_back(e);
+                return out.size() >= k;
+              });
     return out;
+  }
+
+  // The first entry `accept` takes, in NearestNeighbors order, among
+  // those within `max_distance` of `p` (box distance); null when there
+  // is none. One best-first walk: `accept` is asked as entries are
+  // popped, so the order is exactly NearestNeighbors', ties included,
+  // and the walk stops once the frontier lies beyond `max_distance`.
+  template <typename Accept>
+  const Entry* NearestMatching(const geo::Point& p, double max_distance,
+                               Accept accept) const {
+    const Entry* hit = nullptr;
+    BestFirst(p, max_distance, [&](const Entry& e) {
+      if (accept(e)) hit = &e;
+      return hit != nullptr;
+    });
+    return hit;
   }
 
  private:
@@ -246,6 +239,46 @@ class RStarTree {
   // Reads the cached bounds.
   static const geo::BoundingBox& NodeBounds(const Node& n) {
     return n.bounds;
+  }
+
+  // Pops entries in order of box distance to `p` and hands each to
+  // `visit` until it returns true, the tree is exhausted, or the next
+  // item lies beyond `max_distance`. Node boxes contain their entries,
+  // so popped distances never decrease.
+  template <typename Visit>
+  void BestFirst(const geo::Point& p, double max_distance,
+                 Visit visit) const {
+    if (size_ == 0) return;
+    struct QueueItem {
+      double dist;
+      const Node* node;    // nullptr when this is a data entry
+      const Entry* entry;  // valid when node == nullptr
+      bool operator>(const QueueItem& o) const { return dist > o.dist; }
+    };
+    std::priority_queue<QueueItem, std::vector<QueueItem>,
+                        std::greater<QueueItem>>
+        frontier;
+    frontier.push({NodeBounds(*root_).DistanceTo(p), root_.get(), nullptr});
+    while (!frontier.empty()) {
+      QueueItem item = frontier.top();
+      frontier.pop();
+      if (item.dist > max_distance) return;
+      if (item.node == nullptr) {
+        if (visit(*item.entry)) return;
+        continue;
+      }
+      const Node& n = *item.node;
+      if (n.leaf) {
+        for (const Entry& e : n.entries) {
+          frontier.push({e.box.DistanceTo(p), nullptr, &e});
+        }
+      } else {
+        for (const auto& child : n.children) {
+          frontier.push({NodeBounds(*child).DistanceTo(p), child.get(),
+                         nullptr});
+        }
+      }
+    }
   }
 
   // Recomputes a single node's bounds from its direct content (children

@@ -1,7 +1,5 @@
 #include "poi/poi_set.h"
 
-#include <limits>
-
 namespace semitri::poi {
 
 const char* MilanCategoryName(MilanCategory category) {
@@ -61,18 +59,12 @@ core::PlaceId PoiSet::Nearest(const geo::Point& p) const {
   return nn.empty() ? core::kInvalidPlaceId : nn.front().value;
 }
 
-core::PlaceId PoiSet::NearestOfCategory(const geo::Point& p,
-                                        int category) const {
-  // Expanding-k search; POI boxes are points so box distance is exact.
-  size_t k = 8;
-  while (true) {
-    auto nn = index_.NearestNeighbors(p, std::min(k, pois_.size()));
-    for (const auto& entry : nn) {
-      if (Get(entry.value).category == category) return entry.value;
-    }
-    if (nn.size() >= pois_.size()) return core::kInvalidPlaceId;
-    k *= 2;
-  }
+core::PlaceId PoiSet::NearestOfCategory(const geo::Point& p, int category,
+                                        double max_distance) const {
+  const index::RStarTree<core::PlaceId>::Entry* hit = index_.NearestMatching(
+      p, max_distance,
+      [&](const auto& entry) { return Get(entry.value).category == category; });
+  return hit == nullptr ? core::kInvalidPlaceId : hit->value;
 }
 
 std::vector<core::PlaceId> PoiSet::WithinRadius(const geo::Point& p,

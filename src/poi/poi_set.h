@@ -6,6 +6,7 @@
 // The paper's Milan dataset has 5 top categories: services, feedings,
 // item sale, person life, unknown.
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -70,8 +71,12 @@ class PoiSet {
   // Nearest POI to p (kInvalidPlaceId when empty).
   core::PlaceId Nearest(const geo::Point& p) const;
 
-  // Nearest POI of a given category.
-  core::PlaceId NearestOfCategory(const geo::Point& p, int category) const;
+  // Nearest POI of a given category within `max_distance` of p
+  // (kInvalidPlaceId when there is none). Equal distances resolve in
+  // the index's nearest-neighbor order.
+  core::PlaceId NearestOfCategory(
+      const geo::Point& p, int category,
+      double max_distance = std::numeric_limits<double>::infinity()) const;
 
   // All POIs within `radius` of p.
   std::vector<core::PlaceId> WithinRadius(const geo::Point& p,

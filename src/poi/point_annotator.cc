@@ -121,8 +121,8 @@ common::Result<core::StructuredSemanticTrajectory> PointAnnotator::Annotate(
 
     ep.place = {core::PlaceKind::kPoint, core::kInvalidPlaceId};
     if (config_.place_link_radius_meters > 0.0) {
-      core::PlaceId nearest =
-          pois_->NearestOfCategory(episode.center, category);
+      core::PlaceId nearest = pois_->NearestOfCategory(
+          episode.center, category, config_.place_link_radius_meters);
       if (nearest != core::kInvalidPlaceId &&
           pois_->Get(nearest).position.DistanceTo(episode.center) <=
               config_.place_link_radius_meters) {

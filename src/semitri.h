@@ -25,6 +25,7 @@
 
 // Data model and pipeline.
 #include "core/annotation_context.h"
+#include "core/annotation_model.h"
 #include "core/health.h"
 #include "core/ingest.h"
 #include "core/pipeline.h"

@@ -47,7 +47,6 @@ ShardRuntimeConfig MakeShardConfig(const ShardClusterConfig& cluster,
         cluster.base_dir + "/standby-" + std::to_string(shard);
   }
   config.manager = cluster.manager;
-  config.pipeline = cluster.pipeline;
   config.sync_every_put = cluster.sync_every_put;
   config.env = cluster.env;
   config.scrub_files_per_cycle = cluster.scrub_files_per_cycle;
@@ -56,13 +55,10 @@ ShardRuntimeConfig MakeShardConfig(const ShardClusterConfig& cluster,
 
 }  // namespace
 
-ShardCluster::ShardCluster(const region::RegionSet* regions,
-                           const road::RoadNetwork* roads,
-                           const poi::PoiSet* pois, ShardClusterConfig config,
+ShardCluster::ShardCluster(std::shared_ptr<const core::AnnotationModel> model,
+                           ShardClusterConfig config,
                            const common::Clock* clock)
-    : regions_(regions),
-      roads_(roads),
-      pois_(pois),
+    : model_(std::move(model)),
       clock_(clock),
       config_(std::move(config)),
       ring_(config_.ring) {
@@ -77,13 +73,16 @@ common::Result<std::unique_ptr<ShardCluster>> ShardCluster::Open(
     const common::Clock* clock) {
   SEMITRI_CHECK(config.num_shards > 0) << "a cluster needs at least one shard";
   SEMITRI_CHECK(!config.base_dir.empty()) << "a cluster needs a base_dir";
+  // The one model every shard, restart and failover of this cluster
+  // runs: failovers pay recovery, not an annotator build.
+  std::shared_ptr<const core::AnnotationModel> model =
+      core::AnnotationModel::Build(regions, roads, pois, config.pipeline);
   std::unique_ptr<ShardCluster> cluster(
-      new ShardCluster(regions, roads, pois, std::move(config), clock));
+      new ShardCluster(std::move(model), std::move(config), clock));
   std::lock_guard<std::mutex> lock(cluster->mutex_);
   for (size_t i = 0; i < cluster->config_.num_shards; ++i) {
     ShardRuntimeConfig shard_config = MakeShardConfig(cluster->config_, i);
-    auto runtime =
-        ShardRuntime::Open(regions, roads, pois, shard_config, clock);
+    auto runtime = ShardRuntime::Open(cluster->model_, shard_config, clock);
     SEMITRI_RETURN_IF_ERROR(runtime.status());
     cluster->shard_configs_.push_back(std::move(shard_config));
     cluster->runtimes_.emplace_back(std::move(runtime.value()));
@@ -271,8 +270,7 @@ common::Result<size_t> ShardCluster::AddShard() {
   std::lock_guard<std::mutex> lock(mutex_);
   ShardId id = shard_configs_.size();
   ShardRuntimeConfig shard_config = MakeShardConfig(config_, id);
-  auto runtime =
-      ShardRuntime::Open(regions_, roads_, pois_, shard_config, clock_);
+  auto runtime = ShardRuntime::Open(model_, shard_config, clock_);
   SEMITRI_RETURN_IF_ERROR(runtime.status());
   shard_configs_.push_back(std::move(shard_config));
   runtimes_.emplace_back(std::move(runtime.value()));
@@ -346,8 +344,7 @@ common::Status ShardCluster::RestartShard(ShardId shard) {
   if (runtimes_[shard] != nullptr) {
     return common::Status::FailedPrecondition("shard is not down");
   }
-  auto runtime = ShardRuntime::Open(regions_, roads_, pois_,
-                                    shard_configs_[shard], clock_);
+  auto runtime = ShardRuntime::Open(model_, shard_configs_[shard], clock_);
   SEMITRI_RETURN_IF_ERROR(runtime.status());
   runtimes_[shard] = std::move(runtime.value());
   ++shard_restarts_;
@@ -440,7 +437,7 @@ common::Status ShardCluster::FailoverLocked(ShardId shard) {
   // restores the shipped manager checkpoint: sessions resume
   // mid-stream at the replication point, rejecting re-fed fixes they
   // already consumed.
-  auto runtime = ShardRuntime::Open(regions_, roads_, pois_, promoted, clock_);
+  auto runtime = ShardRuntime::Open(model_, promoted, clock_);
   if (!runtime.ok()) {
     // Directories unchanged; the failover can be retried.
     ++failovers_aborted_;

@@ -57,9 +57,11 @@
 // sealed segments plus the shipped manager-checkpoint sidecar — is
 // promoted to the shard's new durable directory, a replacement runtime
 // opens on it (sessions resume mid-stream from the shipped checkpoint),
-// and the old primary directory is abandoned. Placements are untouched
-// (the same ShardId keeps serving), so routing heals the moment
-// promotion completes.
+// and the old primary directory is abandoned. The replacement runs the
+// cluster's one annotation model, so a failover costs the store's
+// Recover() and the manager restore, not an annotator build.
+// Placements are untouched (the same ShardId keeps serving), so
+// routing heals the moment promotion completes.
 // What promotion loses is bounded and ledgered in stats(): sealed-but-
 // unshipped segments and the active WAL tail, i.e. everything after
 // the last successful Checkpoint() ship. Drivers recover it exactly
@@ -111,6 +113,8 @@ struct ShardClusterConfig {
   // Applied to every shard's SessionManager (admission budgets are
   // per-shard).
   stream::SessionManagerConfig manager;
+  // Configures the one annotation model Open() builds and every shard
+  // shares.
   core::PipelineConfig pipeline;
   bool sync_every_put = false;
   // Filesystem for every shard's durable paths (null = the real one);
@@ -135,9 +139,12 @@ struct ShardClusterConfig {
 
 class ShardCluster {
  public:
-  // Opens num_shards runtimes (recovering any pre-existing durable
-  // state under base_dir). Pointers must outlive the cluster; `clock`
-  // drives every shard's idle/eviction time (null = real clock).
+  // Builds one core::AnnotationModel from the world and
+  // config.pipeline, then opens num_shards runtimes over it (recovering
+  // any pre-existing durable state under base_dir). AddShard,
+  // RestartShard and failover open their runtimes over the same model.
+  // Pointers must outlive the cluster; `clock` drives every shard's
+  // idle/eviction time (null = real clock).
   [[nodiscard]] static common::Result<std::unique_ptr<ShardCluster>> Open(
       const region::RegionSet* regions, const road::RoadNetwork* roads,
       const poi::PoiSet* pois, ShardClusterConfig config,
@@ -291,8 +298,7 @@ class ShardCluster {
       SEMITRI_EXCLUDES(mutex_);
 
  private:
-  ShardCluster(const region::RegionSet* regions,
-               const road::RoadNetwork* roads, const poi::PoiSet* pois,
+  ShardCluster(std::shared_ptr<const core::AnnotationModel> model,
                ShardClusterConfig config, const common::Clock* clock);
 
   ShardId OwnerLocked(core::ObjectId object_id) const
@@ -314,9 +320,8 @@ class ShardCluster {
   void FillDetectorHealth(ShardId shard, core::ShardHealth* health) const
       SEMITRI_REQUIRES(mutex_);
 
-  const region::RegionSet* regions_;
-  const road::RoadNetwork* roads_;
-  const poi::PoiSet* pois_;
+  // Set in Open() and never replaced.
+  const std::shared_ptr<const core::AnnotationModel> model_;
   const common::Clock* clock_;
 
   mutable std::mutex mutex_;

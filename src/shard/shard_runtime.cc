@@ -8,17 +8,16 @@
 
 namespace semitri::shard {
 
-ShardRuntime::ShardRuntime(const region::RegionSet* regions,
-                           const road::RoadNetwork* roads,
-                           const poi::PoiSet* pois, ShardRuntimeConfig config,
+ShardRuntime::ShardRuntime(std::shared_ptr<const core::AnnotationModel> model,
+                           ShardRuntimeConfig config,
                            const common::Clock* clock)
     : config_(std::move(config)), env_(common::ResolveEnv(config_.env)) {
   store::StoreConfig store_config;
   store_config.sync_every_put = config_.sync_every_put;
   store_config.env = env_;
   store_ = std::make_unique<store::SemanticTrajectoryStore>(store_config);
-  pipeline_ = std::make_unique<core::SemiTriPipeline>(
-      regions, roads, pois, config_.pipeline, store_.get());
+  pipeline_ =
+      std::make_unique<core::SemiTriPipeline>(std::move(model), store_.get());
   config_.manager.env = env_;
   manager_ = std::make_unique<stream::SessionManager>(pipeline_.get(),
                                                       config_.manager, clock);
@@ -39,12 +38,11 @@ ShardRuntime::ShardRuntime(const region::RegionSet* regions,
 }
 
 common::Result<std::unique_ptr<ShardRuntime>> ShardRuntime::Open(
-    const region::RegionSet* regions, const road::RoadNetwork* roads,
-    const poi::PoiSet* pois, ShardRuntimeConfig config,
-    const common::Clock* clock) {
+    std::shared_ptr<const core::AnnotationModel> model,
+    ShardRuntimeConfig config, const common::Clock* clock) {
   SEMITRI_CHECK(!config.durable_dir.empty()) << "a shard needs a durable_dir";
   std::unique_ptr<ShardRuntime> runtime(
-      new ShardRuntime(regions, roads, pois, std::move(config), clock));
+      new ShardRuntime(std::move(model), std::move(config), clock));
   // Recover switches the store into durable mode on the shard's
   // directory — a fresh directory recovers to empty, a re-opened one
   // to the pre-crash tables.

@@ -3,12 +3,14 @@
 
 // One shard of the sharded serving runtime: a private durable store
 // (own WAL + checkpoint snapshot under ShardRuntimeConfig::
-// durable_dir), its own SemiTriPipeline over that store, its own
-// SessionManager (admission budgets included), and a WalShipper
-// replicating sealed WAL segments to a standby directory. The cluster
-// façade (shard/cluster.h) and the process supervisor (tools/shardd)
-// both compose these; a ShardRuntime itself never talks to another
-// shard.
+// durable_dir), a SemiTriPipeline writing to that store over a shared
+// core::AnnotationModel, its own SessionManager (admission budgets
+// included), and a WalShipper replicating sealed WAL segments to a
+// standby directory. The cluster façade (shard/cluster.h) and the
+// process supervisor (tools/shardd) both compose these; a ShardRuntime
+// itself never talks to another shard. The model is immutable and
+// built once by its owner — the cluster, or a shardd worker process —
+// so opening a shard never rebuilds the annotators.
 //
 // Lifecycle: Open() recovers the durable directory (snapshot + sealed
 // segments + active WAL) and restores the manager checkpoint when one
@@ -54,7 +56,6 @@ struct ShardRuntimeConfig {
   std::string standby_dir;
   // Per-shard session/admission configuration.
   stream::SessionManagerConfig manager;
-  core::PipelineConfig pipeline;
   // fsync the shard WAL on every Put (store::StoreConfig).
   bool sync_every_put = false;
   // Filesystem for every durable-path component (store, shipper,
@@ -69,14 +70,13 @@ struct ShardRuntimeConfig {
 class ShardRuntime {
  public:
   // Opens (or re-opens after a crash) the shard: recovers the durable
-  // store, builds the pipeline + manager over it, restores the manager
-  // checkpoint when present. `regions`/`roads`/`pois` may be null
-  // (partial annotation) and must outlive the runtime; `clock` drives
+  // store, puts a pipeline over `model` (non-null, shared with the
+  // other shards; its world must outlive the runtime) and a manager on
+  // it, restores the manager checkpoint when present. `clock` drives
   // idle/eviction time (null = real clock).
   [[nodiscard]] static common::Result<std::unique_ptr<ShardRuntime>> Open(
-      const region::RegionSet* regions, const road::RoadNetwork* roads,
-      const poi::PoiSet* pois, ShardRuntimeConfig config,
-      const common::Clock* clock = nullptr);
+      std::shared_ptr<const core::AnnotationModel> model,
+      ShardRuntimeConfig config, const common::Clock* clock = nullptr);
 
   // --- data plane -----------------------------------------------------
 
@@ -144,6 +144,7 @@ class ShardRuntime {
 
   ShardId shard_id() const { return config_.shard_id; }
   const ShardRuntimeConfig& config() const { return config_; }
+  const core::SemiTriPipeline& pipeline() const { return *pipeline_; }
   store::SemanticTrajectoryStore* store() { return store_.get(); }
   const store::SemanticTrajectoryStore* store() const { return store_.get(); }
   stream::SessionManager* manager() { return manager_.get(); }
@@ -164,8 +165,7 @@ class ShardRuntime {
   }
 
  private:
-  ShardRuntime(const region::RegionSet* regions,
-               const road::RoadNetwork* roads, const poi::PoiSet* pois,
+  ShardRuntime(std::shared_ptr<const core::AnnotationModel> model,
                ShardRuntimeConfig config, const common::Clock* clock);
 
   ShardRuntimeConfig config_;

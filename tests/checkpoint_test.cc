@@ -44,8 +44,19 @@ class CheckpointFixture : public ::testing::Test {
     return factory_->SimulatePersonDays(index, spec, days).points;
   }
 
+  // The model every default-config pipeline of a test shares, built on
+  // first use so that tests without a pipeline skip the build.
+  const std::shared_ptr<const core::AnnotationModel>& Model() {
+    if (model_ == nullptr) {
+      model_ = core::AnnotationModel::Build(&world_->regions, &world_->roads,
+                                            &world_->pois);
+    }
+    return model_;
+  }
+
   std::unique_ptr<datagen::World> world_;
   std::unique_ptr<datagen::DatasetFactory> factory_;
+  std::shared_ptr<const core::AnnotationModel> model_;
 };
 
 // Drains `stream` through `detector` collecting every closed
@@ -149,9 +160,7 @@ TEST_F(CheckpointFixture, SessionResumesToExactStoreState) {
   // Uninterrupted session -> reference store.
   store::SemanticTrajectoryStore reference_store;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &reference_store);
+    core::SemiTriPipeline pipeline(Model(), &reference_store);
     AnnotationSession session(&pipeline, 0);
     for (const core::GpsPoint& fix : stream) {
       ASSERT_TRUE(session.Feed(fix).ok());
@@ -166,9 +175,7 @@ TEST_F(CheckpointFixture, SessionResumesToExactStoreState) {
   std::string blob;
   size_t passes_at_cut = 0;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &store);
+    core::SemiTriPipeline pipeline(Model(), &store);
     AnnotationSession session(&pipeline, 0);
     for (size_t i = 0; i < cut; ++i) {
       ASSERT_TRUE(session.Feed(stream[i]).ok());
@@ -179,9 +186,7 @@ TEST_F(CheckpointFixture, SessionResumesToExactStoreState) {
     blob = w.Release();
   }  // first process "exits"
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &store);
+    core::SemiTriPipeline pipeline(Model(), &store);
     AnnotationSession session(&pipeline, 0);
     common::StateReader r(blob);
     ASSERT_TRUE(session.RestoreState(&r).ok());
@@ -196,8 +201,7 @@ TEST_F(CheckpointFixture, SessionResumesToExactStoreState) {
 }
 
 TEST_F(CheckpointFixture, SessionRestoreRejectsWrongObject) {
-  core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                 &world_->pois);
+  core::SemiTriPipeline pipeline(Model());
   AnnotationSession a(&pipeline, 5);
   common::StateWriter w;
   a.SaveState(&w);
@@ -232,9 +236,7 @@ TEST_F(CheckpointFixture, ManagerCheckpointRestoreResumes) {
 
   store::SemanticTrajectoryStore reference_store;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &reference_store);
+    core::SemiTriPipeline pipeline(Model(), &reference_store);
     SessionManager manager(&pipeline);
     feed_range(manager, 0, total);
     ASSERT_TRUE(manager.CloseAll().ok());
@@ -246,18 +248,14 @@ TEST_F(CheckpointFixture, ManagerCheckpointRestoreResumes) {
   store::SemanticTrajectoryStore store;
   SessionManager::Stats stats_at_cut;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &store);
+    core::SemiTriPipeline pipeline(Model(), &store);
     SessionManager manager(&pipeline);
     feed_range(manager, 0, cut);
     stats_at_cut = manager.stats();
     ASSERT_TRUE(manager.Checkpoint(ckpt).ok());
   }  // process "exits" with live sessions
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &store);
+    core::SemiTriPipeline pipeline(Model(), &store);
     SessionManager manager(&pipeline);
     ASSERT_TRUE(manager.Restore(ckpt).ok());
     EXPECT_EQ(manager.ActiveSessions(), stats_at_cut.active_sessions);
@@ -273,8 +271,7 @@ TEST_F(CheckpointFixture, ManagerCheckpointRestoreResumes) {
 }
 
 TEST_F(CheckpointFixture, ManagerRestoreRejectsCorruptFile) {
-  core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                 &world_->pois);
+  core::SemiTriPipeline pipeline(Model());
   std::string ckpt =
       (fs::temp_directory_path() / "semitri_manager_corrupt.bin").string();
   {
@@ -302,9 +299,7 @@ TEST_F(CheckpointFixture, ManagerRestoreRejectsCorruptFile) {
 
 TEST_F(CheckpointFixture, CleanEvictionHasNoDataLoss) {
   store::SemanticTrajectoryStore store;
-  core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                 &world_->pois, core::PipelineConfig{},
-                                 &store);
+  core::SemiTriPipeline pipeline(Model(), &store);
   SessionManager manager(&pipeline);
   std::vector<core::GpsPoint> s = PersonStream(0, 1);
   for (const core::GpsPoint& fix : s) {
@@ -328,9 +323,7 @@ TEST_F(CheckpointFixture, EvictionWithFailingFlushCountsDataLoss) {
   common::FaultInjector& fi = common::FaultInjector::Global();
   fi.Reset();
   store::SemanticTrajectoryStore store;
-  core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                 &world_->pois, core::PipelineConfig{},
-                                 &store);
+  core::SemiTriPipeline pipeline(Model(), &store);
   SessionManager manager(&pipeline);
   std::vector<core::GpsPoint> s = PersonStream(0, 1);
   for (const core::GpsPoint& fix : s) {
@@ -361,9 +354,7 @@ TEST_F(CheckpointFixture, EvictedObjectReconnectsWithoutOverwriting) {
 
   store::SemanticTrajectoryStore reference_store;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &reference_store);
+    core::SemiTriPipeline pipeline(Model(), &reference_store);
     SessionManager manager(&pipeline);
     for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(manager.Feed(0, s[i]).ok());
     ASSERT_TRUE(manager.Close(0).ok());
@@ -374,9 +365,7 @@ TEST_F(CheckpointFixture, EvictedObjectReconnectsWithoutOverwriting) {
   }
 
   store::SemanticTrajectoryStore store;
-  core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                 &world_->pois, core::PipelineConfig{},
-                                 &store);
+  core::SemiTriPipeline pipeline(Model(), &store);
   SessionManager manager(&pipeline);
   for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(manager.Feed(0, s[i]).ok());
   auto evicted = manager.EvictIdle(0.0);
@@ -412,9 +401,7 @@ TEST_F(CheckpointFixture, EvictedObjectResumesAcrossCheckpointRestore) {
 
   store::SemanticTrajectoryStore reference_store;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &reference_store);
+    core::SemiTriPipeline pipeline(Model(), &reference_store);
     SessionManager manager(&pipeline);
     for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(manager.Feed(0, s[i]).ok());
     ASSERT_TRUE(manager.Close(0).ok());
@@ -429,9 +416,7 @@ TEST_F(CheckpointFixture, EvictedObjectResumesAcrossCheckpointRestore) {
   fs::remove(ckpt);
   store::SemanticTrajectoryStore store;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &store);
+    core::SemiTriPipeline pipeline(Model(), &store);
     SessionManager manager(&pipeline);
     for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(manager.Feed(0, s[i]).ok());
     auto evicted = manager.EvictIdle(0.0);
@@ -440,9 +425,7 @@ TEST_F(CheckpointFixture, EvictedObjectResumesAcrossCheckpointRestore) {
     ASSERT_TRUE(manager.Checkpoint(ckpt).ok());
   }  // process "exits" with the object evicted
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &store);
+    core::SemiTriPipeline pipeline(Model(), &store);
     SessionManager manager(&pipeline);
     ASSERT_TRUE(manager.Restore(ckpt).ok());
     EXPECT_EQ(manager.ActiveSessions(), 0u);

@@ -323,9 +323,7 @@ class IncrementalSessionFixture : public ::testing::Test {
 
   std::unique_ptr<core::SemiTriPipeline> Pipeline(
       store::SemanticTrajectoryStore* store) {
-    return std::make_unique<core::SemiTriPipeline>(
-        &world_->regions, &world_->roads, &world_->pois,
-        core::PipelineConfig{}, store);
+    return std::make_unique<core::SemiTriPipeline>(Model(), store);
   }
 
   static store::StoreConfig Durable(const std::string& dir) {
@@ -354,8 +352,19 @@ class IncrementalSessionFixture : public ::testing::Test {
     return i;
   }
 
+  // The model every default-config pipeline of a test shares, built on
+  // first use so that tests without a pipeline skip the build.
+  const std::shared_ptr<const core::AnnotationModel>& Model() {
+    if (model_ == nullptr) {
+      model_ = core::AnnotationModel::Build(&world_->regions, &world_->roads,
+                                            &world_->pois);
+    }
+    return model_;
+  }
+
   std::unique_ptr<datagen::World> world_;
   std::vector<core::GpsPoint> fixes_;
+  std::shared_ptr<const core::AnnotationModel> model_;
 };
 
 TEST_F(IncrementalSessionFixture, LongShiftMatchesOfflineWithLinearWal) {

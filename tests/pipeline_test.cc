@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -145,6 +146,48 @@ TEST_F(PipelineFixture, AnnotateComputedMatchesFullRun) {
     EXPECT_EQ(*annotated->point_layer, *day.point_layer);
   }
   EXPECT_TRUE(computed_store.ContentEquals(full_store));
+}
+
+// Two pipelines sharing one model, each with its own store and on its
+// own thread, write exactly what a pipeline with a model of its own
+// writes.
+TEST_F(PipelineFixture, PipelinesSharingAModelMatchAnOwnModelPipeline) {
+  datagen::PersonSpec spec = factory_->MakePersonSpec(4);
+  datagen::SimulatedTrack track = factory_->SimulatePersonDays(4, spec, 3);
+
+  store::SemanticTrajectoryStore own_store;
+  SemiTriPipeline own(&world_->regions, &world_->roads, &world_->pois,
+                      PipelineConfig{}, &own_store);
+  auto own_results = own.ProcessStream(4, track.points);
+  ASSERT_TRUE(own_results.ok());
+  ASSERT_EQ(own_results->size(), 3u);
+  size_t stops = 0;
+  for (const PipelineResult& day : *own_results) {
+    ASSERT_TRUE(day.region_layer.has_value());
+    ASSERT_TRUE(day.line_layer.has_value());
+    ASSERT_TRUE(day.point_layer.has_value());
+    stops += day.point_layer->episodes.size();
+  }
+  EXPECT_GT(stops, 0u);
+
+  std::shared_ptr<const AnnotationModel> model = AnnotationModel::Build(
+      &world_->regions, &world_->roads, &world_->pois);
+  store::SemanticTrajectoryStore stores[2];
+  SemiTriPipeline first(model, &stores[0]);
+  SemiTriPipeline second(model, &stores[1]);
+  EXPECT_EQ(first.model(), model);
+  EXPECT_EQ(second.model(), model);
+  EXPECT_EQ(model.use_count(), 3);
+  common::Status statuses[2];
+  std::thread worker([&] {
+    statuses[1] = second.ProcessStream(4, track.points).status();
+  });
+  statuses[0] = first.ProcessStream(4, track.points).status();
+  worker.join();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+    EXPECT_TRUE(stores[i].ContentEquals(own_store)) << "pipeline " << i;
+  }
 }
 
 TEST_F(PipelineFixture, HealthListsStagesInRunOrder) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.h"
+#include "index/rstar_tree.h"
 #include "poi/observation_model.h"
 #include "poi/point_annotator.h"
 #include "poi/poi_set.h"
@@ -63,6 +67,87 @@ TEST(PoiSetTest, WithinRadius) {
   pois.Add({300, 0}, 2);
   EXPECT_EQ(pois.WithinRadius({0, 0}, 50.0).size(), 2u);
   EXPECT_EQ(pois.WithinRadius({0, 0}, 500.0).size(), 3u);
+}
+
+// NearestOfCategory as an expanding-k search: k-NN from scratch at
+// k = 8, 16, 32, ... over `index` until a POI of the category turns up.
+core::PlaceId ExpandingKNearestOfCategory(
+    const PoiSet& pois, const index::RStarTree<core::PlaceId>& index,
+    const Point& p, int category) {
+  for (size_t k = 8;; k *= 2) {
+    auto nn = index.NearestNeighbors(p, std::min(k, pois.size()));
+    for (const auto& entry : nn) {
+      if (pois.Get(entry.value).category == category) return entry.value;
+    }
+    if (nn.size() >= pois.size()) return core::kInvalidPlaceId;
+  }
+}
+
+TEST(PoiSetTest, BoundedNearestOfCategoryMatchesExpandingKSearch) {
+  PoiSet pois = PoiSet::MilanCategories();
+  // The same inserts in the same order build the same tree as the
+  // set's own index, so the expanding-k search sees its tie order.
+  index::RStarTree<core::PlaceId> mirror;
+  auto add = [&](Point position, int category) {
+    core::PlaceId id = pois.Add(position, category);
+    mirror.Insert(geo::BoundingBox::FromPoint(position), id);
+  };
+  common::Rng rng(23);
+  // Categories 0-2 on a coarse integer lattice, so positions repeat and
+  // distances tie; each position is also added twice more.
+  for (int i = 0; i < 300; ++i) {
+    Point position{static_cast<double>(rng.UniformInt(0, 40) * 25),
+                   static_cast<double>(rng.UniformInt(0, 40) * 25)};
+    int category = static_cast<int>(rng.UniformInt(0, 2));
+    add(position, category);
+    if (i % 10 == 0) {
+      add(position, category);
+      add(position, static_cast<int>(rng.UniformInt(0, 2)));
+    }
+  }
+  // Category 3 lies beyond every radius below from every query;
+  // category 4 ("unknown") stays empty.
+  add({6000, 6000}, 3);
+  add({6000, 6100}, 3);
+  ASSERT_EQ(pois.category_counts()[4], 0u);
+
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double radii[] = {150.0, 25.0, 0.0, kInf};
+  size_t beyond_radius = 0;
+  size_t tied = 0;
+  for (int q = 0; q < 400; ++q) {
+    // Half the queries on the lattice (exact hits and exact ties), half
+    // anywhere.
+    Point p = q % 2 == 0
+                  ? Point{static_cast<double>(rng.UniformInt(0, 40) * 25),
+                          static_cast<double>(rng.UniformInt(0, 40) * 25)}
+                  : Point{rng.Uniform(-100, 1100), rng.Uniform(-100, 1100)};
+    for (int category = 0; category < kNumMilanCategories; ++category) {
+      core::PlaceId expected =
+          ExpandingKNearestOfCategory(pois, mirror, p, category);
+      ASSERT_EQ(pois.NearestOfCategory(p, category), expected);
+      if (expected == core::kInvalidPlaceId) continue;
+      double best = pois.Get(expected).position.DistanceTo(p);
+      size_t at_best = 0;
+      for (const Poi& poi : pois.pois()) {
+        at_best +=
+            poi.category == category && poi.position.DistanceTo(p) == best;
+      }
+      if (at_best > 1) ++tied;
+      for (double radius : radii) {
+        // The place link: the expanding-k hit, kept only within the
+        // radius.
+        bool linked = best <= radius;
+        if (!linked) ++beyond_radius;
+        ASSERT_EQ(pois.NearestOfCategory(p, category, radius),
+                  linked ? expected : core::kInvalidPlaceId)
+            << "query (" << p.x << ", " << p.y << ") category " << category
+            << " radius " << radius;
+      }
+    }
+  }
+  EXPECT_GT(beyond_radius, 0u);
+  EXPECT_GT(tied, 0u);
 }
 
 TEST(ObservationModelTest, DensityPeaksAtPoiCluster) {

@@ -62,9 +62,7 @@ class RecoveryFixture : public ::testing::Test {
   // fires mid-workload), a Sync at the end. Returns the first error —
   // under crash injection, the simulated moment of death.
   common::Status RunOfflineWorkload(store::SemanticTrajectoryStore* store) {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   store);
+    core::SemiTriPipeline pipeline(Model(), store);
     bool checkpointed = false;
     for (const datagen::SimulatedTrack& track : dataset_.tracks) {
       auto results = pipeline.ProcessStream(
@@ -118,8 +116,19 @@ class RecoveryFixture : public ::testing::Test {
     ASSERT_TRUE(RunOfflineWorkload(reference).ok());
   }
 
+  // The model every default-config pipeline of a test shares, built on
+  // first use so that tests without a pipeline skip the build.
+  const std::shared_ptr<const core::AnnotationModel>& Model() {
+    if (model_ == nullptr) {
+      model_ = core::AnnotationModel::Build(&world_->regions, &world_->roads,
+                                            &world_->pois);
+    }
+    return model_;
+  }
+
   std::unique_ptr<datagen::World> world_;
   datagen::Dataset dataset_;
+  std::shared_ptr<const core::AnnotationModel> model_;
 };
 
 TEST_F(RecoveryFixture, DurableRunRecoversBitIdentical) {
@@ -312,9 +321,7 @@ TEST_F(RecoveryFixture, CrashAtEverySiteStreamingRecovers) {
   // Clean streaming reference (in-memory store, same feed order).
   store::SemanticTrajectoryStore reference;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &reference);
+    core::SemiTriPipeline pipeline(Model(), &reference);
     stream::SessionManager manager(&pipeline);
     ASSERT_TRUE(RunStreamingWorkload(&manager, &reference, "", 0,
                                      /*checkpoint_every=*/0, nullptr)
@@ -329,9 +336,7 @@ TEST_F(RecoveryFixture, CrashAtEverySiteStreamingRecovers) {
     store::StoreConfig config;
     config.durable_dir = dir;
     store::SemanticTrajectoryStore durable(config);
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &durable);
+    core::SemiTriPipeline pipeline(Model(), &durable);
     stream::SessionManager manager(&pipeline);
     size_t at = 0;
     ASSERT_TRUE(RunStreamingWorkload(&manager, &durable, ckpt, 0,
@@ -361,9 +366,7 @@ TEST_F(RecoveryFixture, CrashAtEverySiteStreamingRecovers) {
       store::StoreConfig config;
       config.durable_dir = dir;
       store::SemanticTrajectoryStore durable(config);
-      core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                     &world_->pois, core::PipelineConfig{},
-                                     &durable);
+      core::SemiTriPipeline pipeline(Model(), &durable);
       stream::SessionManager manager(&pipeline);
       common::Status died =
           RunStreamingWorkload(&manager, &durable, ckpt, 0,
@@ -377,9 +380,7 @@ TEST_F(RecoveryFixture, CrashAtEverySiteStreamingRecovers) {
     store::SemanticTrajectoryStore recovered;
     auto stats = recovered.Recover(dir);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &recovered);
+    core::SemiTriPipeline pipeline(Model(), &recovered);
     stream::SessionManager manager(&pipeline);
     if (checkpointed_at > 0) {
       ASSERT_TRUE(manager.Restore(ckpt).ok());
@@ -447,9 +448,7 @@ TEST_F(RecoveryFixture, MigrationKilledAtEverySiteLeavesOneOwner) {
   // Uninterrupted reference.
   store::SemanticTrajectoryStore reference;
   {
-    core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                   &world_->pois, core::PipelineConfig{},
-                                   &reference);
+    core::SemiTriPipeline pipeline(Model(), &reference);
     stream::SessionManager manager(&pipeline);
     for (const datagen::SimulatedTrack& track : dataset_.tracks) {
       for (const core::GpsPoint& fix : track.points) {

@@ -731,6 +731,48 @@ TEST_F(ShardClusterFixture, FailoverWithoutStandbyIsFailedPrecondition) {
   ASSERT_TRUE(cluster->CloseAll().ok());
 }
 
+// One annotation model per cluster: the initial shards, an added shard,
+// a restarted shard and a promoted standby all annotate through the
+// model Open() built, and it holds every layer.
+TEST_F(ShardClusterFixture, EveryShardRunsTheClusterModel) {
+  datagen::Dataset dataset = factory_->NokiaPeople(2, 1);
+  auto cluster = OpenCluster("semitri_shard_one_model", 2);
+  std::shared_ptr<const core::AnnotationModel> model =
+      cluster->runtime(0)->pipeline().model();
+  ASSERT_NE(model, nullptr);
+  EXPECT_NE(model->region_annotator(), nullptr);
+  EXPECT_NE(model->line_annotator(), nullptr);
+  EXPECT_NE(model->point_annotator(), nullptr);
+  // Holders: this test, the cluster, and the pipeline of each live
+  // shard.
+  auto expect_shared = [&](const std::string& step) {
+    long live = 0;
+    for (ShardId s = 0; s < cluster->num_shards(); ++s) {
+      std::shared_ptr<ShardRuntime> runtime = cluster->runtime(s);
+      if (runtime == nullptr) continue;
+      ++live;
+      EXPECT_EQ(runtime->pipeline().model(), model)
+          << step << ": shard " << s;
+    }
+    EXPECT_EQ(model.use_count(), 2 + live) << step;
+  };
+  expect_shared("open");
+
+  FeedRange(cluster.get(), dataset, 0, ShortestTrack(dataset) / 2);
+  AckAll(cluster.get());
+  ASSERT_TRUE(cluster->AddShard().ok());
+  expect_shared("add");
+  ASSERT_TRUE(cluster->KillShard(1).ok());
+  expect_shared("kill");
+  ASSERT_TRUE(cluster->RestartShard(1).ok());
+  expect_shared("restart");
+  ASSERT_TRUE(cluster->KillShard(0).ok());
+  ASSERT_TRUE(cluster->FailoverShard(0).ok());
+  EXPECT_EQ(cluster->stats().failovers_completed, 1u);
+  expect_shared("failover");
+  ASSERT_TRUE(cluster->CloseAll().ok());
+}
+
 // --- retrying data plane ---------------------------------------------
 
 // A single retrying Feed to a dead shard rides out the whole detect ->

@@ -114,8 +114,19 @@ class StreamFixture : public ::testing::Test {
     return factory_->SimulatePersonDays(index, spec, days).points;
   }
 
+  // The model every default-config pipeline of a test shares, built on
+  // first use so that tests without a pipeline skip the build.
+  const std::shared_ptr<const core::AnnotationModel>& Model() {
+    if (model_ == nullptr) {
+      model_ = core::AnnotationModel::Build(&world_->regions, &world_->roads,
+                                            &world_->pois);
+    }
+    return model_;
+  }
+
   std::unique_ptr<datagen::World> world_;
   std::unique_ptr<datagen::DatasetFactory> factory_;
+  std::shared_ptr<const core::AnnotationModel> model_;
 };
 
 TEST_F(StreamFixture, DetectorMatchesOfflineVelocityPolicy) {
@@ -268,16 +279,13 @@ TEST_F(StreamFixture, AnnotationSessionMatchesOfflinePipeline) {
   std::vector<core::GpsPoint> stream = PersonStream(0, 3);
 
   store::SemanticTrajectoryStore offline_store;
-  core::SemiTriPipeline offline(&world_->regions, &world_->roads,
-                                &world_->pois, core::PipelineConfig{},
-                                &offline_store);
+  core::SemiTriPipeline offline(Model(), &offline_store);
   auto offline_results = offline.ProcessStream(0, stream);
   ASSERT_TRUE(offline_results.ok());
   ASSERT_FALSE(offline_results->empty());
 
   store::SemanticTrajectoryStore live_store;
-  core::SemiTriPipeline live(&world_->regions, &world_->roads, &world_->pois,
-                             core::PipelineConfig{}, &live_store);
+  core::SemiTriPipeline live(Model(), &live_store);
   SessionConfig sc;
   sc.keep_results = true;
   AnnotationSession session(&live, 0, sc);
@@ -302,9 +310,7 @@ TEST_F(StreamFixture, SessionWithoutPerEpisodeAnnotationSameEndState) {
   std::vector<core::GpsPoint> stream = PersonStream(1, 2);
 
   store::SemanticTrajectoryStore eager_store;
-  core::SemiTriPipeline eager(&world_->regions, &world_->roads,
-                              &world_->pois, core::PipelineConfig{},
-                              &eager_store);
+  core::SemiTriPipeline eager(Model(), &eager_store);
   AnnotationSession eager_session(&eager, 1, SessionConfig{});
   for (const core::GpsPoint& fix : stream) {
     ASSERT_TRUE(eager_session.Feed(fix).ok());
@@ -312,8 +318,7 @@ TEST_F(StreamFixture, SessionWithoutPerEpisodeAnnotationSameEndState) {
   ASSERT_TRUE(eager_session.Flush().ok());
 
   store::SemanticTrajectoryStore lazy_store;
-  core::SemiTriPipeline lazy(&world_->regions, &world_->roads, &world_->pois,
-                             core::PipelineConfig{}, &lazy_store);
+  core::SemiTriPipeline lazy(Model(), &lazy_store);
   SessionConfig lazy_config;
   lazy_config.annotate_on_episode = false;
   AnnotationSession lazy_session(&lazy, 1, lazy_config);
@@ -334,9 +339,7 @@ TEST_F(StreamFixture, SessionManagerMatchesOfflinePerObjectRuns) {
   // Offline reference: one ProcessStream per object with the offline
   // id-block convention.
   store::SemanticTrajectoryStore offline_store;
-  core::SemiTriPipeline offline(&world_->regions, &world_->roads,
-                                &world_->pois, core::PipelineConfig{},
-                                &offline_store);
+  core::SemiTriPipeline offline(Model(), &offline_store);
   for (int i = 0; i < kObjects; ++i) {
     auto results = offline.ProcessStream(i, streams[i], i * 1000);
     ASSERT_TRUE(results.ok());
@@ -345,8 +348,7 @@ TEST_F(StreamFixture, SessionManagerMatchesOfflinePerObjectRuns) {
   // Streaming: interleave the objects' fixes round-robin through one
   // manager.
   store::SemanticTrajectoryStore live_store;
-  core::SemiTriPipeline live(&world_->regions, &world_->roads, &world_->pois,
-                             core::PipelineConfig{}, &live_store);
+  core::SemiTriPipeline live(Model(), &live_store);
   SessionManager manager(&live, SessionManagerConfig{});
   size_t longest = 0;
   for (const auto& s : streams) longest = std::max(longest, s.size());

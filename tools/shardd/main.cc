@@ -35,14 +35,16 @@
 //   shardd --mode=worker --shard I --base-dir DIR --feed FILE
 //          [--checkpoint-every M] [--resume] [--standby-epoch E]
 //
-//     One shard: opens shard::ShardRuntime on DIR/shard-I (standby at
-//     DIR/standby-I, or DIR/standby-I-eE after E failovers), feeds the
-//     CSV fix stream ("object,time,x,y"), checkpoints every M feeds
-//     and then atomically records its progress (DIR/shard-I.progress)
-//     — the ack point a supervisor may re-feed from. With --resume it
-//     recovers the durable directory and skips the acked prefix;
-//     re-fed fixes the restored sessions already consumed are rejected
-//     as stale per-fix, so at-least-once redelivery is idempotent.
+//     One shard: builds the world and its core::AnnotationModel once
+//     per process, opens shard::ShardRuntime over that model on
+//     DIR/shard-I (standby at DIR/standby-I, or DIR/standby-I-eE after
+//     E failovers), feeds the CSV fix stream ("object,time,x,y"),
+//     checkpoints every M feeds and then atomically records its
+//     progress (DIR/shard-I.progress) — the ack point a supervisor may
+//     re-feed from. With --resume it recovers the durable directory and
+//     skips the acked prefix; re-fed fixes the restored sessions
+//     already consumed are rejected as stale per-fix, so at-least-once
+//     redelivery is idempotent.
 //
 // The workload, world seed, and ring seed are compiled in: every
 // process derives the identical placement without coordination.
@@ -79,7 +81,8 @@ namespace {
 namespace fs = std::filesystem;
 
 // Every process (supervisor and workers) rebuilds this exact world, so
-// the pipelines annotate against identical regions/roads/POIs.
+// every worker's annotation model and the supervisor's reference
+// pipeline annotate against identical regions/roads/POIs.
 constexpr uint64_t kWorldSeed = 211;
 constexpr uint64_t kDatasetSeed = 212;
 constexpr double kWorldExtentMeters = 3000.0;
@@ -183,8 +186,9 @@ int RunWorker(const Options& options) {
   if (options.standby_epoch > 0) {
     config.standby_dir += "-e" + std::to_string(options.standby_epoch);
   }
-  auto runtime = shard::ShardRuntime::Open(&world.regions, &world.roads,
-                                           &world.pois, config);
+  auto runtime = shard::ShardRuntime::Open(
+      core::AnnotationModel::Build(&world.regions, &world.roads, &world.pois),
+      config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "shardd worker %zu: open failed: %s\n",
                  options.shard, runtime.status().ToString().c_str());
