@@ -22,23 +22,16 @@
 // A second, chaos pass then replays the identical stream against a
 // self-healing cluster (auto_failover + retry_feeds) while a seeded
 // shard::ChaosSchedule storms it with kills, extra migrations,
-// seal+ship waves and (fault-injection builds) injected wal_ship
-// failures. Kills heal without driver intervention — detection,
-// standby promotion, retrying feeds — and the pass has its own
-// convergence gate plus time-to-detect / time-to-failover percentiles.
-//
-// Scale knobs (CI's chaos-soak-smoke leg sets these):
-//   SEMITRI_SOAK_OBJECTS      cars in the corpus
-//   SEMITRI_SOAK_DAYS         days of stream per car
-//   SEMITRI_SOAK_CHAOS_SEED   chaos schedule seed
-//   SEMITRI_SOAK_CHAOS_KILLS  shard kills in the storm
+// seal+ship waves and an injected wal_ship failure. Kills heal with no
+// help from the bench loop — detection, standby promotion, retrying
+// feeds — and the pass has its own convergence gate plus
+// time-to-detect / time-to-failover percentiles.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -66,12 +59,6 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return static_cast<size_t>(std::strtoull(value, nullptr, 10));
-}
-
 double Percentile(std::vector<double>* samples, double p) {
   if (samples->empty()) return 0.0;
   size_t idx = static_cast<size_t>(
@@ -97,6 +84,8 @@ bool CorruptMiddleByte(const std::string& path) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
+  // Constructed first, so the record's wall_ns spans every pass.
+  benchutil::BenchReporter reporter("shard_soak");
   benchutil::PrintHeader(
       "Shard soak: churn, migration, rebalance, kill/restart",
       "sharded serving runtime (DESIGN.md: shard deployment model)");
@@ -105,10 +94,8 @@ int main(int argc, char** argv) {
                                              smoke ? 3000.0 : 6000.0,
                                              smoke ? 500 : 2000);
   datagen::DatasetFactory factory(&world, /*seed=*/802);
-  const int kObjects = static_cast<int>(
-      EnvSize("SEMITRI_SOAK_OBJECTS", smoke ? 12 : 32));
-  const int kDays =
-      static_cast<int>(EnvSize("SEMITRI_SOAK_DAYS", smoke ? 1 : 2));
+  const int kObjects = smoke ? 12 : 32;
+  const int kDays = smoke ? 1 : 2;
   datagen::Dataset dataset = factory.MilanPrivateCars(kObjects, kDays);
   const size_t total_points = dataset.TotalRecords();
   size_t longest = 0;
@@ -397,15 +384,14 @@ int main(int argc, char** argv) {
   // exactly there and the convergence gate stays exact: zero lost
   // acknowledged fixes, not "zero beyond lag".
   shard::ChaosScheduleConfig chaos_config;
-  chaos_config.seed = EnvSize("SEMITRI_SOAK_CHAOS_SEED", 1234);
+  chaos_config.seed = 1234;
   chaos_config.num_steps = longest;
   chaos_config.num_shards = cluster_config.num_shards;
   chaos_config.num_objects = dataset.tracks.size();
-  chaos_config.kills =
-      EnvSize("SEMITRI_SOAK_CHAOS_KILLS", smoke ? 2 : 3);
+  chaos_config.kills = smoke ? 2 : 3;
   chaos_config.migrations = smoke ? 2 : 4;
   chaos_config.seal_ships = 2;
-  chaos_config.ship_faults = common::FaultInjector::enabled() ? 1 : 0;
+  chaos_config.ship_faults = 1;
   chaos_config.min_kill_spacing = std::max<size_t>(8, longest / 8);
   shard::ChaosSchedule storm = shard::ChaosSchedule::Generate(chaos_config);
 
@@ -595,10 +581,8 @@ int main(int argc, char** argv) {
             break;
           }
           case shard::ChaosKind::kShipFault: {
-            if (common::FaultInjector::enabled()) {
-              common::FaultInjector::Global().Arm(
-                  "wal_ship", common::FaultPolicy::FailOnce());
-            }
+            common::FaultInjector::Global().Arm(
+                "wal_ship", common::FaultPolicy::FailOnce());
             break;
           }
         }
@@ -732,7 +716,6 @@ int main(int argc, char** argv) {
                               : "DIVERGED (lost acknowledged fixes)");
 
   // --- machine-readable record ------------------------------------------
-  benchutil::BenchReporter reporter("shard_soak");
   reporter.Metric("smoke", static_cast<size_t>(smoke ? 1 : 0));
   reporter.Metric("gps_records", total_points);
   reporter.Metric("num_shards", cluster_config.num_shards);

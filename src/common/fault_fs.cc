@@ -126,7 +126,6 @@ Status FaultFs::DeadStatus(const std::string& path) const {
 }
 
 FaultAction FaultFs::FireOp(const char* op, const std::string& path) {
-  (void)op;  // unused when fault injection is compiled out
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!path_filter_.empty() &&

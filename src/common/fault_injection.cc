@@ -2,25 +2,6 @@
 
 namespace semitri::common {
 
-namespace {
-
-// splitmix64 step — a tiny, seedable, allocation-free generator for the
-// per-site probabilistic stream (std::mt19937_64 would work too, but a
-// single u64 of state keeps Site trivially copyable).
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-double UnitUniform(uint64_t* state) {
-  // 53 random mantissa bits -> [0, 1).
-  return static_cast<double>(NextRandom(state) >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
 FaultInjector& FaultInjector::Global() {
   static FaultInjector* injector = new FaultInjector();
   return *injector;
@@ -33,7 +14,7 @@ void FaultInjector::Arm(std::string_view site, FaultPolicy policy) {
   s.policy = policy;
   s.armed_hits = 0;
   s.triggered = false;
-  s.rng_state = policy.seed;
+  engaged_.store(true);
 }
 
 void FaultInjector::Disarm(std::string_view site) {
@@ -49,6 +30,7 @@ void FaultInjector::Reset() {
   for (auto& [name, site] : sites_) {
     site = Site();
   }
+  engaged_.store(true);
 }
 
 FaultAction FaultInjector::Fire(std::string_view site) {
@@ -63,18 +45,9 @@ FaultAction FaultInjector::Fire(std::string_view site) {
   ++s.armed_hits;
 
   const FaultPolicy& policy = s.policy;
-  bool trigger = false;
-  if (policy.trigger_on_hit > 0) {
-    if (policy.repeat) {
-      trigger = s.armed_hits >= policy.trigger_on_hit;
-    } else {
-      trigger = !s.triggered && s.armed_hits == policy.trigger_on_hit;
-    }
-  }
-  if (!trigger && policy.probability > 0.0) {
-    trigger = UnitUniform(&s.rng_state) < policy.probability;
-    if (!policy.repeat && s.triggered) trigger = false;
-  }
+  const bool trigger =
+      policy.repeat ? s.armed_hits >= policy.trigger_on_hit
+                    : !s.triggered && s.armed_hits == policy.trigger_on_hit;
   if (!trigger) return FaultAction::kNone;
   s.triggered = true;
   return policy.action;

@@ -5,14 +5,21 @@
 // test harnesses.
 //
 // Production code marks fault *sites* — named points where an I/O or
-// stage failure can be simulated — with SEMITRI_FAULT_FIRE("site").
-// When the library is built with -DSEMITRI_FAULT_INJECTION=ON the macro
-// consults the process-global FaultInjector: tests Arm() a site with a
-// policy (fail once, fail on the n-th hit, probabilistic with a fixed
-// seed) and the site reacts to the returned action. When the option is
-// OFF (the default) the macro expands to the constant kNone, the
-// surrounding `if (action != kNone)` handling is dead code, and the
-// whole mechanism compiles to nothing — zero cost on every hot path.
+// stage failure can be simulated — with SEMITRI_FAULT_FIRE("site"). The
+// sites are compiled into every build. Tests Arm() a site with a policy
+// (fail once, fail on the n-th hit, fail always) and the site reacts to
+// the returned action.
+//
+// The engage contract: the macro consults the process-global
+// FaultInjector only once the process is *engaged*, i.e. after its
+// first Arm() or Reset(); nothing disengages it. Until then a site
+// costs one atomic load — no lock, no map lookup, no allocation — and
+// its argument is not even evaluated, so a computed name such as
+// `"stage:" + name` is built only under a harness. A harness therefore
+// calls Reset() in its SetUp (or Arm()s before the work it faults);
+// from then on every site crossing is counted, which is what
+// HitCount() and Sites() report. Fire() called directly bypasses the
+// gate and always counts.
 //
 // Two actions are distinguished:
 //   * kFail  — the site reports an injected error Status and the
@@ -24,12 +31,14 @@
 //     death. Recovery tests then re-open the on-disk state with
 //     SemanticTrajectoryStore::Recover.
 //
-// Sites self-register on first Fire, so a harness can run once with
-// injection enabled-but-unarmed to discover every registered site and
-// then iterate a crash over each (tests/recovery_test.cc).
+// Sites self-register on first Fire, so a harness can run once engaged
+// but unarmed to discover every registered site and then iterate a
+// crash over each (tests/recovery_test.cc).
 //
-// Thread-safe: all injector state is mutex-guarded.
+// Thread-safe: all injector state is mutex-guarded; the engaged flag is
+// atomic.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -38,10 +47,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-
-#ifndef SEMITRI_FAULT_INJECTION_ENABLED
-#define SEMITRI_FAULT_INJECTION_ENABLED 0
-#endif
 
 namespace semitri::common {
 
@@ -56,30 +61,19 @@ enum class FaultAction {
 // evaluated against the per-site hit count observed *after* arming.
 struct FaultPolicy {
   FaultAction action = FaultAction::kFail;
-  // Trigger on the n-th post-arm hit (1-based). 0 disables the counter
-  // trigger (probabilistic-only policies).
+  // Trigger on the n-th post-arm hit (1-based).
   uint64_t trigger_on_hit = 1;
   // Keep triggering on every hit at or past trigger_on_hit instead of
   // exactly once.
   bool repeat = false;
-  // Independent per-hit trigger probability in [0, 1], evaluated from a
-  // deterministic per-site stream seeded with `seed` — two runs with the
-  // same seed and hit sequence inject at the same hits.
-  double probability = 0.0;
-  uint64_t seed = 0;
 
-  static FaultPolicy FailOnce() { return {FaultAction::kFail, 1, false, 0.0, 0}; }
+  static FaultPolicy FailOnce() { return {FaultAction::kFail, 1, false}; }
   static FaultPolicy FailNth(uint64_t n) {
-    return {FaultAction::kFail, n, false, 0.0, 0};
+    return {FaultAction::kFail, n, false};
   }
-  static FaultPolicy FailAlways() {
-    return {FaultAction::kFail, 1, true, 0.0, 0};
-  }
+  static FaultPolicy FailAlways() { return {FaultAction::kFail, 1, true}; }
   static FaultPolicy CrashNth(uint64_t n) {
-    return {FaultAction::kCrash, n, false, 0.0, 0};
-  }
-  static FaultPolicy Probabilistic(double p, uint64_t seed) {
-    return {FaultAction::kFail, 0, true, p, seed};
+    return {FaultAction::kCrash, n, false};
   }
 };
 
@@ -88,22 +82,24 @@ class FaultInjector {
   // The process-global injector every SEMITRI_FAULT_FIRE site consults.
   static FaultInjector& Global();
 
-  // Whether fault sites were compiled in.
-  static constexpr bool enabled() { return SEMITRI_FAULT_INJECTION_ENABLED; }
+  // Whether a harness has engaged this process (see the engage contract
+  // above). SEMITRI_FAULT_FIRE checks this before anything else.
+  static bool engaged() { return engaged_.load(); }
 
   // Arms `site` with `policy`; replaces any previous policy and restarts
-  // the policy's post-arm hit count.
+  // the policy's post-arm hit count. Engages the process.
   void Arm(std::string_view site, FaultPolicy policy) SEMITRI_EXCLUDES(mutex_);
 
   // Removes the policy of one site (hit statistics survive).
   void Disarm(std::string_view site) SEMITRI_EXCLUDES(mutex_);
 
   // Disarms every site and clears all hit statistics. Registered site
-  // names are kept so discovery runs stay valid.
+  // names are kept so discovery runs stay valid. Engages the process.
   void Reset() SEMITRI_EXCLUDES(mutex_);
 
   // Registers `site` (on first call), counts the hit, and evaluates the
-  // armed policy, if any. This is what SEMITRI_FAULT_FIRE calls.
+  // armed policy, if any. This is what an engaged SEMITRI_FAULT_FIRE
+  // calls.
   FaultAction Fire(std::string_view site) SEMITRI_EXCLUDES(mutex_);
 
   // Total hits observed at `site` since the last Reset.
@@ -119,8 +115,10 @@ class FaultInjector {
     FaultPolicy policy;
     uint64_t armed_hits = 0;  // hits since the policy was armed
     bool triggered = false;   // one-shot policies only trigger once
-    uint64_t rng_state = 0;   // per-site deterministic stream
   };
+
+  // Set by the first Arm() or Reset(), never cleared.
+  static inline std::atomic<bool> engaged_{false};
 
   mutable std::mutex mutex_;
   std::map<std::string, Site, std::less<>> sites_ SEMITRI_GUARDED_BY(mutex_);
@@ -129,13 +127,11 @@ class FaultInjector {
 }  // namespace semitri::common
 
 // Marks a fault site. Yields a common::FaultAction; sites handle kFail /
-// kCrash and fall through on kNone. Compiles to the constant kNone (and
-// the handling below it to nothing) unless SEMITRI_FAULT_INJECTION=ON.
-#if SEMITRI_FAULT_INJECTION_ENABLED
-#define SEMITRI_FAULT_FIRE(site) \
-  ::semitri::common::FaultInjector::Global().Fire(site)
-#else
-#define SEMITRI_FAULT_FIRE(site) ::semitri::common::FaultAction::kNone
-#endif
+// kCrash and fall through on kNone. Until the process is engaged this
+// is one atomic load, and `site` is not evaluated.
+#define SEMITRI_FAULT_FIRE(site)                               \
+  (::semitri::common::FaultInjector::engaged()                 \
+       ? ::semitri::common::FaultInjector::Global().Fire(site) \
+       : ::semitri::common::FaultAction::kNone)
 
 #endif  // SEMITRI_COMMON_FAULT_INJECTION_H_

@@ -3,12 +3,12 @@
 
 // Seeded fault schedule for the shard soak: a deterministic list of
 // (step, event) pairs — shard kills healed by detection + auto
-// failover, live migrations, seal-and-ship waves, and (in fault
-// injection builds) injected WAL-ship failures — that the driver
-// replays while streaming fixes. The schedule is pure data: generation
-// draws from one common::Rng, so the same seed always produces the
-// same storm, and the soak's convergence proof (MergeStores vs the
-// uninterrupted run, ContentEquals) stays reproducible bit-for-bit.
+// failover, live migrations, seal-and-ship waves, and injected
+// WAL-ship failures — that the soak replays while streaming fixes.
+// The schedule is pure data: generation draws from one common::Rng, so
+// the same seed always produces the same storm, and the soak's
+// convergence proof (MergeStores vs the uninterrupted run,
+// ContentEquals) stays reproducible bit-for-bit.
 //
 // Kills are spaced at least min_kill_spacing steps apart and never
 // scheduled in the first or last tenth of the run: each incident needs
@@ -36,8 +36,8 @@ enum class ChaosKind {
   kMigrate,
   // Seal + ship every shard's WAL (drains replication lag).
   kSealShip,
-  // Arm a one-shot `wal_ship` failure (fault-injection builds only):
-  // the next ship attempt fails, leaving lag for a later retry.
+  // Arm a one-shot `wal_ship` failure: the next ship attempt fails,
+  // leaving lag for a later retry.
   kShipFault,
 };
 

@@ -20,10 +20,9 @@
 // a FakeClock test advances time to schedule the next probe and the
 // whole detect->failover window is deterministic.
 //
-// Fault site (SEMITRI_FAULT_INJECTION=ON): `detector_probe` — an
-// injected fault flips a successful probe to failed, which is how the
-// false-positive-failover tests drive a *live* shard through death
-// declaration without killing it.
+// Fault site `detector_probe` — an injected fault flips a successful
+// probe to failed, which is how the false-positive-failover tests drive
+// a *live* shard through death declaration without killing it.
 //
 // Not internally synchronized: the owning ShardCluster calls it under
 // the cluster lock.

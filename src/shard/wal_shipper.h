@@ -45,10 +45,9 @@
 // All file I/O goes through common::Env; pass a FaultFs to exercise
 // the cleanup paths with injected fsync/rename faults.
 //
-// Fault site (SEMITRI_FAULT_INJECTION=ON): `wal_ship` — kFail: the
-// ship reports an error and no segment is renamed into place (retry
-// later); kCrash: the shipper goes dead like a crashed process (the
-// sidecar ship shares the dead state).
+// Fault site `wal_ship` — kFail: the ship reports an error and no
+// segment is renamed into place (retry later); kCrash: the shipper goes
+// dead like a crashed process (the sidecar ship shares the dead state).
 //
 // Not internally synchronized; the owning ShardRuntime serializes
 // control-plane calls.

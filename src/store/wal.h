@@ -45,7 +45,7 @@
 // All file I/O goes through common::Env; pass a FaultFs to inject
 // ENOSPC/EIO/short-write/fsync faults (tests/env_fault_test.cc).
 //
-// Fault sites (active only with SEMITRI_FAULT_INJECTION=ON):
+// Fault sites (live once a harness engages the injector):
 //   wal_append — kFail: append reports an error and is not written;
 //                kCrash: half the frame is written, then the writer
 //                goes dead (simulated power cut; leaves a torn tail).

@@ -317,9 +317,6 @@ TEST_F(CheckpointFixture, CleanEvictionHasNoDataLoss) {
 }
 
 TEST_F(CheckpointFixture, EvictionWithFailingFlushCountsDataLoss) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
   fi.Reset();
   store::SemanticTrajectoryStore store;

@@ -11,12 +11,11 @@
 //  - always-on tests driving a hand-rolled FlakyEnv: WAL-writer
 //    poisoning, read-only degraded entry/exit, health surfacing;
 //  - always-on WalShipper hygiene tests (tmp-orphan sweep);
-//  - the fault-at-every-Env-site sweep, which needs the injector hooks
-//    compiled in and skips itself unless SEMITRI_FAULT_INJECTION=ON.
-//    Like tests/recovery_test.cc it discovers the "env:" sites
-//    dynamically (FaultFs registers them on first fire), so a new Env
-//    operation is covered automatically, and it closes the loop
-//    against the checked-in registry in common/fault_sites.h.
+//  - the fault-at-every-Env-site sweep. Like tests/recovery_test.cc it
+//    discovers the "env:" sites dynamically (FaultFs registers them on
+//    first fire), so a new Env operation is covered automatically, and
+//    it closes the loop against the checked-in registry in
+//    common/fault_sites.h.
 
 #include <algorithm>
 #include <filesystem>
@@ -422,7 +421,7 @@ TEST(ShipperHygieneTest, OrphanedTmpFilesAreSweptOnFirstShipOnly) {
 }
 
 // ---------------------------------------------------------------------
-// Fault-at-every-Env-site sweep (SEMITRI_FAULT_INJECTION=ON only).
+// Fault-at-every-Env-site sweep.
 // ---------------------------------------------------------------------
 
 class EnvFaultSweep : public ::testing::Test {
@@ -445,15 +444,12 @@ class EnvFaultSweep : public ::testing::Test {
 };
 
 TEST_F(EnvFaultSweep, EveryEnvSiteFaultRecoversOrDegradesLoudly) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
 
   store::SemanticTrajectoryStore reference;
   ASSERT_TRUE(RunStoreWorkload(&reference).ok());
 
-  // Discovery: the durable workload through an enabled-but-unarmed
+  // Discovery: the durable workload through an engaged but unarmed
   // FaultFs registers every env: site it crosses, with hit counts.
   {
     std::string dir = TempDir("semitri_env_discover");
@@ -558,9 +554,6 @@ TEST_F(EnvFaultSweep, EveryEnvSiteFaultRecoversOrDegradesLoudly) {
 }
 
 TEST_F(EnvFaultSweep, PersistentDiskFailureDegradesInsteadOfLying) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
   std::string dir = TempDir("semitri_env_fault_always");
   common::FaultFs ffs(nullptr);
@@ -591,9 +584,6 @@ TEST_F(EnvFaultSweep, PersistentDiskFailureDegradesInsteadOfLying) {
 }
 
 TEST_F(EnvFaultSweep, FailedShipCleansItsTmpAndRetries) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
   std::string source = TempDir("semitri_ship_tmp_src");
   std::string standby = TempDir("semitri_ship_tmp_standby");

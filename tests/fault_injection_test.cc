@@ -1,13 +1,16 @@
 // Tests for the deterministic fault injector: policy semantics
-// (fail-once / fail-nth / always / probabilistic), hit accounting, site
-// registration, and determinism across runs with the same seed.
+// (fail-once / fail-nth / always), hit accounting, site registration,
+// and the SEMITRI_FAULT_FIRE engage gate.
 //
-// These tests drive FaultInjector directly, so they run in every build;
-// only the macro expansion (SEMITRI_FAULT_FIRE) depends on the
-// SEMITRI_FAULT_INJECTION option.
+// The policy tests drive FaultInjector::Fire directly; the gate test
+// checks the macro in a fresh child process, whose injector no harness
+// has engaged yet.
 
 #include "common/fault_injection.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,28 +86,6 @@ TEST_F(FaultInjectionTest, RearmRestartsPolicyCount) {
   EXPECT_EQ(fi.Fire("s"), FaultAction::kFail);
 }
 
-TEST_F(FaultInjectionTest, ProbabilisticIsDeterministicPerSeed) {
-  FaultInjector& fi = FaultInjector::Global();
-  auto run = [&](uint64_t seed) {
-    fi.Reset();
-    fi.Arm("p", FaultPolicy::Probabilistic(0.3, seed));
-    std::vector<int> pattern;
-    for (int i = 0; i < 64; ++i) {
-      pattern.push_back(fi.Fire("p") == FaultAction::kFail ? 1 : 0);
-    }
-    return pattern;
-  };
-  std::vector<int> a = run(42);
-  std::vector<int> b = run(42);
-  std::vector<int> c = run(43);
-  EXPECT_EQ(a, b);       // same seed, same injection pattern
-  EXPECT_NE(a, c);       // different seed diverges (overwhelmingly likely)
-  int fired = 0;
-  for (int x : a) fired += x;
-  EXPECT_GT(fired, 0);   // p=0.3 over 64 hits: some fire...
-  EXPECT_LT(fired, 64);  // ...but not all
-}
-
 TEST_F(FaultInjectionTest, SitesRegisterOnFirstFire) {
   FaultInjector& fi = FaultInjector::Global();
   fi.Fire("b_site");
@@ -129,16 +110,43 @@ TEST_F(FaultInjectionTest, ResetClearsHitsAndPolicies) {
   EXPECT_TRUE(std::find(sites.begin(), sites.end(), "s") != sites.end());
 }
 
-TEST_F(FaultInjectionTest, MacroComplilesToNoopWhenDisabled) {
-#if SEMITRI_FAULT_INJECTION_ENABLED
-  GTEST_SKIP() << "fault injection compiled in; macro is live";
-#else
+// Fires one site before and one after Reset(). Exits 0 if the first
+// skipped the injector and the second reached it, else 1 with the
+// failed check on stderr.
+[[noreturn]] void FireIdleThenEngaged() {
+  int evaluations = 0;
+  auto site = [&evaluations] {
+    ++evaluations;
+    return std::string("idle_site");
+  };
+  auto require = [](bool ok, const char* what) {
+    if (ok) return;
+    std::fprintf(stderr, "%s\n", what);
+    std::exit(1);
+  };
   FaultInjector& fi = FaultInjector::Global();
-  fi.Arm("macro_site", FaultPolicy::FailAlways());
-  // The macro must not consult the injector at all when compiled out.
-  EXPECT_EQ(SEMITRI_FAULT_FIRE("macro_site"), FaultAction::kNone);
-  EXPECT_EQ(fi.HitCount("macro_site"), 0u);
-#endif
+  require(SEMITRI_FAULT_FIRE(site()) == FaultAction::kNone,
+          "idle site returned an action");
+  require(evaluations == 0, "idle site evaluated its argument");
+  require(fi.Sites().empty(), "idle site registered itself");
+  fi.Reset();
+  require(SEMITRI_FAULT_FIRE(site()) == FaultAction::kNone,
+          "unarmed site returned an action");
+  require(evaluations == 1, "engaged site did not evaluate once");
+  require(fi.HitCount("idle_site") == 1, "engaged site not counted");
+  require(fi.Sites() == std::vector<std::string>{"idle_site"},
+          "engaged site not registered");
+  std::exit(0);
+}
+
+// The idle fast path: until the first Arm() or Reset() the macro
+// returns kNone without evaluating its argument or registering the
+// site. The child re-executes this binary ("threadsafe" death-test
+// style), so its injector is unengaged whatever this process ran
+// before.
+TEST(FaultInjectionDeathTest, IdleMacroSkipsTheInjectorUntilEngaged) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(FireIdleThenEngaged(), ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

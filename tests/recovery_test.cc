@@ -9,10 +9,10 @@
 // self-register on first fire), so a new SEMITRI_FAULT_FIRE site added
 // anywhere in the write path is covered automatically.
 //
-// The non-injected tests (plain durable round-trips, torn-tail
-// truncation, degradation with a missing source) run in every build;
-// the kill-at-every-site harnesses need the hooks compiled in and skip
-// themselves unless SEMITRI_FAULT_INJECTION=ON.
+// Beside the kill-at-every-site harnesses run plain durable
+// round-trips, torn-tail truncation and degradation with a missing
+// source. The fixture's SetUp Reset()s the injector, which engages the
+// sites for the whole test (common/fault_injection.h).
 
 #include <filesystem>
 #include <fstream>
@@ -227,18 +227,15 @@ TEST_F(RecoveryFixture, MissingSourceDegradesWithoutInjection) {
 }
 
 // ---------------------------------------------------------------------
-// Fault-injected harnesses (SEMITRI_FAULT_INJECTION=ON builds only).
+// Fault-injected harnesses.
 // ---------------------------------------------------------------------
 
 TEST_F(RecoveryFixture, CrashAtEverySiteOfflineRecovers) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
   store::SemanticTrajectoryStore reference;
   MakeOfflineReference(&reference);
 
-  // Discovery: the same durable workload, enabled but unarmed, to
+  // Discovery: the same durable workload, engaged but unarmed, to
   // register every site it crosses and count hits per site.
   {
     std::string dir = TempDir("semitri_crash_discover");
@@ -312,9 +309,6 @@ TEST_F(RecoveryFixture, CrashAtEverySiteOfflineRecovers) {
 }
 
 TEST_F(RecoveryFixture, CrashAtEverySiteStreamingRecovers) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
   constexpr size_t kCheckpointEvery = 200;
 
@@ -397,9 +391,6 @@ TEST_F(RecoveryFixture, CrashAtEverySiteStreamingRecovers) {
 }
 
 TEST_F(RecoveryFixture, PoiFailureDegradesToRegionAndLine) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
   // An unreachable POI repository: the point_annotation stage fails on
   // every trajectory. With SkipAndRecord the run completes with
@@ -440,9 +431,6 @@ TEST_F(RecoveryFixture, PoiFailureDegradesToRegionAndLine) {
 // once the driver retries and finishes the streams, must converge
 // ContentEquals to an uninterrupted single-process run.
 TEST_F(RecoveryFixture, MigrationKilledAtEverySiteLeavesOneOwner) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
 
   // Uninterrupted reference.
@@ -519,9 +507,6 @@ TEST_F(RecoveryFixture, MigrationKilledAtEverySiteLeavesOneOwner) {
 // (shipping is replication, not the ack path), the lag is visible, and
 // a restarted shard ships the backlog so a standby rebuild converges.
 TEST_F(RecoveryFixture, WalShipKilledMidShipRecoversAfterRestart) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   common::FaultInjector& fi = common::FaultInjector::Global();
   fi.Reset();
   shard::ShardClusterConfig config;

@@ -327,9 +327,6 @@ TEST_F(ShardClusterFixture, MigratingUnknownObjectFlipsRoutingOnly) {
 // recoverable on exactly one shard, a later retry succeeds, and the
 // run still converges.
 TEST_F(ShardClusterFixture, MigrationFaultAtEverySiteAbortsCleanly) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   const std::vector<std::string> sites = {"migration_pack",
                                           "migration_handoff",
                                           "migration_unpack"};
@@ -944,9 +941,6 @@ TEST_F(ShardClusterFixture, CorruptStandbySegmentIsReshippedAfterReopen) {
 // A fault at failover_promote lands after the fence: the shard stays
 // down with both directories intact, and the retried failover heals it.
 TEST_F(ShardClusterFixture, FailoverPromoteFaultAbortsCleanlyAndRetries) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   datagen::Dataset dataset = factory_->NokiaPeople(2, 1);
   auto reference = ReferenceStore(dataset);
   auto cluster = OpenCluster("semitri_shard_failover_fault", 2);
@@ -983,9 +977,6 @@ TEST_F(ShardClusterFixture, FailoverPromoteFaultAbortsCleanlyAndRetries) {
 // per placement, exactly one live session owner, and convergence from
 // the ack afterwards.
 TEST_F(ShardClusterFixture, FalsePositiveDetectionFencesLiveRuntimes) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   datagen::Dataset dataset = factory_->NokiaPeople(2, 1);
   auto reference = ReferenceStore(dataset);
   common::FakeClock clock;
@@ -1037,9 +1028,6 @@ TEST_F(ShardClusterFixture, FalsePositiveDetectionFencesLiveRuntimes) {
 // fault rolls the session back to the source and the source then dies
 // and fails over, exactly one shard holds the recoverable session.
 TEST_F(ShardClusterFixture, FailoverAfterAbortedHandoffLeavesOneOwner) {
-  if (!common::FaultInjector::enabled()) {
-    GTEST_SKIP() << "built without SEMITRI_FAULT_INJECTION";
-  }
   datagen::Dataset dataset = factory_->NokiaPeople(2, 1);
   auto reference = ReferenceStore(dataset);
   auto cluster = OpenCluster("semitri_shard_handoff_failover", 2);
