@@ -15,13 +15,14 @@
 //   * exact WAL bytes per fix, live vs. offline, on the same corpus and
 //     over an episodes-per-trajectory sweep of taxi shifts (1 s
 //     sampling, longer shift = more episodes per trajectory). Live
-//     sessions log append records, so their WAL stays within a constant
-//     factor of offline's however many episodes a trajectory has; the
-//     gated offline_over_live_wal_bytes ratios fail the perf gate if
-//     per-episode rewriting of the prefix creeps back;
+//     sessions log only the rows past their watermarks, so their WAL
+//     stays within a constant factor of offline's however many
+//     episodes a trajectory has; the gated offline_over_live_wal_bytes
+//     ratios fail the perf gate if per-episode rewriting of the prefix
+//     creeps back;
 //   * the offline store's checkpoint: exact snapshot bytes per fix,
 //     Checkpoint() and Recover() wall time, and the recovered store's
-//     equality. A snapshot holds the same full-put records as the
+//     equality. A snapshot holds the same row-0 records as the
 //     offline WAL, so the gated offline_wal_over_checkpoint_bytes ratio
 //     reads 1 and fails the perf gate if a bulkier checkpoint format
 //     returns.

@@ -46,13 +46,6 @@ size_t PipelineResult::NumMoves() const {
   return n;
 }
 
-bool PipelineResult::degraded() const {
-  for (const auto& [name, report] : stage_reports) {
-    if (report.skipped) return true;
-  }
-  return false;
-}
-
 std::optional<StructuredSemanticTrajectory>& PipelineResult::layer(
     Layer which) {
   switch (which) {

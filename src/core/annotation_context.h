@@ -7,12 +7,9 @@
 // layer, the optional latency profiler, and a streaming session's
 // incremental-run cursors.
 
-#include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/types.h"
 #include "traj/point_batch.h"
 
@@ -27,18 +24,6 @@ struct AnnotationScratch;
 // The three annotation layers of Fig. 2.
 enum class Layer { kRegion, kLine, kPoint };
 
-// How one stage execution ended. Recorded on PipelineResult only for
-// the interesting cases — a stage that was skipped by its failure
-// policy or failed the run — so the happy path stays allocation-free.
-struct StageReport {
-  // The stage's error (also when the stage was skipped and the run
-  // continued).
-  common::Status status;
-  // True when the stage failed but its FailurePolicy let the run
-  // continue — the result is complete except for this stage's layer.
-  bool skipped = false;
-};
-
 // Everything the pipeline derives from one raw trajectory.
 struct PipelineResult {
   RawTrajectory cleaned;
@@ -47,17 +32,9 @@ struct PipelineResult {
   std::optional<StructuredSemanticTrajectory> region_layer;
   std::optional<StructuredSemanticTrajectory> line_layer;
   std::optional<StructuredSemanticTrajectory> point_layer;
-  // Per-stage failure accounting (see StageReport); empty on a clean
-  // run. Transient — not serialized into checkpoints.
-  std::map<std::string, StageReport> stage_reports;
 
   size_t NumStops() const;
   size_t NumMoves() const;
-
-  // True when any stage was skipped by its failure policy: the result
-  // is usable but partial (e.g. region+line layers without the point
-  // layer after a POI repository failure).
-  bool degraded() const;
 
   std::optional<StructuredSemanticTrajectory>& layer(Layer which);
   const std::optional<StructuredSemanticTrajectory>& layer(Layer which) const;
@@ -67,10 +44,10 @@ struct PipelineResult {
 // [0, n) of the cleaned trace, the episode table and each layer's
 // interpretation, equal to the same rows of the PipelineResult being
 // stored. A streaming session keeps one per open trajectory, so its
-// store stages log append records for the rows past the mark instead of
-// re-putting the whole prefix (see SemiTriPipeline::RunDownstreamStages).
-// Zero means nothing is stored yet: the next write of that table is a
-// full put.
+// store stages write only the rows past the mark instead of re-putting
+// the whole prefix (see SemiTriPipeline::RunDownstreamStages). Zero
+// means nothing is stored yet: the next write of that table starts at
+// row 0.
 struct StoreWatermark {
   size_t raw_points = 0;
   size_t episodes = 0;
@@ -94,12 +71,11 @@ struct AnnotationContext {
   AnnotationScratch* scratch = nullptr;
 
   // --- incremental runs (stream::AnnotationSession) -------------------
-  // Null: every store stage writes full puts (offline runs, whose WAL is
-  // byte-identical to a store without append records). Otherwise store
-  // stages write only the rows past the mark, as append records, and
-  // advance it; a stage that recomputes a layer (rather than appending
-  // to it) lowers that layer's mark to the rows the old and new layer
-  // share.
+  // Null: every store stage writes each entry whole, from row 0
+  // (offline runs). Otherwise store stages write only the rows past the
+  // mark and advance it; a stage that recomputes a layer (rather than
+  // appending to it) lowers that layer's mark to the rows the old and
+  // new layer share.
   StoreWatermark* store_watermark = nullptr;
   // Episodes [0, annotated_episodes) already carry their region and
   // line annotations in `result` — both layers are per-episode pure —

@@ -14,7 +14,7 @@ AnnotationModel::AnnotationModel(const region::RegionSet* regions,
       segmenter_(config_.segmentation) {
   if (regions != nullptr) {
     region_annotator_ =
-        std::make_unique<region::RegionAnnotator>(regions, config_.region);
+        std::make_unique<region::RegionAnnotator>(regions);
   }
   if (roads != nullptr) {
     line_annotator_ =

@@ -24,43 +24,12 @@
 
 namespace semitri::core {
 
-// What a run does when an annotation layer fails: fail fast (default —
-// the error aborts the run) or skip and record (the layer is dropped, a
-// StageReport lands on the result and the later stages still run —
-// graceful degradation, e.g. a broken POI repository still yields
-// region+line layers). A stage runs once per run; it is never retried.
-struct FailurePolicy {
-  enum class OnFailure {
-    kAbort,  // propagate the error; the run stops
-    kSkip,   // record a StageReport and continue with later stages
-  };
-
-  OnFailure on_failure = OnFailure::kAbort;
-
-  static FailurePolicy FailFast() { return {}; }
-  static FailurePolicy SkipAndRecord() {
-    FailurePolicy p;
-    p.on_failure = OnFailure::kSkip;
-    return p;
-  }
-};
-
 struct PipelineConfig {
   traj::PreprocessConfig preprocess;
   traj::IdentificationConfig identification;
   traj::SegmentationConfig segmentation;
-  region::RegionAnnotatorConfig region;
   road::LineAnnotatorConfig line;
   poi::PointAnnotatorConfig point;
-  // Failure policy applied to the three annotation-layer stages
-  // (landuse_join, map_match, point_annotation). The default fails
-  // fast; FailurePolicy::SkipAndRecord() degrades gracefully instead —
-  // a failing semantic source (e.g. an unreachable POI repository)
-  // yields the remaining layers plus a StageReport rather than an
-  // aborted trajectory. Trajectory computation and store stages always
-  // fail fast: without episodes nothing downstream is meaningful, and a
-  // store failure means data loss the caller must see.
-  FailurePolicy annotation_failure;
 };
 
 class AnnotationModel {

@@ -13,16 +13,12 @@ namespace semitri::core {
 
 namespace {
 
-// Writes one table of the trajectory: a full put when no watermark is
-// attached or the store holds none of its rows yet, otherwise an append
-// record for the rows from the mark on. Advances the mark on success.
-template <typename Put, typename Append>
-common::Status WriteRows(size_t* mark, size_t rows, Put put, Append append) {
-  if (mark == nullptr || *mark == 0) {
-    SEMITRI_RETURN_IF_ERROR(put());
-  } else {
-    SEMITRI_RETURN_IF_ERROR(append(std::min(*mark, rows)));
-  }
+// Writes one table of the trajectory: the rows from the watermark on
+// when one is attached (all of them while the store holds none yet),
+// every row otherwise. Advances the mark on success.
+template <typename Put>
+common::Status WriteRows(size_t* mark, size_t rows, Put put) {
+  SEMITRI_RETURN_IF_ERROR(put(mark != nullptr ? std::min(*mark, rows) : 0));
   if (mark != nullptr) *mark = rows;
   return common::Status::OK();
 }
@@ -35,8 +31,7 @@ common::Status WriteLayer(store::SemanticTrajectoryStore& store,
   StoreWatermark* mark = context.store_watermark;
   return WriteRows(
       mark != nullptr ? &mark->layer(which) : nullptr, layer->episodes.size(),
-      [&] { return store.PutInterpretation(*layer); },
-      [&](size_t start) { return store.AppendInterpretation(*layer, start); });
+      [&](size_t start) { return store.PutInterpretation(*layer, start); });
 }
 
 // A stage that recomputed its layer instead of appending to it keeps
@@ -67,13 +62,11 @@ common::Status StoreEpisodes(store::SemanticTrajectoryStore& store,
   const std::vector<Episode>& episodes = context.result.episodes;
   SEMITRI_RETURN_IF_ERROR(WriteRows(
       mark != nullptr ? &mark->raw_points : nullptr, cleaned.points.size(),
-      [&] { return store.PutRawTrajectory(cleaned); },
-      [&](size_t start) { return store.AppendRawPoints(cleaned, start); }));
+      [&](size_t start) { return store.PutRawTrajectory(cleaned, start); }));
   return WriteRows(
       mark != nullptr ? &mark->episodes : nullptr, episodes.size(),
-      [&] { return store.PutEpisodes(cleaned.id, episodes); },
       [&](size_t start) {
-        return store.AppendEpisodes(cleaned.id, episodes, start);
+        return store.PutEpisodes(cleaned.id, episodes, start);
       });
 }
 
@@ -145,28 +138,16 @@ common::Status SemiTriPipeline::RunStage(const char* name, StageKind kind,
   // Every stage run is a fault site named "stage:<name>", so the
   // crash-recovery harness can fail any step of the pipeline without
   // bespoke hooks in each annotator.
-  common::Status status;
   if (SEMITRI_FAULT_FIRE(std::string("stage:") + name) !=
       common::FaultAction::kNone) {
-    status = common::Status::IoError(
+    return common::Status::IoError(
         std::string("injected failure in stage '") + name + "'");
-  } else {
-    std::optional<analytics::LatencyProfiler::Scope> timer;
-    if (kind != StageKind::kWriteBack && context.profiler != nullptr) {
-      timer.emplace(context.profiler, name);
-    }
-    status = body();
   }
-
-  // Only failures leave a report, so a clean run allocates nothing.
-  if (status.ok()) return status;
-  bool skip = kind == StageKind::kLayer &&
-              config().annotation_failure.on_failure ==
-                  FailurePolicy::OnFailure::kSkip;
-  context.result.stage_reports[name] = StageReport{status, skip};
-  // Degrade: drop this layer and let the rest of the run complete.
-  if (skip) return common::Status::OK();
-  return status;
+  std::optional<analytics::LatencyProfiler::Scope> timer;
+  if (kind == StageKind::kProfiled && context.profiler != nullptr) {
+    timer.emplace(context.profiler, name);
+  }
+  return body();
 }
 
 common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
@@ -174,7 +155,7 @@ common::Result<PipelineResult> SemiTriPipeline::ProcessTrajectory(
   AnnotationContext context;
   context.profiler = profiler_;
   SEMITRI_RETURN_IF_ERROR(
-      RunStage(kStageComputeEpisode, StageKind::kStep, context, [&] {
+      RunStage(kStageComputeEpisode, StageKind::kProfiled, context, [&] {
         context.result.cleaned = model_->preprocessor().Clean(raw);
         context.result.episodes =
             model_->segmenter().Segment(context.result.cleaned);
@@ -191,31 +172,31 @@ common::Status SemiTriPipeline::RunDownstreamStages(
   const poi::PointAnnotator* points = model_->point_annotator();
   if (store_ != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
-        RunStage(kStageStoreEpisode, StageKind::kStep, context, [&] {
+        RunStage(kStageStoreEpisode, StageKind::kProfiled, context, [&] {
           return StoreEpisodes(*store_, context);
         }));
   }
   if (regions != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
-        RunStage(kStageLanduseJoin, StageKind::kLayer, context, [&] {
+        RunStage(kStageLanduseJoin, StageKind::kProfiled, context, [&] {
           return AnnotateRegions(*regions, context);
         }));
   }
   if (lines != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
-        RunStage(kStageMapMatch, StageKind::kLayer, context, [&] {
+        RunStage(kStageMapMatch, StageKind::kProfiled, context, [&] {
           return AnnotateLines(*lines, context);
         }));
     if (store_ != nullptr) {
       SEMITRI_RETURN_IF_ERROR(
-          RunStage(kStageStoreMatch, StageKind::kStep, context, [&] {
+          RunStage(kStageStoreMatch, StageKind::kProfiled, context, [&] {
             return WriteLayer(*store_, context, Layer::kLine);
           }));
     }
   }
   if (points != nullptr) {
     SEMITRI_RETURN_IF_ERROR(
-        RunStage(kStagePointAnnotation, StageKind::kLayer, context, [&] {
+        RunStage(kStagePointAnnotation, StageKind::kProfiled, context, [&] {
           return AnnotatePoints(*points, context);
         }));
   }

@@ -81,9 +81,9 @@ class SemiTriPipeline {
   // only episodes past annotated_episodes and append to the layer
   // already on the result; the point stage always recomputes its layer
   // (Viterbi over every stop) and lowers its watermark to the rows that
-  // did not change; the store stages log append records for the rows
-  // past each table's watermark instead of full puts. Without a
-  // watermark every store stage writes full puts, exactly as offline.
+  // did not change; the store stages write only the rows past each
+  // table's watermark. Without a watermark every store stage writes
+  // each entry whole, from row 0, exactly as offline.
   [[nodiscard]] common::Status RunDownstreamStages(
       AnnotationContext& context) const;
 
@@ -101,17 +101,15 @@ class SemiTriPipeline {
   analytics::LatencyProfiler* profiler() const { return profiler_; }
 
  private:
-  // How RunStage treats a stage's latency and failure.
+  // Whether RunStage times a stage into the profiler.
   enum class StageKind {
-    kStep,       // profiled; a failure fails the run
-    kLayer,      // profiled; a failure follows config().annotation_failure
-    kWriteBack,  // unprofiled; a failure fails the run
+    kProfiled,
+    kWriteBack,  // the unprofiled store_interpretation tail
   };
 
-  // Runs `body` as stage `name`: fires the "stage:<name>" fault site,
-  // times profiled stages into context.profiler, and on failure records
-  // a StageReport on context.result. Returns OK when a failing layer is
-  // skipped by its policy.
+  // Runs `body` as stage `name`: fires the "stage:<name>" fault site and
+  // times profiled stages into context.profiler. Any failure fails the
+  // run.
   template <typename Body>
   common::Status RunStage(const char* name, StageKind kind,
                           AnnotationContext& context, Body body) const;

@@ -4,8 +4,8 @@
 // Names of the SeMiTri pipeline's stages — one per box of paper Fig. 2,
 // named after the Fig. 17 latency stages where the paper profiles them.
 // SemiTriPipeline runs them in this order; each name is also the
-// latency-profiler series, the StageReport key and, prefixed with
-// "stage:", the stage's fault site.
+// latency-profiler series and, prefixed with "stage:", the stage's
+// fault site.
 //
 //   compute_episode       clean + stop/move segmentation
 //   store_episode         raw trace + episodes into the store

@@ -136,11 +136,18 @@ void PoiObservationModel::EmissionsAtInto(const geo::Point& center,
   std::copy(cell.begin(), cell.end(), out.begin());
 }
 
-void PoiObservationModel::EmissionsForInto(const geo::BoundingBox& box,
-                                           std::span<double> out) const {
+std::vector<double> PoiObservationModel::EmissionsAt(
+    const geo::Point& center) const {
+  std::vector<double> out(pois_->num_categories());
+  EmissionsAtInto(center, out);
+  return out;
+}
+
+std::vector<double> PoiObservationModel::EmissionsFor(
+    const geo::BoundingBox& box) const {
   auto [x0, y0] = grid_.CellOf(box.min);
   auto [x1, y1] = grid_.CellOf(box.max);
-  std::fill(out.begin(), out.end(), 0.0);
+  std::vector<double> out(pois_->num_categories(), 0.0);
   size_t count = 0;
   for (size_t cy = y0; cy <= y1; ++cy) {
     for (size_t cx = x0; cx <= x1; ++cx) {
@@ -152,35 +159,16 @@ void PoiObservationModel::EmissionsForInto(const geo::BoundingBox& box,
   if (count > 0) {
     for (double& v : out) v /= static_cast<double>(count);
   }
-}
-
-void PoiObservationModel::EmissionsExactInto(const geo::Point& center,
-                                             std::span<double> out) const {
-  std::fill(out.begin(), out.end(), 0.0);
-  AccumulateGaussianDensities(poi_x_.data(), poi_y_.data(),
-                              poi_two_sigma2_.data(), poi_norm_.data(),
-                              poi_cat_.data(), poi_x_.size(), center.x,
-                              center.y, out.data());
-}
-
-std::vector<double> PoiObservationModel::EmissionsAt(
-    const geo::Point& center) const {
-  std::vector<double> out(pois_->num_categories());
-  EmissionsAtInto(center, out);
-  return out;
-}
-
-std::vector<double> PoiObservationModel::EmissionsFor(
-    const geo::BoundingBox& box) const {
-  std::vector<double> out(pois_->num_categories());
-  EmissionsForInto(box, out);
   return out;
 }
 
 std::vector<double> PoiObservationModel::EmissionsExact(
     const geo::Point& center) const {
-  std::vector<double> out(pois_->num_categories());
-  EmissionsExactInto(center, out);
+  std::vector<double> out(pois_->num_categories(), 0.0);
+  AccumulateGaussianDensities(poi_x_.data(), poi_y_.data(),
+                              poi_two_sigma2_.data(), poi_norm_.data(),
+                              poi_cat_.data(), poi_x_.size(), center.x,
+                              center.y, out.data());
   return out;
 }
 

@@ -61,18 +61,14 @@ class PoiObservationModel {
   // (discretized: reads the precomputed cell), written into `out`
   // (size num_categories()). One entry per category.
   void EmissionsAtInto(const geo::Point& center, std::span<double> out) const;
+  // Allocating convenience for EmissionsAtInto.
+  std::vector<double> EmissionsAt(const geo::Point& center) const;
 
-  // Bounding-rectangle form: averages the cells the box covers.
-  void EmissionsForInto(const geo::BoundingBox& box,
-                        std::span<double> out) const;
+  // Bounding-rectangle form (Pr(boundRectangle|Ci)): averages the cells
+  // the box covers.
+  std::vector<double> EmissionsFor(const geo::BoundingBox& box) const;
 
   // Exact evaluation (no grid, no pruning) — ablation reference.
-  void EmissionsExactInto(const geo::Point& center,
-                          std::span<double> out) const;
-
-  // Allocating conveniences for the Into variants above.
-  std::vector<double> EmissionsAt(const geo::Point& center) const;
-  std::vector<double> EmissionsFor(const geo::BoundingBox& box) const;
   std::vector<double> EmissionsExact(const geo::Point& center) const;
 
   // Per-category density at a grid cell (testing / visualization).

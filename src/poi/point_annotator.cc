@@ -32,25 +32,12 @@ PointAnnotator::PointAnnotator(const PoiSet* pois,
   }
 }
 
-void PointAnnotator::EmissionsForEpisodeInto(const core::Episode& ep,
-                                             std::span<double> out) const {
-  if (!config_.use_discretization) {
-    observation_model_.EmissionsExactInto(ep.center, out);
-    return;
-  }
-  if (config_.use_bounding_rectangle) {
-    observation_model_.EmissionsForInto(ep.bounds, out);
-    return;
-  }
-  observation_model_.EmissionsAtInto(ep.center, out);
-}
-
 void PointAnnotator::BuildEmissions(const std::vector<core::Episode>& episodes,
                                     hmm::EmissionMatrix* out) const {
   out->Reset(pois_->num_categories());
   for (const core::Episode& ep : episodes) {
     if (ep.kind != core::EpisodeKind::kStop) continue;
-    EmissionsForEpisodeInto(ep, out->AppendRow());
+    observation_model_.EmissionsAtInto(ep.center, out->AppendRow());
   }
 }
 

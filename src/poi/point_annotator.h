@@ -37,11 +37,6 @@ struct PointAnnotatorConfig {
   // when empty.
   std::vector<std::vector<double>> transition;
   double default_self_transition = 0.8;
-  // Observation extent: stop center (paper's Pr(center|Ci)) or bounding
-  // rectangle (Pr(boundRectangle|Ci)).
-  bool use_bounding_rectangle = false;
-  // Ablation switch: evaluate emissions exactly instead of via the grid.
-  bool use_discretization = true;
   // Also link each stop to the nearest POI of the decoded category
   // within this radius (0 disables the place link).
   double place_link_radius_meters = 150.0;
@@ -96,8 +91,6 @@ class PointAnnotator {
   }
 
  private:
-  void EmissionsForEpisodeInto(const core::Episode& ep,
-                               std::span<double> out) const;
   // Fills `out` with one emission row per stop episode.
   void BuildEmissions(const std::vector<core::Episode>& episodes,
                       hmm::EmissionMatrix* out) const;

@@ -6,12 +6,10 @@ namespace semitri::region {
 
 namespace {
 
-// Merge key for Algorithm 1 tuple merging: category id or region id, with
-// -1 for uncovered points.
-int64_t MergeKeyOf(const RegionSet& regions, core::PlaceId id,
-                   RegionAnnotatorConfig::MergePolicy policy) {
+// Merge key for Algorithm 1 tuple merging: the category id, with -1 for
+// uncovered points.
+int64_t MergeKeyOf(const RegionSet& regions, core::PlaceId id) {
   if (id == core::kInvalidPlaceId) return -1;
-  if (policy == RegionAnnotatorConfig::MergePolicy::kByRegion) return id;
   return static_cast<int64_t>(regions.Get(id).category);
 }
 
@@ -20,10 +18,8 @@ int64_t MergeKeyOf(const RegionSet& regions, core::PlaceId id,
 core::PlaceId RegionAnnotator::BestRegionFor(const geo::Point& p) const {
   std::vector<core::PlaceId> hits = regions_->FindContaining(p);
   if (hits.empty()) return core::kInvalidPlaceId;
-  if (config_.prefer_named_regions) {
-    for (core::PlaceId id : hits) {
-      if (!regions_->Get(id).name.empty()) return id;
-    }
+  for (core::PlaceId id : hits) {
+    if (!regions_->Get(id).name.empty()) return id;
   }
   return hits.front();
 }
@@ -62,8 +58,7 @@ core::StructuredSemanticTrajectory RegionAnnotator::AnnotateTrajectory(
   // Group continuous points with the same merge key into tuples
   // (Algorithm 1 lines 6–11).
   size_t group_start = 0;
-  int64_t group_key =
-      MergeKeyOf(*regions_, point_regions[0], config_.merge_policy);
+  int64_t group_key = MergeKeyOf(*regions_, point_regions[0]);
   auto emit = [&](size_t begin, size_t end) {
     core::SemanticEpisode ep;
     ep.time_in = trajectory.points[begin].time;
@@ -72,8 +67,7 @@ core::StructuredSemanticTrajectory RegionAnnotator::AnnotateTrajectory(
     out.episodes.push_back(std::move(ep));
   };
   for (size_t i = 1; i < trajectory.points.size(); ++i) {
-    int64_t key =
-        MergeKeyOf(*regions_, point_regions[i], config_.merge_policy);
+    int64_t key = MergeKeyOf(*regions_, point_regions[i]);
     if (key != group_key) {
       emit(group_start, i);
       group_start = i;

@@ -17,33 +17,24 @@
 
 namespace semitri::region {
 
-struct RegionAnnotatorConfig {
-  // Algorithm 1 line 10 merges consecutive tuples when "current regtype =
-  // previous regtype". kByCategory reproduces that; kByRegion merges only
-  // identical regions (finer interpretation, less compression).
-  enum class MergePolicy { kByCategory, kByRegion };
-  MergePolicy merge_policy = MergePolicy::kByCategory;
-  // When a point lies in both a named free-form region (campus, park) and
-  // an underlying landuse cell, prefer the named region.
-  bool prefer_named_regions = true;
-};
-
 class RegionAnnotator {
  public:
   // `regions` must outlive the annotator.
-  explicit RegionAnnotator(const RegionSet* regions,
-                           RegionAnnotatorConfig config = {})
-      : regions_(regions), config_(config) {}
+  explicit RegionAnnotator(const RegionSet* regions) : regions_(regions) {}
 
-  // The most relevant region containing p (kInvalidPlaceId if none).
+  // The most relevant region containing p (kInvalidPlaceId if none): a
+  // named free-form region (campus, park) over the landuse cell under
+  // it.
   core::PlaceId BestRegionFor(const geo::Point& p) const;
 
   // Region of every GPS point (kInvalidPlaceId where uncovered).
   std::vector<core::PlaceId> ClassifyPoints(
       const core::RawTrajectory& trajectory) const;
 
-  // Algorithm 1: per-point spatial join + tuple merging. The resulting
-  // interpretation is named "region".
+  // Algorithm 1: per-point spatial join + tuple merging. Consecutive
+  // tuples merge when "current regtype = previous regtype" (line 10),
+  // i.e. by landuse category. The resulting interpretation is named
+  // "region".
   core::StructuredSemanticTrajectory AnnotateTrajectory(
       const core::RawTrajectory& trajectory) const;
 
@@ -69,7 +60,6 @@ class RegionAnnotator {
                                core::SemanticEpisode* episode) const;
 
   const RegionSet* regions_;
-  RegionAnnotatorConfig config_;
 };
 
 }  // namespace semitri::region

@@ -43,25 +43,49 @@ bool ParseSequence(std::string_view name, std::string_view prefix,
   return true;
 }
 
-// Full-put payloads, shared by the WAL records Put* log and the
-// snapshot Checkpoint() writes.
-std::string PutPayload(const core::RawTrajectory& trajectory) {
+// Row-range payloads, shared by the WAL records Put* log and the
+// snapshot Checkpoint() writes: `u64 start` followed by the
+// core::SaveState encoding of an entry holding only rows [start, n)
+// (episodes: `i64 id, u64 start`, then the episode-list encoding),
+// written without materializing that entry; replay decodes them with
+// the ordinary core::RestoreState.
+std::string RowsPayload(const core::RawTrajectory& trajectory, size_t start) {
+  std::span<const core::GpsPoint> tail =
+      std::span<const core::GpsPoint>(trajectory.points).subspan(start);
   common::StateWriter payload;
-  core::SaveState(trajectory, &payload);
+  payload.PutU64(start);
+  payload.PutI64(trajectory.id);
+  payload.PutI64(trajectory.object_id);
+  payload.PutU64(tail.size());
+  for (const core::GpsPoint& p : tail) core::SaveState(p, &payload);
   return payload.Release();
 }
 
-std::string PutPayload(core::TrajectoryId id,
-                       const std::vector<core::Episode>& episodes) {
+std::string RowsPayload(core::TrajectoryId id,
+                        const std::vector<core::Episode>& episodes,
+                        size_t start) {
+  std::span<const core::Episode> tail =
+      std::span<const core::Episode>(episodes).subspan(start);
   common::StateWriter payload;
   payload.PutI64(id);
-  core::SaveState(episodes, &payload);
+  payload.PutU64(start);
+  payload.PutU64(tail.size());
+  for (const core::Episode& e : tail) core::SaveState(e, &payload);
   return payload.Release();
 }
 
-std::string PutPayload(const core::StructuredSemanticTrajectory& trajectory) {
+std::string RowsPayload(const core::StructuredSemanticTrajectory& trajectory,
+                        size_t start) {
+  std::span<const core::SemanticEpisode> tail =
+      std::span<const core::SemanticEpisode>(trajectory.episodes)
+          .subspan(start);
   common::StateWriter payload;
-  core::SaveState(trajectory, &payload);
+  payload.PutU64(start);
+  payload.PutI64(trajectory.trajectory_id);
+  payload.PutI64(trajectory.object_id);
+  payload.PutString(trajectory.interpretation);
+  payload.PutU64(tail.size());
+  for (const core::SemanticEpisode& e : tail) core::SaveState(e, &payload);
   return payload.Release();
 }
 
@@ -171,37 +195,7 @@ common::Status SemanticTrajectoryStore::LogToWal(WalRecordType type,
   return status;
 }
 
-void SemanticTrajectoryStore::ApplyRawTrajectory(
-    const core::RawTrajectory& trajectory) {
-  auto it = raw_.find(trajectory.id);
-  if (it != raw_.end()) {
-    gps_record_count_ -= it->second.points.size();
-  }
-  gps_record_count_ += trajectory.points.size();
-  raw_[trajectory.id] = trajectory;
-}
-
-void SemanticTrajectoryStore::ApplyEpisodes(
-    core::TrajectoryId id, const std::vector<core::Episode>& episodes) {
-  auto it = episodes_.find(id);
-  if (it != episodes_.end()) episode_count_ -= it->second.size();
-  episode_count_ += episodes.size();
-  episodes_[id] = episodes;
-}
-
-void SemanticTrajectoryStore::ApplyInterpretation(
-    const core::StructuredSemanticTrajectory& trajectory) {
-  auto key = std::make_pair(trajectory.trajectory_id,
-                            trajectory.interpretation);
-  auto it = interpretations_.find(key);
-  if (it != interpretations_.end()) {
-    semantic_episode_count_ -= it->second.episodes.size();
-  }
-  semantic_episode_count_ += trajectory.episodes.size();
-  interpretations_[key] = trajectory;
-}
-
-void SemanticTrajectoryStore::ApplyRawPointsAppend(
+void SemanticTrajectoryStore::ApplyRawPoints(
     core::TrajectoryId id, core::ObjectId object_id, size_t start,
     std::span<const core::GpsPoint> tail) {
   core::RawTrajectory& t = raw_[id];
@@ -213,7 +207,7 @@ void SemanticTrajectoryStore::ApplyRawPointsAppend(
   t.points.insert(t.points.end(), tail.begin(), tail.end());
 }
 
-void SemanticTrajectoryStore::ApplyEpisodesAppend(
+void SemanticTrajectoryStore::ApplyEpisodes(
     core::TrajectoryId id, size_t start, std::span<const core::Episode> tail) {
   std::vector<core::Episode>& episodes = episodes_[id];
   episode_count_ -= episodes.size() - start;
@@ -222,7 +216,7 @@ void SemanticTrajectoryStore::ApplyEpisodesAppend(
   episodes.insert(episodes.end(), tail.begin(), tail.end());
 }
 
-void SemanticTrajectoryStore::ApplyInterpretationAppend(
+void SemanticTrajectoryStore::ApplyInterpretation(
     const core::StructuredSemanticTrajectory& header, size_t start,
     std::span<const core::SemanticEpisode> tail) {
   core::StructuredSemanticTrajectory& t = interpretations_[std::make_pair(
@@ -254,22 +248,22 @@ size_t SemanticTrajectoryStore::StoredSemanticEpisodes(
 
 namespace {
 
-// An append must start inside (or right after) the stored rows: a gap
-// would leave rows no record ever wrote.
-common::Status CheckAppendStart(common::StatusCode code, const char* table,
-                                core::TrajectoryId id, size_t start,
-                                size_t stored) {
+// Rows must start inside (or right after) the stored rows: a gap would
+// leave rows no record ever wrote.
+common::Status CheckRowStart(common::StatusCode code, const char* table,
+                             core::TrajectoryId id, size_t start,
+                             size_t stored) {
   if (start <= stored) return common::Status::OK();
   return common::Status(
-      code, common::StrFormat("%s append for trajectory %lld starts at row "
-                              "%zu past the %zu stored rows",
+      code, common::StrFormat("%s rows of trajectory %lld start at row %zu "
+                              "past the %zu stored rows",
                               table, static_cast<long long>(id), start,
                               stored));
 }
 
 // Names one table entry for ReplayGaps.
 std::string EntryKey(const char* table, core::TrajectoryId id,
-                     const std::string& interpretation = "") {
+                     const std::string& interpretation) {
   return common::StrFormat("%s/%lld/%s", table, static_cast<long long>(id),
                            interpretation.c_str());
 }
@@ -279,93 +273,64 @@ std::string EntryKey(const char* table, core::TrajectoryId id,
 common::Status SemanticTrajectoryStore::ApplyWalRecord(
     WalRecordType type, std::string_view payload, ReplayGaps* gaps) {
   common::StateReader reader(payload);
-  constexpr common::StatusCode kCorrupt = common::StatusCode::kCorruption;
-  // An append whose start lies past the stored rows is set aside in
+  // A record whose start lies past the stored rows is set aside in
   // `gaps` instead of applied. Replaying a log over a newer checkpoint
-  // can meet appends logged before a full put shrank the entry; that
-  // full put, later in the same log, rewrites the entry whole and
+  // can meet records logged before a row-0 write shrank the entry; that
+  // row-0 record, later in the same log, rewrites the entry whole and
   // clears the gap. Recover() reports any gap left at the end.
-  auto set_aside = [gaps](std::string key, common::Status gap) {
-    gaps->emplace(std::move(key), std::move(gap));
+  auto fits = [gaps](const char* table, core::TrajectoryId id,
+                     const std::string& interpretation, uint64_t start,
+                     size_t stored) {
+    if (start > stored) {
+      gaps->emplace(EntryKey(table, id, interpretation),
+                    CheckRowStart(common::StatusCode::kCorruption, table, id,
+                                  start, stored));
+      return false;
+    }
+    if (start == 0 && !gaps->empty()) {
+      gaps->erase(EntryKey(table, id, interpretation));
+    }
+    return true;
   };
-  auto repaired = [gaps](const char* table, core::TrajectoryId id,
-                         const std::string& interpretation = "") {
-    if (!gaps->empty()) gaps->erase(EntryKey(table, id, interpretation));
-  };
+  uint64_t start = 0;
   switch (type) {
-    case WalRecordType::kPutRawTrajectory: {
-      core::RawTrajectory trajectory;
-      SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &trajectory));
-      ApplyRawTrajectory(trajectory);
-      repaired("gps", trajectory.id);
-      break;
-    }
-    case WalRecordType::kPutEpisodes: {
-      int64_t id = 0;
-      std::vector<core::Episode> episodes;
-      SEMITRI_RETURN_IF_ERROR(reader.GetI64(&id));
-      SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &episodes));
-      ApplyEpisodes(id, episodes);
-      repaired("episode", id);
-      break;
-    }
-    case WalRecordType::kPutInterpretation: {
-      core::StructuredSemanticTrajectory trajectory;
-      SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &trajectory));
-      ApplyInterpretation(trajectory);
-      repaired("semantic episode", trajectory.trajectory_id,
-               trajectory.interpretation);
-      break;
-    }
-    case WalRecordType::kAppendRawPoints: {
-      uint64_t start = 0;
+    case WalRecordType::kRawPoints: {
       core::RawTrajectory tail;
       SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
       SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &tail));
-      common::Status fits = CheckAppendStart(kCorrupt, "gps", tail.id, start,
-                                             StoredPoints(tail.id));
-      if (!fits.ok()) {
-        set_aside(EntryKey("gps", tail.id), std::move(fits));
-        break;
+      if (fits("gps", tail.id, "", start, StoredPoints(tail.id))) {
+        ApplyRawPoints(tail.id, tail.object_id, start, tail.points);
       }
-      ApplyRawPointsAppend(tail.id, tail.object_id, start, tail.points);
       break;
     }
-    case WalRecordType::kAppendEpisodes: {
+    case WalRecordType::kEpisodes: {
       int64_t id = 0;
-      uint64_t start = 0;
       std::vector<core::Episode> tail;
       SEMITRI_RETURN_IF_ERROR(reader.GetI64(&id));
       SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
       SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &tail));
-      common::Status fits = CheckAppendStart(kCorrupt, "episode", id, start,
-                                             StoredEpisodes(id));
-      if (!fits.ok()) {
-        set_aside(EntryKey("episode", id), std::move(fits));
-        break;
+      if (fits("episode", id, "", start, StoredEpisodes(id))) {
+        ApplyEpisodes(id, start, tail);
       }
-      ApplyEpisodesAppend(id, start, tail);
       break;
     }
-    case WalRecordType::kAppendInterpretation: {
-      uint64_t start = 0;
+    case WalRecordType::kInterpretation: {
       core::StructuredSemanticTrajectory tail;
       SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
       SEMITRI_RETURN_IF_ERROR(core::RestoreState(&reader, &tail));
-      common::Status fits = CheckAppendStart(
-          kCorrupt, "semantic episode", tail.trajectory_id, start,
-          StoredSemanticEpisodes(tail.trajectory_id, tail.interpretation));
-      if (!fits.ok()) {
-        set_aside(EntryKey("semantic episode", tail.trajectory_id,
-                           tail.interpretation),
-                  std::move(fits));
-        break;
+      if (fits("semantic episode", tail.trajectory_id, tail.interpretation,
+               start,
+               StoredSemanticEpisodes(tail.trajectory_id,
+                                      tail.interpretation))) {
+        ApplyInterpretation(tail, start, tail.episodes);
       }
-      ApplyInterpretationAppend(tail, start, tail.episodes);
       break;
     }
     default:
-      return common::Status::Corruption("unknown wal record type");
+      // Unknown, retired (1-3) or not a store record.
+      return common::Status::Corruption(common::StrFormat(
+          "wal record type %d is not a store record",
+          static_cast<int>(type)));
   }
   if (!reader.AtEnd()) {
     return common::Status::Corruption("trailing bytes in wal record");
@@ -374,134 +339,69 @@ common::Status SemanticTrajectoryStore::ApplyWalRecord(
 }
 
 common::Status SemanticTrajectoryStore::PutRawTrajectory(
-    const core::RawTrajectory& trajectory) {
+    const core::RawTrajectory& trajectory, size_t start) {
+  if (start > trajectory.points.size()) {
+    return common::Status::InvalidArgument("start past the argument's rows");
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
+  SEMITRI_RETURN_IF_ERROR(CheckRowStart(
+      common::StatusCode::kFailedPrecondition, "gps", trajectory.id, start,
+      StoredPoints(trajectory.id)));
   if (!config_.durable_dir.empty()) {
-    SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kPutRawTrajectory, PutPayload(trajectory)));
+    SEMITRI_RETURN_IF_ERROR(LogToWal(WalRecordType::kRawPoints,
+                                     RowsPayload(trajectory, start)));
   }
-  ApplyRawTrajectory(trajectory);
+  ApplyRawPoints(trajectory.id, trajectory.object_id, start,
+                 std::span<const core::GpsPoint>(trajectory.points)
+                     .subspan(start));
   return common::Status::OK();
 }
 
 common::Status SemanticTrajectoryStore::PutEpisodes(
-    core::TrajectoryId id, const std::vector<core::Episode>& episodes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
-  if (!config_.durable_dir.empty()) {
-    SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kPutEpisodes, PutPayload(id, episodes)));
-  }
-  ApplyEpisodes(id, episodes);
-  return common::Status::OK();
-}
-
-common::Status SemanticTrajectoryStore::PutInterpretation(
-    const core::StructuredSemanticTrajectory& trajectory) {
-  if (trajectory.interpretation.empty()) {
-    return common::Status::InvalidArgument(
-        "interpretation name must be set");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
-  if (!config_.durable_dir.empty()) {
-    SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kPutInterpretation, PutPayload(trajectory)));
-  }
-  ApplyInterpretation(trajectory);
-  return common::Status::OK();
-}
-
-// The append payloads are laid out as `u64 start` followed by the
-// full-put encoding of an entry holding only the new rows (episodes:
-// `i64 id, u64 start`, then the episode-list encoding), written here
-// without materializing that tail entry; replay decodes them with the
-// ordinary core::RestoreState.
-
-common::Status SemanticTrajectoryStore::AppendRawPoints(
-    const core::RawTrajectory& trajectory, size_t start) {
-  if (start > trajectory.points.size()) {
-    return common::Status::InvalidArgument("append start past the argument");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
-  SEMITRI_RETURN_IF_ERROR(CheckAppendStart(
-      common::StatusCode::kFailedPrecondition, "gps", trajectory.id, start,
-      StoredPoints(trajectory.id)));
-  std::span<const core::GpsPoint> tail =
-      std::span<const core::GpsPoint>(trajectory.points).subspan(start);
-  if (!config_.durable_dir.empty()) {
-    common::StateWriter payload;
-    payload.PutU64(start);
-    payload.PutI64(trajectory.id);
-    payload.PutI64(trajectory.object_id);
-    payload.PutU64(tail.size());
-    for (const core::GpsPoint& p : tail) core::SaveState(p, &payload);
-    SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kAppendRawPoints, payload.data()));
-  }
-  ApplyRawPointsAppend(trajectory.id, trajectory.object_id, start, tail);
-  return common::Status::OK();
-}
-
-common::Status SemanticTrajectoryStore::AppendEpisodes(
     core::TrajectoryId id, const std::vector<core::Episode>& episodes,
     size_t start) {
   if (start > episodes.size()) {
-    return common::Status::InvalidArgument("append start past the argument");
+    return common::Status::InvalidArgument("start past the argument's rows");
   }
   std::lock_guard<std::mutex> lock(mutex_);
   SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
   SEMITRI_RETURN_IF_ERROR(
-      CheckAppendStart(common::StatusCode::kFailedPrecondition, "episode",
-                       id, start, StoredEpisodes(id)));
-  std::span<const core::Episode> tail =
-      std::span<const core::Episode>(episodes).subspan(start);
+      CheckRowStart(common::StatusCode::kFailedPrecondition, "episode", id,
+                    start, StoredEpisodes(id)));
   if (!config_.durable_dir.empty()) {
-    common::StateWriter payload;
-    payload.PutI64(id);
-    payload.PutU64(start);
-    payload.PutU64(tail.size());
-    for (const core::Episode& e : tail) core::SaveState(e, &payload);
-    SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kAppendEpisodes, payload.data()));
+    SEMITRI_RETURN_IF_ERROR(LogToWal(WalRecordType::kEpisodes,
+                                     RowsPayload(id, episodes, start)));
   }
-  ApplyEpisodesAppend(id, start, tail);
+  ApplyEpisodes(id, start,
+                std::span<const core::Episode>(episodes).subspan(start));
   return common::Status::OK();
 }
 
-common::Status SemanticTrajectoryStore::AppendInterpretation(
+common::Status SemanticTrajectoryStore::PutInterpretation(
     const core::StructuredSemanticTrajectory& trajectory, size_t start) {
   if (trajectory.interpretation.empty()) {
     return common::Status::InvalidArgument(
         "interpretation name must be set");
   }
   if (start > trajectory.episodes.size()) {
-    return common::Status::InvalidArgument("append start past the argument");
+    return common::Status::InvalidArgument("start past the argument's rows");
   }
   std::lock_guard<std::mutex> lock(mutex_);
   SEMITRI_RETURN_IF_ERROR(CheckWritableLocked());
-  SEMITRI_RETURN_IF_ERROR(CheckAppendStart(
+  SEMITRI_RETURN_IF_ERROR(CheckRowStart(
       common::StatusCode::kFailedPrecondition, "semantic episode",
       trajectory.trajectory_id, start,
       StoredSemanticEpisodes(trajectory.trajectory_id,
                              trajectory.interpretation)));
-  std::span<const core::SemanticEpisode> tail =
-      std::span<const core::SemanticEpisode>(trajectory.episodes)
-          .subspan(start);
   if (!config_.durable_dir.empty()) {
-    common::StateWriter payload;
-    payload.PutU64(start);
-    payload.PutI64(trajectory.trajectory_id);
-    payload.PutI64(trajectory.object_id);
-    payload.PutString(trajectory.interpretation);
-    payload.PutU64(tail.size());
-    for (const core::SemanticEpisode& e : tail) core::SaveState(e, &payload);
-    SEMITRI_RETURN_IF_ERROR(
-        LogToWal(WalRecordType::kAppendInterpretation, payload.data()));
+    SEMITRI_RETURN_IF_ERROR(LogToWal(WalRecordType::kInterpretation,
+                                     RowsPayload(trajectory, start)));
   }
-  ApplyInterpretationAppend(trajectory, start, tail);
+  ApplyInterpretation(
+      trajectory, start,
+      std::span<const core::SemanticEpisode>(trajectory.episodes)
+          .subspan(start));
   return common::Status::OK();
 }
 
@@ -726,17 +626,18 @@ SemanticTrajectoryStore::Recover(const std::string& dir) {
 
   // Replay the log over the snapshot. Records that predate the
   // snapshot may still be in the log (crash between the CURRENT flip
-  // and the log truncation); replaying them is safe because every full
-  // Put is a keyed overwrite and every append truncates to its start
-  // index before appending, so replay converges to the logged state
-  // (an append that meets fewer rows than its start waits for the full
-  // put that shrank the entry; see ApplyWalRecord).
+  // and the log truncation); replaying them is safe because every
+  // record truncates to its start index before appending, so replay
+  // converges to the logged state (a record that meets fewer rows than
+  // its start waits for the row-0 record that shrank the entry; see
+  // ApplyWalRecord).
   auto replayed = ReplayWal(dir + "/" + kWalFile, apply,
                             /*truncate_torn_tail=*/true, env_);
   SEMITRI_RETURN_IF_ERROR(replayed.status());
   stats.wal_records_replayed += replayed->records_applied;
   stats.wal_torn_bytes_truncated = replayed->torn_bytes_truncated;
-  // A gap no later full put repaired: no valid write sequence leaves one.
+  // A gap no later row-0 record repaired: no valid write sequence
+  // leaves one.
   if (!gaps.empty()) return gaps.begin()->second;
   return stats;
 }
@@ -849,14 +750,14 @@ common::Status SemanticTrajectoryStore::Checkpoint() {
   SEMITRI_RETURN_IF_ERROR(sequence.status());
   std::string snapshot;
   for (const auto& [id, t] : raw_) {
-    AppendWalFrame(WalRecordType::kPutRawTrajectory, PutPayload(t), &snapshot);
+    AppendWalFrame(WalRecordType::kRawPoints, RowsPayload(t, 0), &snapshot);
   }
   for (const auto& [id, eps] : episodes_) {
-    AppendWalFrame(WalRecordType::kPutEpisodes, PutPayload(id, eps),
+    AppendWalFrame(WalRecordType::kEpisodes, RowsPayload(id, eps, 0),
                    &snapshot);
   }
   for (const auto& [key, t] : interpretations_) {
-    AppendWalFrame(WalRecordType::kPutInterpretation, PutPayload(t),
+    AppendWalFrame(WalRecordType::kInterpretation, RowsPayload(t, 0),
                    &snapshot);
   }
   std::string name = common::StrFormat("%s%06zu%s", kSnapshotPrefix,

@@ -6,33 +6,33 @@
 // annotations. The paper backs it with PostgreSQL/PostGIS; here the
 // tables are in-memory columns with a CSV export (SaveCsv).
 //
+// One writer per table: Put* writes rows [start, n) of its argument, so
+// a live session logs only what is new and an offline run writes each
+// entry once, from row 0.
+//
 // Crash-safe durable mode: with StoreConfig::durable_dir set, every Put
 // is framed into a write-ahead log (store/wal.h) *before* the in-memory
-// tables change, Sync() makes the log durable, and Checkpoint()
-// atomically compacts it into a binary snapshot: one file of the WAL's
-// own full-put records, one per stored entry, published by a
-// LevelDB-style CURRENT pointer flip (the log is then emptied). The
-// store thus keeps one on-disk record format; with sync_every_put it
-// commits every write as the paper's PostgreSQL inserts did, which is
-// the store bench_fig17_latency measures. Recover() re-opens a
-// directory after a crash: it replays the current snapshot, the sealed
-// segments written after it and the log, truncates a torn tail, and
-// leaves the in-memory tables bit-identical (ContentEquals) to the
-// pre-crash state.
+// tables change, as one row-range record of the table, Sync() makes the
+// log durable, and Checkpoint() atomically compacts it into a binary
+// snapshot: one file of the WAL's own records, one start-0 record per
+// stored entry, published by a LevelDB-style CURRENT pointer flip (the
+// log is then emptied). The store thus keeps one on-disk record format;
+// with sync_every_put it commits every write as the paper's PostgreSQL
+// inserts did, which is the store bench_fig17_latency measures.
+// Recover() re-opens a directory after a crash: it replays the current
+// snapshot, the sealed segments written after it and the log, truncates
+// a torn tail, and leaves the in-memory tables bit-identical
+// (ContentEquals) to the pre-crash state. Because a record truncates to
+// its start before appending, replay converges even over a checkpoint
+// that already holds the rows (a crash between the CURRENT flip and the
+// log truncation); a start past the stored length — a gap no valid
+// write sequence produces, unless a later row-0 record in the same log
+// rewrote the entry — is Corruption.
 //
 // Sequence numbers: sealed segments (`wal-<n>.log`) and snapshots
 // (`snapshot-<n>.log`) draw from one counter that never repeats a
 // number within a directory, so a snapshot sorts after every segment
 // it holds and before every later one.
-//
-// Append records: live sessions write only what is new. Append* calls
-// log and apply rows [start, size) of their argument together with
-// `start`; applying one truncates the stored entry to `start` rows and
-// appends the rest. Replay therefore converges even over a checkpoint
-// that already holds the rows (a crash between the CURRENT flip and
-// the log truncation), and a start past the stored length — a gap no
-// valid write sequence produces, unless a later full put in the same
-// log rewrote the entry — is Corruption.
 //
 // Thread-safe: every table access serializes on an internal mutex, so
 // the "store writes are serial" contract is enforced by the store itself
@@ -79,40 +79,29 @@ class SemanticTrajectoryStore {
   explicit SemanticTrajectoryStore(StoreConfig config = {});
 
   // --- writes ---------------------------------------------------------
-
-  // Stores a raw trajectory (GPS-record and trajectory tables).
-  // Overwrites an existing trajectory with the same id.
-  [[nodiscard]] common::Status PutRawTrajectory(const core::RawTrajectory& trajectory)
-      SEMITRI_EXCLUDES(mutex_);
-
-  // Stores the stop/move segmentation of a trajectory.
-  [[nodiscard]] common::Status PutEpisodes(core::TrajectoryId id,
-                             const std::vector<core::Episode>& episodes)
-      SEMITRI_EXCLUDES(mutex_);
-
-  // Stores one layer's interpretation (keyed by its `interpretation`
-  // name: "region", "line", "point").
-  [[nodiscard]] common::Status PutInterpretation(
-      const core::StructuredSemanticTrajectory& trajectory)
-      SEMITRI_EXCLUDES(mutex_);
-
-  // --- append writes (live sessions) ----------------------------------
   //
   // Each writes rows [start, size) of its argument: the stored entry is
-  // truncated to its first `start` rows and the new rows are appended
-  // (an absent entry counts as zero rows, so start 0 creates it). The
-  // WAL logs only the new rows plus `start`. FailedPrecondition, with
-  // nothing logged, when `start` exceeds the stored row count;
-  // InvalidArgument when it exceeds the argument's.
+  // truncated to its first `start` rows and the argument's later rows
+  // are appended (an absent entry counts as zero rows). Start 0 stores
+  // the whole entry, overwriting one with the same key. The WAL logs
+  // only those rows plus `start`. FailedPrecondition, with nothing
+  // logged, when `start` exceeds the stored row count; InvalidArgument
+  // when it exceeds the argument's.
 
-  [[nodiscard]] common::Status AppendRawPoints(
-      const core::RawTrajectory& trajectory, size_t start)
+  // The GPS-record and trajectory tables.
+  [[nodiscard]] common::Status PutRawTrajectory(
+      const core::RawTrajectory& trajectory, size_t start = 0)
       SEMITRI_EXCLUDES(mutex_);
-  [[nodiscard]] common::Status AppendEpisodes(
+
+  // The stop/move segmentation of a trajectory.
+  [[nodiscard]] common::Status PutEpisodes(
       core::TrajectoryId id, const std::vector<core::Episode>& episodes,
-      size_t start) SEMITRI_EXCLUDES(mutex_);
-  [[nodiscard]] common::Status AppendInterpretation(
-      const core::StructuredSemanticTrajectory& trajectory, size_t start)
+      size_t start = 0) SEMITRI_EXCLUDES(mutex_);
+
+  // One layer's interpretation (keyed by its `interpretation` name:
+  // "region", "line", "point").
+  [[nodiscard]] common::Status PutInterpretation(
+      const core::StructuredSemanticTrajectory& trajectory, size_t start = 0)
       SEMITRI_EXCLUDES(mutex_);
 
   // --- reads ----------------------------------------------------------
@@ -226,18 +215,18 @@ class SemanticTrajectoryStore {
   // torn tail. A snapshot that is missing, not the size CURRENT
   // records, or torn or CRC-bad anywhere — like a torn sealed segment —
   // is Corruption, as is a CURRENT naming a `checkpoint-<n>/` CSV
-  // directory of an older build. An append record whose start index
-  // lies past the stored row count is set aside; unless a later full
-  // put of the same entry in the replayed log rewrites it (a log
-  // replayed over a newer snapshot, see ApplyWalRecord), recovery fails
-  // with Corruption.
+  // directory of an older build, and a record of a retired type. A
+  // record whose start index lies past the stored row count is set
+  // aside; unless a later row-0 record of the same entry in the
+  // replayed log rewrites it (a log replayed over a newer snapshot, see
+  // ApplyWalRecord), recovery fails with Corruption.
   [[nodiscard]] common::Result<RecoveryStats> Recover(const std::string& dir)
       SEMITRI_EXCLUDES(mutex_);
 
   // fsyncs the WAL (no-op outside durable mode).
   [[nodiscard]] common::Status Sync() SEMITRI_EXCLUDES(mutex_);
 
-  // Atomically compacts the WAL into a binary snapshot: one full-put
+  // Atomically compacts the WAL into a binary snapshot: one start-0
   // WAL record per stored entry (store/wal.h frames, so empty entries
   // survive too) is written to `snapshot-<n>.log`, where n is the next
   // sequence number, and fsynced; CURRENT is then rewritten to
@@ -298,35 +287,27 @@ class SemanticTrajectoryStore {
   [[nodiscard]] common::Status LogToWal(WalRecordType type, const std::string& payload)
       SEMITRI_REQUIRES(mutex_);
 
-  // In-memory table mutations shared by Put* and WAL replay.
-  void ApplyRawTrajectory(const core::RawTrajectory& trajectory)
+  // In-memory table mutations shared by Put* and WAL replay: truncate
+  // the entry to `start` rows, then append `tail`. Callers have checked
+  // start against the stored rows.
+  void ApplyRawPoints(core::TrajectoryId id, core::ObjectId object_id,
+                      size_t start, std::span<const core::GpsPoint> tail)
       SEMITRI_REQUIRES(mutex_);
-  void ApplyEpisodes(core::TrajectoryId id,
-                     const std::vector<core::Episode>& episodes)
+  void ApplyEpisodes(core::TrajectoryId id, size_t start,
+                     std::span<const core::Episode> tail)
       SEMITRI_REQUIRES(mutex_);
-  void ApplyInterpretation(
-      const core::StructuredSemanticTrajectory& trajectory)
+  void ApplyInterpretation(const core::StructuredSemanticTrajectory& header,
+                           size_t start,
+                           std::span<const core::SemanticEpisode> tail)
       SEMITRI_REQUIRES(mutex_);
-  // Append-record mutations: truncate the entry to `start` rows, then
-  // append `tail`. Callers have checked start against the stored rows.
-  void ApplyRawPointsAppend(core::TrajectoryId id, core::ObjectId object_id,
-                            size_t start,
-                            std::span<const core::GpsPoint> tail)
-      SEMITRI_REQUIRES(mutex_);
-  void ApplyEpisodesAppend(core::TrajectoryId id, size_t start,
-                           std::span<const core::Episode> tail)
-      SEMITRI_REQUIRES(mutex_);
-  void ApplyInterpretationAppend(
-      const core::StructuredSemanticTrajectory& header, size_t start,
-      std::span<const core::SemanticEpisode> tail) SEMITRI_REQUIRES(mutex_);
   // Rows currently stored per entry (0 when absent).
   size_t StoredPoints(core::TrajectoryId id) const SEMITRI_REQUIRES(mutex_);
   size_t StoredEpisodes(core::TrajectoryId id) const SEMITRI_REQUIRES(mutex_);
   size_t StoredSemanticEpisodes(core::TrajectoryId id,
                                 const std::string& interpretation) const
       SEMITRI_REQUIRES(mutex_);
-  // Entries of one replay whose append record started past their stored
-  // rows, each with the Corruption to report unless a later full put of
+  // Entries of one replay whose record started past their stored rows,
+  // each with the Corruption to report unless a later row-0 record of
   // the entry rewrites it.
   using ReplayGaps = std::map<std::string, common::Status>;
   // Called under mutex_ — directly from Recover and through the replay

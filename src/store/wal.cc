@@ -121,6 +121,27 @@ common::Status WalWriter::Truncate() {
   return st;
 }
 
+common::Result<size_t> DecodeWalFrames(
+    std::string_view data,
+    const std::function<common::Status(WalRecordType, std::string_view)>&
+        apply) {
+  size_t pos = 0;
+  while (true) {
+    if (data.size() - pos < kFrameHeaderBytes) break;  // torn header
+    uint32_t length = ReadU32(data.data() + pos);
+    uint32_t crc = ReadU32(data.data() + pos + 4);
+    size_t body_size = static_cast<size_t>(length) + 1;  // type + payload
+    if (data.size() - pos - kFrameHeaderBytes < body_size) break;  // torn body
+    std::string_view body = data.substr(pos + kFrameHeaderBytes, body_size);
+    if (common::Crc32(body) != crc) break;  // torn or corrupt frame
+    WalRecordType type = static_cast<WalRecordType>(
+        static_cast<uint8_t>(body.front()));
+    SEMITRI_RETURN_IF_ERROR(apply(type, body.substr(1)));
+    pos += kFrameHeaderBytes + body_size;
+  }
+  return pos;
+}
+
 common::Result<WalReplayStats> ReplayWal(
     const std::string& path,
     const std::function<common::Status(WalRecordType, std::string_view)>&
@@ -137,22 +158,14 @@ common::Result<WalReplayStats> ReplayWal(
     if (!read.ok()) return read;
   }
 
-  size_t pos = 0;
-  while (true) {
-    if (data.size() - pos < kFrameHeaderBytes) break;  // torn header
-    uint32_t length = ReadU32(data.data() + pos);
-    uint32_t crc = ReadU32(data.data() + pos + 4);
-    size_t body_size = static_cast<size_t>(length) + 1;  // type + payload
-    if (data.size() - pos - kFrameHeaderBytes < body_size) break;  // torn body
-    std::string_view body(data.data() + pos + kFrameHeaderBytes, body_size);
-    if (common::Crc32(body) != crc) break;  // torn or corrupt frame
-    WalRecordType type = static_cast<WalRecordType>(
-        static_cast<uint8_t>(body.front()));
-    SEMITRI_RETURN_IF_ERROR(apply(type, body.substr(1)));
-    ++stats.records_applied;
-    pos += kFrameHeaderBytes + body_size;
-  }
-
+  auto intact = DecodeWalFrames(
+      data, [&](WalRecordType type, std::string_view payload) {
+        SEMITRI_RETURN_IF_ERROR(apply(type, payload));
+        ++stats.records_applied;
+        return common::Status::OK();
+      });
+  SEMITRI_RETURN_IF_ERROR(intact.status());
+  const size_t pos = *intact;
   stats.torn_bytes_truncated = data.size() - pos;
   if (stats.torn_bytes_truncated > 0 && truncate_torn_tail) {
     common::Status st = e->TruncateFile(path, pos);

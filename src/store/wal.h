@@ -6,10 +6,11 @@
 // reimplementation needs the same crash discipline from its storage
 // layer).
 //
-// Records are full puts (a whole trajectory, episode table or
-// interpretation) or append records carrying only new rows plus the
-// row index they start at; live sessions log appends, so WAL bytes
-// grow linearly with the rows a trajectory gains (WalRecordType).
+// Records are row ranges: each store table (GPS records, episodes,
+// semantic episodes) has one record type, carrying rows [start, n) of
+// one entry plus `start` (WalRecordType). A whole-entry write is the
+// record with start 0; live sessions log only the rows a trajectory
+// gained, so WAL bytes grow linearly with it.
 //
 // On-disk format — a sequence of framed records:
 //
@@ -19,9 +20,11 @@
 //   ...payload   `length` bytes (common::StateWriter encoding)
 //
 // Checkpoint snapshots (SemanticTrajectoryStore::Checkpoint) are files
-// of the same frames — one full put per stored entry, encoded by
+// of the same frames — one start-0 record per stored entry, encoded by
 // AppendWalFrame — so the store keeps a single on-disk record format
-// and replays a snapshot with ReplayWal like any log.
+// and replays a snapshot with ReplayWal like any log. The session
+// manager's checkpoint file is one frame of its own type
+// (stream::SessionManager::Checkpoint), so all CRC framing lives here.
 //
 // A crash mid-append leaves a torn final frame (short header, short
 // payload, or CRC mismatch). Replay treats the first bad frame as the
@@ -64,19 +67,23 @@
 namespace semitri::store {
 
 enum class WalRecordType : uint8_t {
-  // Full puts: the payload is the whole entry (keyed overwrite).
-  kPutRawTrajectory = 1,
-  kPutEpisodes = 2,
-  kPutInterpretation = 3,
-  // Append records: the payload starts with the row index the new rows
-  // begin at, then carries only those rows. Replay truncates the stored
-  // entry to that index and appends, so a record replayed over a
-  // checkpoint that already holds its rows changes nothing; a start
-  // past the stored length is Corruption unless a later full put of
-  // the entry rewrites it (see SemanticTrajectoryStore::Recover).
-  kAppendRawPoints = 4,
-  kAppendEpisodes = 5,
-  kAppendInterpretation = 6,
+  // 1-3 held whole-entry puts in older builds. They are retired and
+  // never reused, so such a frame fails the store's replay as an
+  // unknown type instead of being misread.
+  //
+  // Row-range records, one per store table: the payload carries the
+  // row index the rows begin at and only those rows. Applying
+  // one truncates the stored entry to that index and appends, so start
+  // 0 writes the whole entry, and a record replayed over a checkpoint
+  // that already holds its rows changes nothing; a start past the
+  // stored length is Corruption unless a later row-0 record of the
+  // entry rewrites it (see SemanticTrajectoryStore::Recover).
+  kRawPoints = 4,
+  kEpisodes = 5,
+  kInterpretation = 6,
+  // The one frame of a stream::SessionManager checkpoint file; never
+  // in a store log.
+  kSessionCheckpoint = 7,
 };
 
 class WalWriter {
@@ -133,18 +140,25 @@ class WalWriter {
 void AppendWalFrame(WalRecordType type, std::string_view payload,
                     std::string* out);
 
+// Calls `apply` for each intact frame of `data` in order and returns
+// the byte length of that intact prefix: decoding stops at the first
+// torn or corrupt frame. `apply` errors abort decoding and are
+// returned.
+[[nodiscard]] common::Result<size_t> DecodeWalFrames(
+    std::string_view data,
+    const std::function<common::Status(WalRecordType, std::string_view)>&
+        apply);
+
 struct WalReplayStats {
   size_t records_applied = 0;
   // Bytes dropped from the torn tail (0 for a cleanly closed log).
   size_t torn_bytes_truncated = 0;
 };
 
-// Reads `path` frame by frame through `env` (null = the real
-// filesystem), calling `apply` for each intact record in order. A
-// missing file is an empty log (0 records). The first torn or corrupt
-// frame ends the replay; when `truncate_torn_tail` is set the file is
-// truncated to the last intact frame so a writer can safely append.
-// `apply` errors abort the replay and are returned.
+// Reads `path` through `env` (null = the real filesystem) and decodes
+// it with DecodeWalFrames. A missing file is an empty log (0 records).
+// When `truncate_torn_tail` is set the file is truncated to the last
+// intact frame so a writer can safely append.
 [[nodiscard]] common::Result<WalReplayStats> ReplayWal(
     const std::string& path,
     const std::function<common::Status(WalRecordType, std::string_view)>&

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -92,11 +91,6 @@ void AnnotationSession::SyncPartial(
 common::Status AnnotationSession::RunIncremental(
     core::PipelineResult* result, analytics::LatencyProfiler* profiler) {
   core::AnnotationContext context;
-  // Reports of earlier passes stay on the live view, but only this
-  // pass's decide whether its layers are complete.
-  std::map<std::string, core::StageReport> earlier =
-      std::move(result->stage_reports);
-  result->stage_reports.clear();
   context.result = std::move(*result);
   context.profiler = profiler;
   context.scratch = &scratch_;
@@ -105,7 +99,7 @@ common::Status AnnotationSession::RunIncremental(
   context.batch_points = batch_points_;
   common::Status status = pipeline_->RunDownstreamStages(context);
   *result = std::move(context.result);
-  if (status.ok() && !result->degraded()) {
+  if (status.ok()) {
     annotated_episodes_ = result->episodes.size();
     // PointsBatch() built or extended the batch only if a stage asked.
     if (scratch_.batch.size() == result->cleaned.points.size() &&
@@ -117,7 +111,6 @@ common::Status AnnotationSession::RunIncremental(
     batch_points_ = 0;
     store_watermark_ = core::StoreWatermark();
   }
-  result->stage_reports.merge(earlier);
   return status;
 }
 
@@ -192,7 +185,7 @@ common::Status AnnotationSession::RestoreState(common::StateReader* r) {
   }
   SEMITRI_RETURN_IF_ERROR(detector_.RestoreState(r));
   // Whatever the store holds now is unknown to the restored session:
-  // the first pass re-annotates the prefix and writes full puts.
+  // the first pass re-annotates the prefix and writes from row 0.
   ResetOpenTrajectory();
   SEMITRI_RETURN_IF_ERROR(core::RestoreState(r, &partial_));
   uint64_t passes = 0;

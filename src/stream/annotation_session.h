@@ -26,13 +26,14 @@
 // annotates and appends only the tail episodes, rewrites the point
 // layer and appends the remaining rows, so the store ends in exactly
 // the state an offline ProcessTrajectory run would have produced
-// (ContentEquals) — that run's WAL holds full puts only.
+// (ContentEquals) — that run's WAL holds row-0 writes only.
 //
 // The watermark, the annotated-episode count and the batch extent are
 // not serialized: RestoreState (crash restore, SessionManager::
 // AdoptSession after a migration, failover) resets them to zero, so the
-// first pass after any restore re-annotates the prefix and writes full
-// puts, overwriting whatever the store held for the trajectory.
+// first pass after any restore re-annotates the prefix and writes each
+// table from row 0, overwriting whatever the store held for the
+// trajectory.
 //
 // Not thread-safe; stream::SessionManager provides the sharded,
 // lock-protected multi-object front end.
@@ -164,8 +165,8 @@ class AnnotationSession {
   // Runs the pipeline's RunDownstreamStages over `result` as an
   // incremental pass (profiler: null for provisional passes), leaving
   // the result in `result` even on error. Advances the incremental
-  // state after a clean pass; any failed or skipped stage resets it,
-  // so the next pass annotates and writes in full.
+  // state after a clean pass; a failed stage resets it, so the next
+  // pass annotates and writes in full.
   [[nodiscard]] common::Status RunIncremental(
       core::PipelineResult* result, analytics::LatencyProfiler* profiler);
   // Drops the live view and the incremental state of the open

@@ -5,19 +5,11 @@
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/serial.h"
+#include "store/wal.h"
 
 namespace semitri::stream {
 
 namespace {
-
-// Streaming-checkpoint file: u32 magic, u32 version, then the
-// serialized payload, all wrapped as u32 payload size + u32 crc32 so a
-// torn or bit-flipped file is rejected as Corruption, never half-read.
-constexpr uint32_t kCheckpointMagic = 0x534D434Bu;  // "SMCK"
-// v2 adds the trajectory-id resume cursors of retired objects (the
-// eviction × reconnect seam must survive a restart too). v1 files
-// (no cursor map) are still readable.
-constexpr uint32_t kCheckpointVersion = 2;
 
 void Accumulate(const AnnotationSession::Stats& from,
                 SessionManager::Stats* to) {
@@ -379,9 +371,6 @@ size_t SessionManager::ActiveSessions() const {
 
 common::Status SessionManager::Checkpoint(const std::string& path) const {
   common::StateWriter payload;
-  payload.PutU32(kCheckpointMagic);
-  payload.PutU32(kCheckpointVersion);
-
   // Retired counters, aggregated across shards (shard assignment is a
   // function of object id, so per-shard attribution is reconstructed
   // implicitly on restore; the aggregates land in shard 0).
@@ -428,10 +417,11 @@ common::Status SessionManager::Checkpoint(const std::string& path) const {
     }
   }
 
-  common::StateWriter framed;
-  framed.PutU32(static_cast<uint32_t>(payload.data().size()));
-  framed.PutU32(common::Crc32(payload.data()));
-  std::string bytes = framed.Release() + payload.Release();
+  // One WAL frame (store/wal.h): a torn or bit-flipped file is
+  // rejected as Corruption, never half-read.
+  std::string bytes;
+  store::AppendWalFrame(store::WalRecordType::kSessionCheckpoint,
+                        payload.data(), &bytes);
 
   // tmp + fsync + rename: the previous checkpoint stays intact until
   // the new one is fully on disk. A failed write or flip sweeps its
@@ -462,30 +452,25 @@ common::Status SessionManager::Restore(const std::string& path) {
                                      read.message());
     }
   }
-  common::StateReader frame(bytes);
-  uint32_t size = 0;
-  uint32_t crc = 0;
-  SEMITRI_RETURN_IF_ERROR(frame.GetU32(&size));
-  SEMITRI_RETURN_IF_ERROR(frame.GetU32(&crc));
-  if (frame.remaining() != size) {
-    return common::Status::Corruption("checkpoint size mismatch (torn file)");
-  }
-  std::string_view payload(bytes.data() + bytes.size() - size, size);
-  if (common::Crc32(payload) != crc) {
-    return common::Status::Corruption("checkpoint crc mismatch");
+  // Exactly one intact session-checkpoint frame, and nothing after it.
+  std::string_view payload;
+  size_t frames = 0;
+  auto intact = store::DecodeWalFrames(
+      bytes, [&](store::WalRecordType type, std::string_view body) {
+        if (type != store::WalRecordType::kSessionCheckpoint) {
+          return common::Status::Corruption("not a session checkpoint file");
+        }
+        payload = body;
+        ++frames;
+        return common::Status::OK();
+      });
+  SEMITRI_RETURN_IF_ERROR(intact.status());
+  if (frames != 1 || *intact != bytes.size()) {
+    return common::Status::Corruption(
+        "session checkpoint is not exactly one intact frame");
   }
 
   common::StateReader r(payload);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  SEMITRI_RETURN_IF_ERROR(r.GetU32(&magic));
-  SEMITRI_RETURN_IF_ERROR(r.GetU32(&version));
-  if (magic != kCheckpointMagic) {
-    return common::Status::Corruption("not a session checkpoint file");
-  }
-  if (version < 1 || version > kCheckpointVersion) {
-    return common::Status::Corruption("unsupported checkpoint version");
-  }
 
   uint64_t opened = 0;
   uint64_t evicted = 0;
@@ -504,19 +489,17 @@ common::Status SessionManager::Restore(const std::string& path) {
   SEMITRI_RETURN_IF_ERROR(r.GetU64(&retired.annotation_passes));
 
   std::map<core::ObjectId, core::TrajectoryId> resume;
-  if (version >= 2) {
-    uint64_t resume_count = 0;
-    SEMITRI_RETURN_IF_ERROR(r.GetU64(&resume_count));
-    if (resume_count > r.remaining()) {
-      return common::Status::Corruption("resume cursor count exceeds data");
-    }
-    for (uint64_t i = 0; i < resume_count; ++i) {
-      int64_t object_id = 0;
-      int64_t next_id = 0;
-      SEMITRI_RETURN_IF_ERROR(r.GetI64(&object_id));
-      SEMITRI_RETURN_IF_ERROR(r.GetI64(&next_id));
-      resume[object_id] = next_id;
-    }
+  uint64_t resume_count = 0;
+  SEMITRI_RETURN_IF_ERROR(r.GetU64(&resume_count));
+  if (resume_count > r.remaining()) {
+    return common::Status::Corruption("resume cursor count exceeds data");
+  }
+  for (uint64_t i = 0; i < resume_count; ++i) {
+    int64_t object_id = 0;
+    int64_t next_id = 0;
+    SEMITRI_RETURN_IF_ERROR(r.GetI64(&object_id));
+    SEMITRI_RETURN_IF_ERROR(r.GetI64(&next_id));
+    resume[object_id] = next_id;
   }
 
   uint64_t live = 0;

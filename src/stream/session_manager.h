@@ -189,10 +189,11 @@ class SessionManager {
 
   // --- checkpoint / restore -------------------------------------------
 
-  // Serializes every live session plus the retired counters into one
-  // CRC-framed file (written to `path`.tmp, then renamed — a crash
-  // leaves either the previous checkpoint or the new one, never a torn
-  // file). Callers must quiesce feeders for a cross-object-consistent
+  // Serializes every live session, the retired counters and the
+  // resume cursors of retired objects into a file holding one
+  // kSessionCheckpoint WAL frame (store/wal.h), written to `path`.tmp,
+  // fsynced, then renamed — a crash leaves either the previous
+  // checkpoint or the new one, never a torn file. Callers must quiesce feeders for a cross-object-consistent
   // snapshot; each shard is locked while serialized.
   [[nodiscard]] common::Status Checkpoint(const std::string& path) const;
 
@@ -202,7 +203,9 @@ class SessionManager {
   // configuration that produced the checkpoint. Restored sessions
   // resume mid-stream: feeding the remaining fixes and closing
   // converges the store to the exact state an uninterrupted run would
-  // have produced. Corruption on a CRC mismatch or malformed state.
+  // have produced. IoError when the file cannot be read; Corruption
+  // unless it holds exactly one intact kSessionCheckpoint frame with
+  // well-formed state.
   [[nodiscard]] common::Status Restore(const std::string& path);
 
   // --- live migration hooks (shard::ShardCluster) ----------------------

@@ -18,6 +18,7 @@
 #include "datagen/presets.h"
 #include "datagen/world.h"
 #include "store/semantic_trajectory_store.h"
+#include "store/wal.h"
 #include "stream/annotation_session.h"
 #include "stream/episode_detector.h"
 #include "stream/session_manager.h"
@@ -295,6 +296,61 @@ TEST_F(CheckpointFixture, ManagerRestoreRejectsCorruptFile) {
   SessionManager manager(&pipeline);
   EXPECT_EQ(manager.Restore(ckpt).code(), common::StatusCode::kCorruption);
   fs::remove(ckpt);
+}
+
+TEST_F(CheckpointFixture, ManagerRestoreAcceptsExactlyOneCheckpointFrame) {
+  core::SemiTriPipeline pipeline(Model());
+  std::string ckpt =
+      (fs::temp_directory_path() / "semitri_manager_frames.bin").string();
+  {
+    SessionManager manager(&pipeline);
+    std::vector<core::GpsPoint> s = PersonStream(0, 1);
+    for (size_t i = 0; i < std::min<size_t>(s.size(), 300); ++i) {
+      ASSERT_TRUE(manager.Feed(0, s[i]).ok());
+    }
+    ASSERT_TRUE(manager.Checkpoint(ckpt).ok());
+  }
+  std::string intact;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    intact.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  // The file is one session-checkpoint WAL frame, and nothing else.
+  std::string payload;
+  size_t frames = 0;
+  auto decoded = store::DecodeWalFrames(
+      intact, [&](store::WalRecordType type, std::string_view body) {
+        EXPECT_EQ(type, store::WalRecordType::kSessionCheckpoint);
+        payload = std::string(body);
+        ++frames;
+        return common::Status::OK();
+      });
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, intact.size());
+  ASSERT_EQ(frames, 1u);
+
+  // A second intact frame after the first, a torn tail after it, and
+  // the one frame retyped as a store record.
+  std::string doubled = intact;
+  store::AppendWalFrame(store::WalRecordType::kSessionCheckpoint, payload,
+                        &doubled);
+  std::string torn_tail = intact + std::string(5, '\x07');
+  std::string retyped;
+  store::AppendWalFrame(store::WalRecordType::kRawPoints, payload, &retyped);
+  for (const std::string& bytes : {doubled, torn_tail, retyped}) {
+    {
+      std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    SessionManager manager(&pipeline);
+    EXPECT_EQ(manager.Restore(ckpt).code(), common::StatusCode::kCorruption);
+  }
+
+  // An unreadable file is an IoError, not Corruption.
+  fs::remove(ckpt);
+  SessionManager manager(&pipeline);
+  EXPECT_EQ(manager.Restore(ckpt).code(), common::StatusCode::kIoError);
 }
 
 TEST_F(CheckpointFixture, CleanEvictionHasNoDataLoss) {

@@ -229,7 +229,7 @@ TEST(WalPoisonTest, FailedSyncPoisonsTheWriterForGood) {
   ASSERT_TRUE(opened.ok());
   std::unique_ptr<store::WalWriter> wal = std::move(*opened);
 
-  ASSERT_TRUE(wal->Append(store::WalRecordType::kPutRawTrajectory, "a").ok());
+  ASSERT_TRUE(wal->Append(store::WalRecordType::kRawPoints, "a").ok());
   env.fail_syncs = true;
   EXPECT_FALSE(wal->Sync().ok());
   EXPECT_TRUE(wal->poisoned());
@@ -243,7 +243,7 @@ TEST(WalPoisonTest, FailedSyncPoisonsTheWriterForGood) {
   EXPECT_NE(retry.message().find("poisoned"), std::string::npos);
   EXPECT_NE(retry.message().find("fsync"), std::string::npos);
   EXPECT_FALSE(
-      wal->Append(store::WalRecordType::kPutRawTrajectory, "b").ok());
+      wal->Append(store::WalRecordType::kRawPoints, "b").ok());
   fs::remove_all(dir);
 }
 
@@ -257,11 +257,11 @@ TEST(WalPoisonTest, FailedAppendPoisonsTheWriterForGood) {
 
   env.fail_appends = true;
   EXPECT_FALSE(
-      wal->Append(store::WalRecordType::kPutRawTrajectory, "a").ok());
+      wal->Append(store::WalRecordType::kRawPoints, "a").ok());
   EXPECT_TRUE(wal->poisoned());
   env.fail_appends = false;
   common::Status retry =
-      wal->Append(store::WalRecordType::kPutRawTrajectory, "b");
+      wal->Append(store::WalRecordType::kRawPoints, "b");
   EXPECT_FALSE(retry.ok());
   EXPECT_NE(retry.message().find("poisoned"), std::string::npos);
   fs::remove_all(dir);

@@ -1,10 +1,11 @@
-// Incremental live annotation: the store's append records and the
+// Incremental live annotation: the store's row-range records and the
 // session's incremental passes.
 //
-// Store side: an append record truncates the stored entry to its start
+// Store side: a Put* record truncates the stored entry to its start
 // index and appends, so replaying one over a checkpoint that already
-// holds its rows converges, and a start past the stored length is
-// rejected (FailedPrecondition live, Corruption on replay).
+// holds its rows converges, a start past the stored length is rejected
+// (FailedPrecondition live, Corruption on replay), and a frame of a
+// retired whole-entry record type fails recovery.
 //
 // Session side: a long many-episode taxi shift fed fix by fix into a
 // durable store must end ContentEquals to the offline pipeline with WAL
@@ -108,7 +109,7 @@ void ExpectRecoversToStore(const std::string& dir,
   EXPECT_TRUE(recovered.ContentEquals(want));
 }
 
-// --- store append records -----------------------------------------------
+// --- store row-range records ---------------------------------------------
 
 TEST(StoreAppendTest, AppendTruncatesToStartThenAppends) {
   store::SemanticTrajectoryStore store;
@@ -118,12 +119,12 @@ TEST(StoreAppendTest, AppendTruncatesToStartThenAppends) {
   for (size_t i = 8; i < grown.points.size(); ++i) {
     grown.points[i].position.x += 100.0;
   }
-  ASSERT_TRUE(store.AppendRawPoints(grown, 8).ok());
+  ASSERT_TRUE(store.PutRawTrajectory(grown, 8).ok());
   EXPECT_EQ(*store.GetRawTrajectory(1), grown);
   EXPECT_EQ(store.num_gps_records(), 15u);
 
   ASSERT_TRUE(store.PutEpisodes(1, Episodes(3)).ok());
-  ASSERT_TRUE(store.AppendEpisodes(1, Episodes(5), 3).ok());
+  ASSERT_TRUE(store.PutEpisodes(1, Episodes(5), 3).ok());
   EXPECT_EQ(*store.GetEpisodes(1), Episodes(5));
   EXPECT_EQ(store.num_episodes(), 5u);
 
@@ -132,16 +133,16 @@ TEST(StoreAppendTest, AppendTruncatesToStartThenAppends) {
   for (size_t i = 0; i < 2; ++i) {
     rewritten.episodes[i] = Interpretation(1, 4, "old").episodes[i];
   }
-  ASSERT_TRUE(store.AppendInterpretation(rewritten, 2).ok());
+  ASSERT_TRUE(store.PutInterpretation(rewritten, 2).ok());
   EXPECT_EQ(*store.GetInterpretation(1, "point"), rewritten);
   EXPECT_EQ(store.num_semantic_episodes(), 6u);
 }
 
 TEST(StoreAppendTest, AppendAtZeroCreatesAbsentEntry) {
   store::SemanticTrajectoryStore store;
-  ASSERT_TRUE(store.AppendRawPoints(Trajectory(4, 3, 0.0), 0).ok());
-  ASSERT_TRUE(store.AppendEpisodes(4, Episodes(2), 0).ok());
-  ASSERT_TRUE(store.AppendInterpretation(Interpretation(4, 2, "x"), 0).ok());
+  ASSERT_TRUE(store.PutRawTrajectory(Trajectory(4, 3, 0.0), 0).ok());
+  ASSERT_TRUE(store.PutEpisodes(4, Episodes(2), 0).ok());
+  ASSERT_TRUE(store.PutInterpretation(Interpretation(4, 2, "x"), 0).ok());
   store::SemanticTrajectoryStore put;
   ASSERT_TRUE(put.PutRawTrajectory(Trajectory(4, 3, 0.0)).ok());
   ASSERT_TRUE(put.PutEpisodes(4, Episodes(2)).ok());
@@ -158,14 +159,14 @@ TEST(StoreAppendTest, StartPastStoredLengthIsRejectedAndNotLogged) {
   ASSERT_TRUE(store.Sync().ok());
   const uintmax_t logged = fs::file_size(dir + "/wal.log");
 
-  common::Status gap = store.AppendRawPoints(Trajectory(1, 9, 0.0), 6);
+  common::Status gap = store.PutRawTrajectory(Trajectory(1, 9, 0.0), 6);
   EXPECT_EQ(gap.code(), common::StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store.AppendEpisodes(1, Episodes(3), 1).code(),
+  EXPECT_EQ(store.PutEpisodes(1, Episodes(3), 1).code(),
             common::StatusCode::kFailedPrecondition);
   EXPECT_EQ(
-      store.AppendInterpretation(Interpretation(1, 3, "x"), 2).code(),
+      store.PutInterpretation(Interpretation(1, 3, "x"), 2).code(),
       common::StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store.AppendRawPoints(Trajectory(1, 2, 0.0), 3).code(),
+  EXPECT_EQ(store.PutRawTrajectory(Trajectory(1, 2, 0.0), 3).code(),
             common::StatusCode::kInvalidArgument);
   EXPECT_EQ(store.num_gps_records(), 4u);
   EXPECT_FALSE(store.storage_degraded());
@@ -178,17 +179,17 @@ TEST(StoreAppendTest, ReplayOverCheckpointHoldingTheRecordsContentEquals) {
   store::StoreConfig config;
   config.durable_dir = dir;
   store::SemanticTrajectoryStore store(config);
-  // A live session's write pattern: full puts, then appends from the
+  // A live session's write pattern: row-0 writes, then rows from the
   // watermark, with the point layer rewritten from its first change.
   ASSERT_TRUE(store.PutRawTrajectory(Trajectory(1, 5, 0.0)).ok());
-  ASSERT_TRUE(store.AppendRawPoints(Trajectory(1, 12, 0.0), 5).ok());
-  ASSERT_TRUE(store.AppendRawPoints(Trajectory(1, 20, 0.0), 12).ok());
+  ASSERT_TRUE(store.PutRawTrajectory(Trajectory(1, 12, 0.0), 5).ok());
+  ASSERT_TRUE(store.PutRawTrajectory(Trajectory(1, 20, 0.0), 12).ok());
   ASSERT_TRUE(store.PutEpisodes(1, Episodes(2)).ok());
-  ASSERT_TRUE(store.AppendEpisodes(1, Episodes(4), 2).ok());
+  ASSERT_TRUE(store.PutEpisodes(1, Episodes(4), 2).ok());
   ASSERT_TRUE(store.PutInterpretation(Interpretation(1, 3, "a")).ok());
   core::StructuredSemanticTrajectory point = Interpretation(1, 5, "b");
   point.episodes[0] = Interpretation(1, 3, "a").episodes[0];
-  ASSERT_TRUE(store.AppendInterpretation(point, 1).ok());
+  ASSERT_TRUE(store.PutInterpretation(point, 1).ok());
   ASSERT_TRUE(store.Sync().ok());
   const std::string log = ReadFile(dir + "/wal.log");
 
@@ -218,17 +219,17 @@ TEST(StoreAppendTest, ReplayOverCheckpointAfterShrinkingPutContentEquals) {
   ASSERT_TRUE(store.Checkpoint().ok());  // the log now starts mid-entry
   // Appends grow both entries; then a session restored from an older
   // checkpoint re-puts shorter prefixes and appends from there.
-  ASSERT_TRUE(store.AppendRawPoints(Trajectory(1, 20, 0.0), 10).ok());
-  ASSERT_TRUE(store.AppendInterpretation(Interpretation(1, 7, "a"), 2).ok());
+  ASSERT_TRUE(store.PutRawTrajectory(Trajectory(1, 20, 0.0), 10).ok());
+  ASSERT_TRUE(store.PutInterpretation(Interpretation(1, 7, "a"), 2).ok());
   ASSERT_TRUE(store.PutRawTrajectory(Trajectory(1, 6, 0.0)).ok());
-  ASSERT_TRUE(store.AppendRawPoints(Trajectory(1, 8, 0.0), 6).ok());
+  ASSERT_TRUE(store.PutRawTrajectory(Trajectory(1, 8, 0.0), 6).ok());
   ASSERT_TRUE(store.PutInterpretation(Interpretation(1, 1, "a")).ok());
   ASSERT_TRUE(store.Sync().ok());
   const std::string log = ReadFile(dir + "/wal.log");
 
   // Over the newer checkpoint (8 points, 1 semantic episode) the first
-  // appends start past the stored rows; the later full puts in the same
-  // log rewrite both entries, so replay still converges.
+  // records start past the stored rows; the later row-0 records in the
+  // same log rewrite both entries, so replay still converges.
   ASSERT_TRUE(store.Checkpoint().ok());
   WriteFile(dir + "/wal.log", log);
   ExpectRecoversToStore(dir, store);
@@ -236,19 +237,19 @@ TEST(StoreAppendTest, ReplayOverCheckpointAfterShrinkingPutContentEquals) {
 }
 
 TEST(StoreAppendTest, ReplayRejectsStartPastStoredLength) {
-  for (store::WalRecordType type : {store::WalRecordType::kAppendRawPoints,
-                                    store::WalRecordType::kAppendEpisodes,
-                                    store::WalRecordType::kAppendInterpretation}) {
+  for (store::WalRecordType type : {store::WalRecordType::kRawPoints,
+                                    store::WalRecordType::kEpisodes,
+                                    store::WalRecordType::kInterpretation}) {
     SCOPED_TRACE(static_cast<int>(type));
     std::string dir = TempDir("semitri_append_gap");
     fs::create_directories(dir);
     common::StateWriter payload;
     switch (type) {
-      case store::WalRecordType::kAppendRawPoints:
+      case store::WalRecordType::kRawPoints:
         payload.PutU64(3);  // start, but nothing is stored
         core::SaveState(Trajectory(1, 2, 0.0), &payload);
         break;
-      case store::WalRecordType::kAppendEpisodes:
+      case store::WalRecordType::kEpisodes:
         payload.PutI64(1);
         payload.PutU64(3);
         core::SaveState(Episodes(2), &payload);
@@ -262,6 +263,44 @@ TEST(StoreAppendTest, ReplayRejectsStartPastStoredLength) {
       auto writer = store::WalWriter::Open(dir + "/wal.log");
       ASSERT_TRUE(writer.ok());
       ASSERT_TRUE((*writer)->Append(type, payload.data()).ok());
+      ASSERT_TRUE((*writer)->Sync().ok());
+    }
+    store::SemanticTrajectoryStore recovered;
+    auto stats = recovered.Recover(dir);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), common::StatusCode::kCorruption);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(StoreRecoverTest, RetiredWholeEntryRecordTypesAreCorruption) {
+  // Types 1-3 held whole-entry puts (the core::SaveState encoding of the
+  // entry, no start index) in older builds. Their numbers are retired:
+  // a log holding one must fail recovery, not be read as something else.
+  for (uint8_t retired : {1, 2, 3}) {
+    SCOPED_TRACE(static_cast<int>(retired));
+    std::string dir = TempDir("semitri_retired_type");
+    fs::create_directories(dir);
+    common::StateWriter payload;
+    switch (retired) {
+      case 1:
+        core::SaveState(Trajectory(1, 4, 0.0), &payload);
+        break;
+      case 2:
+        payload.PutI64(1);
+        core::SaveState(Episodes(2), &payload);
+        break;
+      default:
+        core::SaveState(Interpretation(1, 2, "x"), &payload);
+        break;
+    }
+    {
+      auto writer = store::WalWriter::Open(dir + "/wal.log");
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE((*writer)
+                      ->Append(static_cast<store::WalRecordType>(retired),
+                               payload.data())
+                      .ok());
       ASSERT_TRUE((*writer)->Sync().ok());
     }
     store::SemanticTrajectoryStore recovered;

@@ -59,8 +59,6 @@ TEST_F(PipelineFixture, FullPipelineProducesAllLayers) {
     // Point layer has one episode per stop.
     EXPECT_EQ(day.point_layer->episodes.size(), day.NumStops());
     total_stops += day.NumStops();
-    // A clean run leaves no stage report.
-    EXPECT_TRUE(day.stage_reports.empty());
   }
   EXPECT_GT(total_stops, 3u);
 
@@ -236,36 +234,43 @@ TEST_F(PipelineFixture, OfflineStoreWritesFollowStageOrder) {
       dir + "/wal.log",
       [&](store::WalRecordType type, std::string_view payload) {
         common::StateReader reader(payload);
+        uint64_t start = 0;
         switch (type) {
-          case store::WalRecordType::kPutRawTrajectory: {
+          case store::WalRecordType::kRawPoints: {
             RawTrajectory raw;
+            SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
             SEMITRI_RETURN_IF_ERROR(RestoreState(&reader, &raw));
             writes.emplace_back(raw.id, "raw");
             break;
           }
-          case store::WalRecordType::kPutEpisodes: {
+          case store::WalRecordType::kEpisodes: {
             int64_t id = 0;
             SEMITRI_RETURN_IF_ERROR(reader.GetI64(&id));
+            SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
             writes.emplace_back(id, "episodes");
             break;
           }
-          case store::WalRecordType::kPutInterpretation: {
+          case store::WalRecordType::kInterpretation: {
             StructuredSemanticTrajectory layer;
+            SEMITRI_RETURN_IF_ERROR(reader.GetU64(&start));
             SEMITRI_RETURN_IF_ERROR(RestoreState(&reader, &layer));
             writes.emplace_back(layer.trajectory_id, layer.interpretation);
             break;
           }
           default:
-            return common::Status::Corruption(
-                "an offline run logs full puts only");
+            return common::Status::Corruption("not a store record");
+        }
+        if (start != 0) {
+          return common::Status::Corruption(
+              "an offline run logs row-0 writes only");
         }
         return common::Status::OK();
       },
       /*truncate_torn_tail=*/false);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
 
-  // Each trajectory logs its full puts in stage order — the order
-  // Recover() replays them in.
+  // Each trajectory logs its tables whole, from row 0, in stage order —
+  // the order Recover() replays them in.
   std::vector<std::pair<TrajectoryId, std::string>> expected;
   for (const PipelineResult& day : *results) {
     for (const char* table : {"raw", "episodes", "line", "region", "point"}) {
@@ -365,7 +370,7 @@ TEST_F(PipelineFixture, StoreWriteFailureSurfaces) {
   EXPECT_EQ(results.status().code(), common::StatusCode::kIoError);
 }
 
-TEST_F(PipelineFixture, PointLayerFailureFollowsAnnotationFailurePolicy) {
+TEST_F(PipelineFixture, PointLayerFailureFailsTheRun) {
   // A 1x1 transition matrix does not fit the POI category space, so
   // Viterbi's model check fails on every trajectory with a stop.
   datagen::PersonSpec spec = factory_->MakePersonSpec(2);
@@ -373,40 +378,13 @@ TEST_F(PipelineFixture, PointLayerFailureFollowsAnnotationFailurePolicy) {
   PipelineConfig config;
   config.point.transition = {{1.0}};
 
-  // Skip-and-record: the run completes, each trajectory with a stop
-  // keeps its region and line layers, and the store gets no point rows.
-  config.annotation_failure = FailurePolicy::SkipAndRecord();
-  store::SemanticTrajectoryStore store;
-  SemiTriPipeline degrading(&world_->regions, &world_->roads, &world_->pois,
-                            config, &store);
-  auto results = degrading.ProcessStream(2, track.points);
+  // The healthy run over the same track: the broken point model changes
+  // neither the trajectories, their episodes nor the line layer.
+  SemiTriPipeline healthy(&world_->regions, &world_->roads, &world_->pois);
+  auto results = healthy.ProcessStream(2, track.points);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
-  size_t with_stops = 0;
-  for (const PipelineResult& r : *results) {
-    if (r.NumStops() == 0) continue;
-    ++with_stops;
-    EXPECT_TRUE(r.region_layer.has_value());
-    EXPECT_TRUE(r.line_layer.has_value());
-    EXPECT_FALSE(r.point_layer.has_value());
-    EXPECT_TRUE(r.degraded());
-    auto report = r.stage_reports.find(kStagePointAnnotation);
-    ASSERT_TRUE(report != r.stage_reports.end());
-    EXPECT_TRUE(report->second.skipped);
-    EXPECT_EQ(report->second.status.code(),
-              common::StatusCode::kInvalidArgument);
-    std::vector<std::string> stored = store.ListInterpretations(r.cleaned.id);
-    auto has = [&](const char* name) {
-      return std::find(stored.begin(), stored.end(), name) != stored.end();
-    };
-    EXPECT_TRUE(has("region"));
-    EXPECT_TRUE(has("line"));
-    EXPECT_FALSE(has("point"));
-  }
-  EXPECT_GT(with_stops, 0u);
 
-  // Fail-fast (the default): the same error aborts the stream at the
-  // first trajectory with a stop.
-  config.annotation_failure = FailurePolicy::FailFast();
+  // The error aborts the stream at the first trajectory with a stop.
   store::SemanticTrajectoryStore strict_store;
   SemiTriPipeline strict(&world_->regions, &world_->roads, &world_->pois,
                          config, &strict_store);

@@ -390,41 +390,6 @@ TEST_F(RecoveryFixture, CrashAtEverySiteStreamingRecovers) {
   }
 }
 
-TEST_F(RecoveryFixture, PoiFailureDegradesToRegionAndLine) {
-  common::FaultInjector& fi = common::FaultInjector::Global();
-  // An unreachable POI repository: the point_annotation stage fails on
-  // every trajectory. With SkipAndRecord the run completes with
-  // region+line layers and a per-stage skip report.
-  store::SemanticTrajectoryStore store;
-  core::PipelineConfig config;
-  config.annotation_failure = core::FailurePolicy::SkipAndRecord();
-  core::SemiTriPipeline pipeline(&world_->regions, &world_->roads,
-                                 &world_->pois, config, &store);
-  fi.Arm(std::string("stage:") + core::kStagePointAnnotation,
-         common::FaultPolicy::FailAlways());
-  const datagen::SimulatedTrack& track = dataset_.tracks.front();
-  auto results = pipeline.ProcessStream(track.object_id, track.points, 0);
-  fi.Reset();
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  ASSERT_FALSE(results->empty());
-  for (const core::PipelineResult& r : *results) {
-    EXPECT_TRUE(r.region_layer.has_value());
-    EXPECT_TRUE(r.line_layer.has_value());
-    EXPECT_FALSE(r.point_layer.has_value());
-    EXPECT_TRUE(r.degraded());
-    auto it = r.stage_reports.find(core::kStagePointAnnotation);
-    ASSERT_TRUE(it != r.stage_reports.end());
-    EXPECT_TRUE(it->second.skipped);
-    EXPECT_FALSE(it->second.status.ok());
-    // Store side: region+line rows landed, no point rows.
-    auto interps = store.ListInterpretations(r.cleaned.id);
-    EXPECT_TRUE(std::find(interps.begin(), interps.end(), "region") !=
-                interps.end());
-    EXPECT_TRUE(std::find(interps.begin(), interps.end(), "point") ==
-                interps.end());
-  }
-}
-
 // The migration leg of the kill-at-every-site sweep: a live session
 // migration killed at any of its fault sites must abort with the
 // session recoverable on exactly one shard — and the interrupted run,

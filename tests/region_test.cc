@@ -119,8 +119,8 @@ TEST(RegionAnnotatorTest, Algorithm1MergesByCategory) {
 }
 
 TEST(RegionAnnotatorTest, MergeByCategoryCompressesSameTypeCells) {
-  // Two adjacent building cells -> one tuple when merging by category,
-  // two when merging by region.
+  // Two adjacent building cells -> one tuple: Algorithm 1 merges by
+  // category.
   RegionSet regions;
   regions.AddCell(BoundingBox({0, 0}, {100, 100}),
                   LanduseCategory::kBuilding);
@@ -132,11 +132,6 @@ TEST(RegionAnnotatorTest, MergeByCategoryCompressesSameTypeCells) {
   }
   RegionAnnotator by_category(&regions);
   EXPECT_EQ(by_category.AnnotateTrajectory(t).episodes.size(), 1u);
-
-  RegionAnnotatorConfig config;
-  config.merge_policy = RegionAnnotatorConfig::MergePolicy::kByRegion;
-  RegionAnnotator by_region(&regions, config);
-  EXPECT_EQ(by_region.AnnotateTrajectory(t).episodes.size(), 2u);
 }
 
 TEST(RegionAnnotatorTest, UncoveredPointsFormGapTuples) {

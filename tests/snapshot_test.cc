@@ -1,6 +1,6 @@
 // Tests for the store's binary checkpoint snapshots: entries with no
 // rows survive Checkpoint() + Recover(), a snapshot holds exactly the
-// full-put records an offline log holds, Recover() refuses a damaged
+// row-0 records an offline log holds, Recover() refuses a damaged
 // snapshot or a CSV checkpoint of an older build, and the sealed-segment
 // sequence never repeats a number — neither after a checkpoint removed
 // the old segments (which a standby must still receive under new

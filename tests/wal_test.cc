@@ -57,21 +57,21 @@ TEST(WalTest, AppendReplayRoundTrip) {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(
-        (*writer)->Append(WalRecordType::kPutRawTrajectory, "alpha").ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "").ok());
+        (*writer)->Append(WalRecordType::kRawPoints, "alpha").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "").ok());
     std::string binary("\x00\x01\xff payload", 11);
     ASSERT_TRUE(
-        (*writer)->Append(WalRecordType::kPutInterpretation, binary).ok());
+        (*writer)->Append(WalRecordType::kInterpretation, binary).ok());
     ASSERT_TRUE((*writer)->Sync().ok());
   }
   auto records = ReplayAll(path);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 3u);
-  EXPECT_EQ((*records)[0].type, WalRecordType::kPutRawTrajectory);
+  EXPECT_EQ((*records)[0].type, WalRecordType::kRawPoints);
   EXPECT_EQ((*records)[0].payload, "alpha");
-  EXPECT_EQ((*records)[1].type, WalRecordType::kPutEpisodes);
+  EXPECT_EQ((*records)[1].type, WalRecordType::kEpisodes);
   EXPECT_EQ((*records)[1].payload, "");
-  EXPECT_EQ((*records)[2].type, WalRecordType::kPutInterpretation);
+  EXPECT_EQ((*records)[2].type, WalRecordType::kInterpretation);
   EXPECT_EQ((*records)[2].payload.size(), 11u);
   fs::remove(path);
 }
@@ -87,15 +87,15 @@ TEST(WalTest, TornTailIsTruncated) {
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "keep1").ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "keep2").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "keep1").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "keep2").ok());
   }
   std::string intact = ReadFile(path);
   // Simulate a power cut mid-append: half of a third frame.
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "torn").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "torn").ok());
   }
   std::string full = ReadFile(path);
   ASSERT_GT(full.size(), intact.size());
@@ -121,7 +121,7 @@ TEST(WalTest, TornTailIsTruncated) {
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "after").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "after").ok());
   }
   auto again = ReplayAll(path);
   ASSERT_TRUE(again.ok());
@@ -135,8 +135,8 @@ TEST(WalTest, CorruptCrcEndsReplayAtBadFrame) {
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "good").ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "bitrot").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "good").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "bitrot").ok());
   }
   std::string data = ReadFile(path);
   data.back() ^= 0x01;  // flip a payload bit in the second frame
@@ -157,11 +157,11 @@ TEST(WalTest, TruncateEmptiesLog) {
   std::string path = TempWal("semitri_wal_truncate.log");
   auto writer = WalWriter::Open(path);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "x").ok());
+  ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "x").ok());
   ASSERT_TRUE((*writer)->Truncate().ok());
   EXPECT_EQ(fs::file_size(path), 0u);
   // Appends continue after compaction.
-  ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "y").ok());
+  ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "y").ok());
   auto records = ReplayAll(path);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
@@ -174,8 +174,8 @@ TEST(WalTest, ApplyErrorAbortsReplay) {
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "a").ok());
-    ASSERT_TRUE((*writer)->Append(WalRecordType::kPutEpisodes, "b").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "a").ok());
+    ASSERT_TRUE((*writer)->Append(WalRecordType::kEpisodes, "b").ok());
   }
   size_t applied = 0;
   auto stats = ReplayWal(
