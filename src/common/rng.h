@@ -24,9 +24,11 @@ class Rng {
     return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
   }
 
-  // Standard normal scaled: mean + stddev * N(0,1).
+  // Standard normal scaled: mean + stddev * N(0,1). Draws from the
+  // engine even at stddev 0, where it returns the mean, so a noise-free
+  // caller keeps the stream in step with a noisy one.
   double Gaussian(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return mean + stddev * std::normal_distribution<double>(0.0, 1.0)(engine_);
   }
 
   // Exponential with the given mean (= 1/lambda).

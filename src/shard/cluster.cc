@@ -1,6 +1,10 @@
 #include "shard/cluster.h"
 
+#include <atomic>
+#include <condition_variable>
+#include <exception>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -9,6 +13,132 @@
 #include "common/serial.h"
 
 namespace semitri::shard {
+
+// A fixed set of threads that, with the calling thread, run one batch
+// of indexed tasks at a time. Run() returns only after every worker has
+// left the batch: a worker that returned once the last task was merely
+// claimed could carry its claim counter into the next batch and run a
+// new index against the old task.
+class ShardCluster::Workers {
+ public:
+  using Task = std::function<common::Status(size_t)>;
+
+  explicit Workers(size_t threads);
+  ~Workers();
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+
+  // Runs task(i) for every i in [0, n) on the workers and the calling
+  // thread, and returns the first failure in index order once all n
+  // have finished. One batch at a time: callers serialize. An exception
+  // a task throws is rethrown here after the join.
+  common::Status Run(size_t n, const Task& task);
+
+ private:
+  void Loop();
+  // Takes indices of the current batch until none is left.
+  void Claim(const Task& task, std::vector<common::Status>* statuses);
+  void Stop();
+
+  std::mutex mutex_;
+  std::condition_variable wake_;  // a batch was posted, or stop_ set
+  std::condition_variable idle_;  // busy_ reached 0
+  // The current batch; each task writes only its own status slot.
+  const Task* task_ SEMITRI_GUARDED_BY(mutex_) = nullptr;
+  std::vector<common::Status>* statuses_ SEMITRI_GUARDED_BY(mutex_) =
+      nullptr;
+  uint64_t batch_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  // Workers that have not yet left the current batch.
+  size_t busy_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  bool stop_ SEMITRI_GUARDED_BY(mutex_) = false;
+  std::exception_ptr error_ SEMITRI_GUARDED_BY(mutex_);
+  // The next unclaimed index; reset only while no worker is in a batch.
+  std::atomic<size_t> next_{0};
+  // semitri-lint: allow(guarded-by-completeness) — filled in the
+  // constructor and joined by Stop(); its size never changes between.
+  std::vector<std::thread> threads_;
+};
+
+ShardCluster::Workers::Workers(size_t threads) {
+  threads_.reserve(threads);
+  try {
+    for (size_t i = 0; i < threads; ++i) {
+      threads_.emplace_back([this] { Loop(); });
+    }
+  } catch (...) {
+    Stop();
+    throw;
+  }
+}
+
+ShardCluster::Workers::~Workers() { Stop(); }
+
+common::Status ShardCluster::Workers::Run(size_t n, const Task& task) {
+  std::vector<common::Status> statuses(n);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    task_ = &task;
+    statuses_ = &statuses;
+    next_.store(0);
+    busy_ = threads_.size();
+    ++batch_;
+  }
+  wake_.notify_all();
+  Claim(task, &statuses);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_.wait(lock, [this] { return busy_ == 0; });
+    task_ = nullptr;
+    statuses_ = nullptr;
+    error = std::exchange(error_, nullptr);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
+  for (common::Status& status : statuses) {
+    SEMITRI_RETURN_IF_ERROR(std::move(status));
+  }
+  return common::Status::OK();
+}
+
+void ShardCluster::Workers::Loop() {
+  uint64_t seen = 0;
+  for (;;) {
+    const Task* task = nullptr;
+    std::vector<common::Status>* statuses = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      wake_.wait(lock, [&] { return stop_ || batch_ != seen; });
+      if (stop_) return;
+      seen = batch_;
+      task = task_;
+      statuses = statuses_;
+    }
+    Claim(*task, statuses);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--busy_ == 0) idle_.notify_one();
+  }
+}
+
+void ShardCluster::Workers::Claim(const Task& task,
+                                  std::vector<common::Status>* statuses) {
+  for (size_t i = next_++; i < statuses->size(); i = next_++) {
+    try {
+      (*statuses)[i] = task(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (error_ == nullptr) error_ = std::current_exception();
+    }
+  }
+}
+
+void ShardCluster::Workers::Stop() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  wake_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+}
 
 namespace {
 
@@ -61,11 +191,15 @@ ShardCluster::ShardCluster(std::shared_ptr<const core::AnnotationModel> model,
     : model_(std::move(model)),
       clock_(clock),
       config_(std::move(config)),
-      ring_(config_.ring) {
+      ring_(config_.ring),
+      // With the calling thread, one thread per shard serves a batch.
+      workers_(std::make_unique<Workers>(config_.num_shards - 1)) {
   detector_ = std::make_unique<FailureDetector>(config_.detector, clock_);
   feed_retry_policy_ = common::RetryPolicy(config_.feed_retry, clock_);
   retry_feeds_enabled_ = config_.retry_feeds;
 }
+
+ShardCluster::~ShardCluster() = default;
 
 common::Result<std::unique_ptr<ShardCluster>> ShardCluster::Open(
     const region::RegionSet* regions, const road::RoadNetwork* roads,
@@ -80,12 +214,24 @@ common::Result<std::unique_ptr<ShardCluster>> ShardCluster::Open(
   std::unique_ptr<ShardCluster> cluster(
       new ShardCluster(std::move(model), std::move(config), clock));
   std::lock_guard<std::mutex> lock(cluster->mutex_);
-  for (size_t i = 0; i < cluster->config_.num_shards; ++i) {
-    ShardRuntimeConfig shard_config = MakeShardConfig(cluster->config_, i);
-    auto runtime = ShardRuntime::Open(cluster->model_, shard_config, clock);
-    SEMITRI_RETURN_IF_ERROR(runtime.status());
-    cluster->shard_configs_.push_back(std::move(shard_config));
-    cluster->runtimes_.emplace_back(std::move(runtime.value()));
+  const size_t num_shards = cluster->config_.num_shards;
+  std::vector<ShardRuntimeConfig> configs;
+  configs.reserve(num_shards);
+  for (ShardId i = 0; i < num_shards; ++i) {
+    configs.push_back(MakeShardConfig(cluster->config_, i));
+  }
+  // Every shard recovers its own directory, all at once.
+  std::vector<std::unique_ptr<ShardRuntime>> opened(num_shards);
+  SEMITRI_RETURN_IF_ERROR(cluster->workers_->Run(
+      num_shards, [&](size_t i) -> common::Status {
+        auto runtime = ShardRuntime::Open(cluster->model_, configs[i], clock);
+        SEMITRI_RETURN_IF_ERROR(runtime.status());
+        opened[i] = std::move(runtime.value());
+        return common::Status::OK();
+      }));
+  for (ShardId i = 0; i < num_shards; ++i) {
+    cluster->shard_configs_.push_back(std::move(configs[i]));
+    cluster->runtimes_.emplace_back(std::move(opened[i]));
     cluster->failover_epochs_.push_back(0);
     cluster->ring_.AddShard(i);
   }
@@ -100,41 +246,48 @@ ShardId ShardCluster::OwnerLocked(core::ObjectId object_id) const {
 
 std::shared_ptr<ShardRuntime> ShardCluster::RouteLocked(
     core::ObjectId object_id) {
-  ShardId owner = OwnerLocked(object_id);
-  auto [it, inserted] = placement_.try_emplace(object_id, owner);
-  if (inserted) history_[object_id].push_back(owner);
+  // One map walk: the ring is asked only for an object it has not seen.
+  auto [it, inserted] = placement_.try_emplace(object_id, ShardId{0});
+  if (inserted) {
+    it->second = ring_.ShardForObject(object_id);
+    history_[object_id].push_back(it->second);
+  }
   return runtimes_[it->second];
+}
+
+common::Result<stream::AnnotationSession::FeedResult> ShardCluster::FeedOnce(
+    core::ObjectId object_id, const core::GpsPoint& fix) {
+  std::shared_ptr<ShardRuntime> runtime;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    runtime = RouteLocked(object_id);
+    if (runtime == nullptr) {
+      ++feeds_rejected_dead_shard_;
+      return common::Status::Unavailable("owning shard is down");
+    }
+  }
+  // Outside the cluster lock: feeds for objects on other shards (and
+  // other objects of this shard) proceed in parallel; the runtime's
+  // own manager/store synchronize internally. An in-flight feed keeps
+  // the runtime alive across a concurrent KillShard/Failover via the
+  // shared_ptr.
+  return runtime->Feed(object_id, fix);
 }
 
 common::Result<stream::AnnotationSession::FeedResult> ShardCluster::Feed(
     core::ObjectId object_id, const core::GpsPoint& fix) {
-  common::Result<stream::AnnotationSession::FeedResult> result =
-      common::Status::Unavailable("feed not attempted");
-  auto attempt = [&]() -> common::Status {
-    std::shared_ptr<ShardRuntime> runtime;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      runtime = RouteLocked(object_id);
-      if (runtime == nullptr) {
-        ++feeds_rejected_dead_shard_;
-        result = common::Status::Unavailable("owning shard is down");
-        return result.status();
-      }
-    }
-    // Outside the cluster lock: feeds for objects on other shards (and
-    // other objects of this shard) proceed in parallel; the runtime's
-    // own manager/store synchronize internally. An in-flight feed
-    // keeps the runtime alive across a concurrent KillShard/Failover
-    // via the shared_ptr.
-    result = runtime->Feed(object_id, fix);
-    return result.status();
+  if (!retry_feeds_enabled_) return FeedOnce(object_id, fix);
+  // The attempt captures two pointers, which the std::function that
+  // RetryPolicy::Run takes stores inline: a Feed allocates nothing.
+  struct Call {
+    core::ObjectId object_id;
+    const core::GpsPoint& fix;
+    common::Result<stream::AnnotationSession::FeedResult> result;
+  } call{object_id, fix, stream::AnnotationSession::FeedResult{}};
+  auto attempt = [this, &call]() -> common::Status {
+    call.result = FeedOnce(call.object_id, call.fix);
+    return call.result.status();
   };
-  if (!retry_feeds_enabled_) {
-    // semitri-lint: allow(unchecked-status) — `result` carries the
-    // attempt's status to the caller.
-    (void)attempt();
-    return result;
-  }
   common::RetryPolicy::Outcome outcome = feed_retry_policy_.Run(
       attempt, static_cast<uint64_t>(object_id),
       // A feed waiting out a backoff is the cluster's idle moment:
@@ -154,7 +307,7 @@ common::Result<stream::AnnotationSession::FeedResult> ShardCluster::Feed(
     if (outcome.recovered) ++feeds_recovered_;
   }
   SEMITRI_RETURN_IF_ERROR(outcome.status);
-  return result;
+  return std::move(call.result);
 }
 
 common::Status ShardCluster::CloseObject(core::ObjectId object_id) {
@@ -171,13 +324,18 @@ common::Status ShardCluster::CloseObject(core::ObjectId object_id) {
 
 common::Status ShardCluster::CloseAll() {
   std::lock_guard<std::mutex> lock(mutex_);
-  common::Status first = common::Status::OK();
-  for (const std::shared_ptr<ShardRuntime>& runtime : runtimes_) {
-    if (runtime == nullptr) continue;
-    common::Status status = runtime->CloseAll();
-    if (!status.ok() && first.ok()) first = status;
-  }
-  return first;
+  return ForEachLiveShardLocked(
+      [](ShardId, ShardRuntime& runtime) { return runtime.CloseAll(); });
+}
+
+common::Status ShardCluster::ForEachLiveShardLocked(
+    const std::function<common::Status(ShardId, ShardRuntime&)>& op) {
+  // Tasks read this copy, never the guarded table.
+  const std::vector<std::shared_ptr<ShardRuntime>> live = runtimes_;
+  return workers_->Run(live.size(), [&](size_t i) -> common::Status {
+    if (live[i] == nullptr) return common::Status::OK();
+    return op(i, *live[i]);
+  });
 }
 
 ShardId ShardCluster::OwnerOf(core::ObjectId object_id) const {
@@ -362,9 +520,10 @@ common::Result<size_t> ShardCluster::Tick() {
   // loop is the cluster's idle heartbeat, so corruption is found in
   // steady state, not at the next failover. Scrub I/O trouble is
   // best-effort — it never blocks failure detection.
-  for (const std::shared_ptr<ShardRuntime>& runtime : runtimes_) {
-    if (runtime != nullptr) (void)runtime->ScrubTick();
-  }
+  // semitri-lint: allow(unchecked-status) — best-effort scrub; the
+  // scrubber's counters and the health rollup carry what it found.
+  (void)ForEachLiveShardLocked(
+      [](ShardId, ShardRuntime& runtime) { return runtime.ScrubTick(); });
   for (ShardId id = 0; id < runtimes_.size(); ++id) {
     if (!detector_->ProbeDue(id)) continue;
     // The in-process probe: is the runtime slot occupied? (Process
@@ -463,25 +622,25 @@ Liveness ShardCluster::ShardLiveness(ShardId shard) const {
 
 common::Status ShardCluster::CheckpointAll() {
   std::lock_guard<std::mutex> lock(mutex_);
-  common::Status first = common::Status::OK();
-  for (const std::shared_ptr<ShardRuntime>& runtime : runtimes_) {
-    if (runtime == nullptr) continue;
-    common::Status status = runtime->Checkpoint();
-    if (!status.ok() && first.ok()) first = status;
-  }
-  return first;
+  return ForEachLiveShardLocked(
+      [](ShardId, ShardRuntime& runtime) { return runtime.Checkpoint(); });
 }
 
 common::Result<WalShipper::ShipStats> ShardCluster::SealAndShipAll() {
   std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<WalShipper::ShipStats> shipped(runtimes_.size());
+  SEMITRI_RETURN_IF_ERROR(ForEachLiveShardLocked(
+      [&shipped](ShardId id, ShardRuntime& runtime) -> common::Status {
+        auto stats = runtime.SealAndShip();
+        SEMITRI_RETURN_IF_ERROR(stats.status());
+        shipped[id] = *stats;
+        return common::Status::OK();
+      }));
   WalShipper::ShipStats total;
-  for (const std::shared_ptr<ShardRuntime>& runtime : runtimes_) {
-    if (runtime == nullptr) continue;
-    auto shipped = runtime->SealAndShip();
-    SEMITRI_RETURN_IF_ERROR(shipped.status());
-    total.segments_shipped += shipped->segments_shipped;
-    total.bytes_shipped += shipped->bytes_shipped;
-    total.reshipped_corrupt_segments += shipped->reshipped_corrupt_segments;
+  for (const WalShipper::ShipStats& stats : shipped) {
+    total.segments_shipped += stats.segments_shipped;
+    total.bytes_shipped += stats.bytes_shipped;
+    total.reshipped_corrupt_segments += stats.reshipped_corrupt_segments;
   }
   return total;
 }

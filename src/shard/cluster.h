@@ -3,10 +3,10 @@
 
 // In-process N-shard deployment harness: ShardRuntimes behind a
 // consistent-hash router, with live session migration, ring
-// rebalancing, and kill/restart — the deterministic (FakeClock-driven,
-// TSan-able) twin of the tools/shardd process supervisor. Tests and
-// the shard soak bench drive this façade; production-shaped process
-// isolation is shardd's job.
+// rebalancing, and kill/restart — the FakeClock-driven, TSan-checked
+// twin of the tools/shardd process supervisor. Tests and the shard
+// soak bench drive this façade; production-shaped process isolation is
+// shardd's job.
 //
 // --- routing ----------------------------------------------------------
 // An object's first feed pins it to its ring placement; afterwards the
@@ -76,14 +76,30 @@
 // the auto-failover, and recovers — the rejected-vs-retried-vs-
 // recovered split lands in stats().
 //
+// --- upkeep fan-out ---------------------------------------------------
+// The cluster owns num_shards - 1 worker threads, started by Open() and
+// joined when the cluster is destroyed. The per-shard upkeep calls —
+// the runtime opens in Open(), the scrub increments in Tick(),
+// CheckpointAll(), SealAndShipAll() and CloseAll() — run one task per
+// live shard on those workers and the calling thread at once. Each
+// returns only after every task has finished and every worker has left
+// the batch, and reports the first failure in shard order; so an OK
+// ack still means every live shard is durable. A runtime still gets
+// its control-plane calls one at a time. Migration, rebalance,
+// failover, MergeStores() and Health() run on the calling thread.
+// A fault site armed to fire once lands on whichever shard's task
+// reaches it first, so tests must not depend on which shard that is.
+//
 // Thread safety: Feed() may be called from many threads (objects on
 // different shards proceed in parallel; the cluster lock is held only
 // to route). Control-plane calls (migrate, rebalance, kill, restart,
-// failover, tick, checkpoint) serialize on the cluster lock. Feeds for
-// an object must be quiesced while that object migrates — the standard
+// failover, tick, checkpoint) serialize on the cluster lock, which a
+// fanned-out call holds until its batch has joined. Feeds for an
+// object must be quiesced while that object migrates — the standard
 // drain contract, enforced by callers.
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -140,8 +156,10 @@ struct ShardClusterConfig {
 class ShardCluster {
  public:
   // Builds one core::AnnotationModel from the world and
-  // config.pipeline, then opens num_shards runtimes over it (recovering
-  // any pre-existing durable state under base_dir). AddShard,
+  // config.pipeline, starts the num_shards - 1 upkeep workers, then
+  // opens num_shards runtimes over the model at once (each recovers any
+  // pre-existing durable state under base_dir). Every shard opens
+  // before the first failure in shard order is returned. AddShard,
   // RestartShard and failover open their runtimes over the same model.
   // Pointers must outlive the cluster; `clock` drives every shard's
   // idle/eviction time (null = real clock).
@@ -149,6 +167,9 @@ class ShardCluster {
       const region::RegionSet* regions, const road::RoadNetwork* roads,
       const poi::PoiSet* pois, ShardClusterConfig config,
       const common::Clock* clock = nullptr);
+
+  // Joins the upkeep workers.
+  ~ShardCluster();
 
   // --- data plane -----------------------------------------------------
 
@@ -163,8 +184,9 @@ class ShardCluster {
   // Flushing close on the owning shard (stream end for one object).
   [[nodiscard]] common::Status CloseObject(core::ObjectId object_id);
 
-  // Closes every session on every live shard.
-  [[nodiscard]] common::Status CloseAll();
+  // Closes every session on every live shard, all shards at once;
+  // returns the first failure in shard order once every shard is done.
+  [[nodiscard]] common::Status CloseAll() SEMITRI_EXCLUDES(mutex_);
 
   // --- placement & migration ------------------------------------------
 
@@ -210,7 +232,9 @@ class ShardCluster {
 
   // --- self-healing ---------------------------------------------------
 
-  // One detector pass: probes every shard slot that is due
+  // One integrity-scrub increment on every live shard, all shards at
+  // once (best effort: scrub errors are dropped), then one detector
+  // pass on the calling thread: probes every shard slot that is due
   // (FailureDetectorConfig::probe_interval_seconds), walks suspicion
   // state, and — with auto_failover — promotes the standby of every
   // shard newly declared dead. Returns failovers performed this tick.
@@ -236,8 +260,14 @@ class ShardCluster {
 
   // --- durability -----------------------------------------------------
 
+  // The cluster ack: ShardRuntime::Checkpoint() on every live shard,
+  // all shards at once. Returns once every shard is done: OK means
+  // every live shard is durable, else the first failure in shard order.
   [[nodiscard]] common::Status CheckpointAll() SEMITRI_EXCLUDES(mutex_);
-  // Seal + ship every live shard's WAL; returns totals.
+  // Seals and ships every live shard's WAL, all shards at once. A
+  // failing shard does not stop the others: each live shard seals and
+  // ships, then the call returns the summed totals, or the first
+  // failure in shard order (and no totals).
   [[nodiscard]] common::Result<WalShipper::ShipStats> SealAndShipAll()
       SEMITRI_EXCLUDES(mutex_);
 
@@ -298,14 +328,28 @@ class ShardCluster {
       SEMITRI_EXCLUDES(mutex_);
 
  private:
+  // The upkeep pool (defined in cluster.cc).
+  class Workers;
+
   ShardCluster(std::shared_ptr<const core::AnnotationModel> model,
                ShardClusterConfig config, const common::Clock* clock);
 
+  // One routing attempt plus the runtime's Feed (Feed() without the
+  // retry loop).
+  [[nodiscard]] common::Result<stream::AnnotationSession::FeedResult>
+  FeedOnce(core::ObjectId object_id, const core::GpsPoint& fix)
+      SEMITRI_EXCLUDES(mutex_);
   ShardId OwnerLocked(core::ObjectId object_id) const
       SEMITRI_REQUIRES(mutex_);
   // Records first-touch placement; returns the owning runtime (null =
   // dead shard).
   std::shared_ptr<ShardRuntime> RouteLocked(core::ObjectId object_id)
+      SEMITRI_REQUIRES(mutex_);
+  // Runs op(shard, runtime) for every live shard on the upkeep pool,
+  // one task per shard, over a copy of runtimes_ taken under the lock.
+  // Returns once every task is done: the first failure in shard order.
+  [[nodiscard]] common::Status ForEachLiveShardLocked(
+      const std::function<common::Status(ShardId, ShardRuntime&)>& op)
       SEMITRI_REQUIRES(mutex_);
   [[nodiscard]] common::Status MigrateLocked(core::ObjectId object_id,
                                              ShardId dest)
@@ -365,6 +409,10 @@ class ShardCluster {
   // semitri-lint: allow(guarded-by-completeness) — set once in the
   // constructor from config_, never written again.
   bool retry_feeds_enabled_ = false;
+  // Declared last, so its threads are joined before any other member
+  // is destroyed. The pool synchronizes itself; the cluster hands it
+  // one batch at a time, under mutex_.
+  const std::unique_ptr<Workers> workers_;
 };
 
 }  // namespace semitri::shard

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -135,6 +137,35 @@ TEST(RngTest, GaussianMoments) {
   double var = sum2 / n - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.2);
+}
+
+// Gaussian scales one N(0,1) draw: for stddev > 0 it matches the
+// distribution built with (mean, stddev) bit for bit, and at stddev 0
+// it returns the mean while still consuming the same engine state.
+TEST(RngTest, GaussianScalesAStandardDraw) {
+  const double kMeans[] = {0.0, 5.0, -120.5};
+  const double kStddevs[] = {0.25, 2.0, 30.0};
+  for (double mean : kMeans) {
+    for (double stddev : kStddevs) {
+      Rng rng(17);
+      std::mt19937_64 twin(17);
+      for (int i = 0; i < 1000; ++i) {
+        double expected =
+            std::normal_distribution<double>(mean, stddev)(twin);
+        ASSERT_EQ(rng.Gaussian(mean, stddev), expected)
+            << "mean " << mean << " stddev " << stddev << " draw " << i;
+      }
+    }
+  }
+
+  Rng noiseless(21);
+  Rng noisy(21);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(noiseless.Gaussian(3.5, 0.0), 3.5);
+    (void)noisy.Gaussian(3.5, 1.0);
+  }
+  EXPECT_EQ(noiseless.UniformInt(0, 1000000), noisy.UniformInt(0, 1000000))
+      << "a stddev-0 draw must advance the engine like any other";
 }
 
 TEST(RngTest, ForkDecorrelates) {

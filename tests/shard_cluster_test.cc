@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -1062,6 +1063,102 @@ TEST_F(ShardClusterFixture, FailoverAfterAbortedHandoffLeavesOneOwner) {
   }
   ASSERT_TRUE(cluster->CloseAll().ok());
   ExpectConverged(*cluster, *reference, "failover after aborted handoff");
+}
+
+// --- upkeep fan-out --------------------------------------------------
+
+// SealAndShipAll runs one task per shard: a ship failure on one shard
+// no longer leaves the shards after it unsealed. Which shard takes the
+// one-shot fault depends on scheduling, so the test only counts.
+TEST_F(ShardClusterFixture, SealAndShipAllShipsEveryShardPastAFailure) {
+  datagen::Dataset dataset = factory_->MilanPrivateCars(12, 1);
+  auto cluster = OpenCluster("semitri_shard_fanout_ship", 3);
+  std::set<ShardId> owners;
+  for (const datagen::SimulatedTrack& track : dataset.tracks) {
+    owners.insert(cluster->OwnerOf(track.object_id));
+  }
+  ASSERT_EQ(owners.size(), 3u) << "every shard must be fed";
+  FeedRange(cluster.get(), dataset, 0, LongestTrack(dataset));
+  ASSERT_TRUE(cluster->CloseAll().ok());
+
+  common::FaultInjector::Global().Arm("wal_ship",
+                                      common::FaultPolicy::FailOnce());
+  EXPECT_FALSE(cluster->SealAndShipAll().ok());
+
+  size_t lagging = 0;
+  for (ShardId s = 0; s < 3; ++s) {
+    std::shared_ptr<ShardRuntime> runtime = cluster->runtime(s);
+    ASSERT_NE(runtime, nullptr);
+    if (runtime->ShardHealthInfo().wal_ship_lag_segments > 0) {
+      ++lagging;
+      continue;
+    }
+    // Every other shard sealed its active WAL...
+    const std::string& durable = runtime->config().durable_dir;
+    const std::string& standby = runtime->config().standby_dir;
+    EXPECT_EQ(fs::file_size(durable + "/wal.log"), 0u) << "shard " << s;
+    // ...and its standby holds the sealed segment.
+    std::vector<std::string> sealed =
+        store::SemanticTrajectoryStore::ListSealedWalSegments(durable);
+    ASSERT_EQ(sealed.size(), 1u) << "shard " << s;
+    ASSERT_TRUE(fs::exists(standby + "/" + sealed.front())) << "shard " << s;
+    EXPECT_EQ(fs::file_size(standby + "/" + sealed.front()),
+              fs::file_size(durable + "/" + sealed.front()))
+        << "shard " << s;
+  }
+  EXPECT_EQ(lagging, 1u);
+}
+
+// TSan target: four feeder threads, each owning its own objects, stream
+// into a 4-shard cluster while the main thread runs the fanned-out
+// upkeep calls back to back. Nothing is killed, so the merge must equal
+// the single-manager run. About 18k fixes, so that many upkeep rounds
+// overlap the feeds.
+TEST_F(ShardClusterFixture, UpkeepFanOutRunsAlongsideConcurrentFeeds) {
+  datagen::Dataset dataset = factory_->MilanPrivateCars(48, 7);
+  auto reference = ReferenceStore(dataset);
+  auto cluster = OpenCluster("semitri_shard_fanout_stress", 4);
+
+  constexpr size_t kFeeders = 4;
+  std::atomic<size_t> feeding{kFeeders};
+  std::atomic<size_t> fed_fixes{0};
+  std::vector<std::thread> feeders;
+  feeders.reserve(kFeeders);
+  for (size_t f = 0; f < kFeeders; ++f) {
+    feeders.emplace_back([&cluster, &dataset, &feeding, &fed_fixes, f]() {
+      for (size_t t = f; t < dataset.tracks.size(); t += kFeeders) {
+        const datagen::SimulatedTrack& track = dataset.tracks[t];
+        for (const core::GpsPoint& fix : track.points) {
+          auto fed = cluster->Feed(track.object_id, fix);
+          EXPECT_TRUE(fed.ok()) << "object " << track.object_id << ": "
+                                << fed.status().ToString();
+          if (!fed.ok()) break;
+          ++fed_fixes;
+        }
+      }
+      --feeding;
+    });
+  }
+  // The routing lock is not fair: a loop that re-takes it at once can
+  // starve the feeders, so each round waits for a few hundred feeds.
+  constexpr size_t kFixesPerRound = 400;
+  size_t rounds = 0;
+  while (feeding.load() > 0 || rounds < 3) {
+    auto ticked = cluster->Tick();
+    EXPECT_TRUE(ticked.ok()) << ticked.status().ToString();
+    common::Status acked = cluster->CheckpointAll();
+    EXPECT_TRUE(acked.ok()) << acked.ToString();
+    auto shipped = cluster->SealAndShipAll();
+    EXPECT_TRUE(shipped.ok()) << shipped.status().ToString();
+    ++rounds;
+    const size_t next = fed_fixes.load() + kFixesPerRound;
+    while (feeding.load() > 0 && fed_fixes.load() < next) {
+      std::this_thread::yield();
+    }
+  }
+  for (std::thread& feeder : feeders) feeder.join();
+  ASSERT_TRUE(cluster->CloseAll().ok());
+  ExpectConverged(*cluster, *reference, "upkeep fan-out beside feeds");
 }
 
 }  // namespace
