@@ -312,10 +312,10 @@ int main(int argc, char** argv) {
                         : "DIVERGED (lost acknowledged fixes)");
   std::printf("per-shard rollup:\n");
   for (const core::ShardHealth& shard : health.shards) {
-    std::printf("  shard %zu: %s, %zu live sessions, %zu buffered bytes, "
+    std::printf("  shard %zu: %s, %zu live sessions, %zu buffered fixes, "
                 "ship lag %zu segments\n",
                 shard.shard_id, shard.alive ? "alive" : "DEAD",
-                shard.live_sessions, shard.buffered_bytes,
+                shard.live_sessions, shard.buffered_fixes,
                 shard.wal_ship_lag_segments);
   }
 
@@ -339,8 +339,6 @@ int main(int argc, char** argv) {
     config.manager.admission.max_sessions =
         std::max<size_t>(1, static_cast<size_t>(kObjects) /
                                 (config.num_shards * 3));
-    config.manager.admission.overload_policy =
-        stream::OverloadPolicy::kShedOldestIdle;
     auto overload_opened = shard::ShardCluster::Open(
         &world.regions, &world.roads, &world.pois, config);
     if (!overload_opened.ok()) return 1;

@@ -434,9 +434,10 @@ int main(int argc, char** argv) {
 
   // --- overloaded pass --------------------------------------------------
   // The same corpus pushed through deliberately tight admission budgets
-  // (shed-oldest-idle): how much throughput costs when the manager has
-  // to evict sessions to admit work, how often it sheds, and what the
-  // admission decision itself costs per fix (p50/p99 Feed latency).
+  // (over budget, Feed sheds the least-recently-fed session): how much
+  // throughput costs when the manager has to evict sessions to admit
+  // work, how often it sheds, and what the admission decision itself
+  // costs per fix (p50/p99 Feed latency).
   double overload_seconds = 0.0;
   std::vector<double> admission_latencies;
   stream::SessionManager::Stats overload_stats;
@@ -448,7 +449,6 @@ int main(int argc, char** argv) {
     mc.admission.max_sessions =
         std::max<size_t>(1, static_cast<size_t>(kUsers) / 3);
     mc.admission.max_buffered_fixes = smoke ? 2000 : 20000;
-    mc.admission.overload_policy = stream::OverloadPolicy::kShedOldestIdle;
     stream::SessionManager manager(&pipeline, mc);
 
     admission_latencies.reserve(total_points);

@@ -22,7 +22,7 @@ void AppendGauge(std::string* out, const char* name,
 }  // namespace
 
 bool HealthSnapshot::degraded() const {
-  for (const BudgetGauge* g : {&sessions, &buffered_fixes, &buffered_bytes}) {
+  for (const BudgetGauge* g : {&sessions, &buffered_fixes}) {
     if (g->limit != 0 && g->utilization() >= 0.9) return true;
   }
   for (const ShardHealth& s : shards) {
@@ -49,10 +49,10 @@ std::string HealthSnapshot::ToString() const {
     for (const ShardHealth& s : shards) {
       char line[256];
       std::snprintf(line, sizeof(line),
-                    "  shard %-4zu %-5s sessions=%zu buffered_bytes=%zu "
+                    "  shard %-4zu %-5s sessions=%zu buffered_fixes=%zu "
                     "ship_lag=%zu seg (%zu B) epoch=%zu%s%s\n",
                     s.shard_id, s.alive ? "up" : "DOWN", s.live_sessions,
-                    s.buffered_bytes, s.wal_ship_lag_segments,
+                    s.buffered_fixes, s.wal_ship_lag_segments,
                     s.wal_ship_lag_bytes, s.failover_epoch,
                     s.suspect ? " SUSPECT" : "",
                     s.degraded ? " DEGRADED" : "");
@@ -82,7 +82,6 @@ std::string HealthSnapshot::ToString() const {
   out += "budgets:\n";
   AppendGauge(&out, "sessions", sessions);
   AppendGauge(&out, "buffered_fixes", buffered_fixes);
-  AppendGauge(&out, "buffered_bytes", buffered_bytes);
   char line[256];
   std::snprintf(line, sizeof(line),
                 "overload: shed=%zu rejected_sessions=%zu rejected_fixes=%zu "

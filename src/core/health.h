@@ -3,10 +3,11 @@
 
 // Operator-facing view of a pipeline, manager or cluster: per-stage
 // latency digests, plus (when produced by stream::SessionManager::Health)
-// the admission budgets and shed/reject counters, and (for a cluster)
-// per-shard liveness, failover, storage and scrub state. One snapshot
-// answers "is the system degrading, and where" — the signal an
-// overload-aware load balancer or an on-call human needs.
+// the session and buffered-fix budgets and the shed/reject counters, and
+// (for a cluster) per-shard liveness, buffered fixes, failover, storage
+// and scrub state. One snapshot answers "is the system degrading, and
+// where" — the signal an overload-aware load balancer or an on-call
+// human needs.
 
 #include <cstddef>
 #include <string>
@@ -41,7 +42,7 @@ struct ShardHealth {
   // False after a kill and before the replacement runtime recovers.
   bool alive = true;
   size_t live_sessions = 0;
-  size_t buffered_bytes = 0;
+  size_t buffered_fixes = 0;
   // Sealed WAL segments (and their bytes) not yet shipped to the
   // standby directory — the replication lag a failover would lose.
   size_t wal_ship_lag_segments = 0;
@@ -81,7 +82,6 @@ struct HealthSnapshot {
   // for a bare pipeline snapshot).
   BudgetGauge sessions;
   BudgetGauge buffered_fixes;
-  BudgetGauge buffered_bytes;
 
   // Overload decisions since construction.
   size_t sessions_shed = 0;

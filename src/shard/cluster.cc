@@ -266,11 +266,10 @@ common::Result<stream::AnnotationSession::FeedResult> ShardCluster::FeedOnce(
       return common::Status::Unavailable("owning shard is down");
     }
   }
-  // Outside the cluster lock: feeds for objects on other shards (and
-  // other objects of this shard) proceed in parallel; the runtime's
-  // own manager/store synchronize internally. An in-flight feed keeps
-  // the runtime alive across a concurrent KillShard/Failover via the
-  // shared_ptr.
+  // Outside the cluster lock: feeds for objects on other shards proceed
+  // in parallel, and feeds on this shard take turns on its manager's
+  // lock. An in-flight feed keeps the runtime alive across a concurrent
+  // KillShard/Failover via the shared_ptr.
   return runtime->Feed(object_id, fix);
 }
 
@@ -668,8 +667,6 @@ core::HealthSnapshot ShardCluster::Health() const {
     out.sessions.limit += shard.sessions.limit;
     out.buffered_fixes.used += shard.buffered_fixes.used;
     out.buffered_fixes.limit += shard.buffered_fixes.limit;
-    out.buffered_bytes.used += shard.buffered_bytes.used;
-    out.buffered_bytes.limit += shard.buffered_bytes.limit;
     out.sessions_shed += shard.sessions_shed;
     out.admission_rejected_sessions += shard.admission_rejected_sessions;
     out.overload_rejected_fixes += shard.overload_rejected_fixes;

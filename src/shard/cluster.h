@@ -90,11 +90,12 @@
 // A fault site armed to fire once lands on whichever shard's task
 // reaches it first, so tests must not depend on which shard that is.
 //
-// Thread safety: Feed() may be called from many threads (objects on
-// different shards proceed in parallel; the cluster lock is held only
-// to route). Control-plane calls (migrate, rebalance, kill, restart,
-// failover, tick, checkpoint) serialize on the cluster lock, which a
-// fanned-out call holds until its batch has joined. Feeds for an
+// Thread safety: Feed() may be called from many threads. Objects on
+// different shards proceed in parallel, and the cluster lock is held
+// only to route; feeds to objects on one shard take turns on that
+// shard's SessionManager lock. Control-plane calls (migrate, rebalance,
+// kill, restart, failover, tick, checkpoint) serialize on the cluster
+// lock, which a fanned-out call holds until its batch has joined. Feeds for an
 // object must be quiesced while that object migrates — the standard
 // drain contract, enforced by callers.
 

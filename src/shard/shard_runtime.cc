@@ -147,7 +147,7 @@ core::ShardHealth ShardRuntime::ShardHealthInfo() const {
   info.shard_id = config_.shard_id;
   info.alive = true;
   info.live_sessions = snapshot.sessions.used;
-  info.buffered_bytes = snapshot.buffered_bytes.used;
+  info.buffered_fixes = snapshot.buffered_fixes.used;
   if (shipper_ != nullptr) {
     WalShipper::Lag lag = shipper_->CurrentLag();
     info.wal_ship_lag_segments = lag.segments;

@@ -5,12 +5,13 @@
 // (own WAL + checkpoint snapshot under ShardRuntimeConfig::
 // durable_dir), a SemiTriPipeline writing to that store over a shared
 // core::AnnotationModel, its own SessionManager (admission budgets
-// included), and a WalShipper replicating sealed WAL segments to a
-// standby directory. The cluster façade (shard/cluster.h) and the
-// process supervisor (tools/shardd) both compose these; a ShardRuntime
-// itself never talks to another shard. The model is immutable and
-// built once by its owner — the cluster, or a shardd worker process —
-// so opening a shard never rebuilds the annotators.
+// included; the shard is the unit of parallel feeding), and a
+// WalShipper replicating sealed WAL segments to a standby directory.
+// The cluster façade (shard/cluster.h) and the process supervisor
+// (tools/shardd) both compose these; a ShardRuntime itself never talks
+// to another shard. The model is immutable and built once by its owner
+// — the cluster, or a shardd worker process — so opening a shard never
+// rebuilds the annotators.
 //
 // Lifecycle: Open() recovers the durable directory (snapshot + sealed
 // segments + active WAL) and restores the manager checkpoint when one
@@ -26,10 +27,11 @@
 // site fires in ShardCluster. See DESIGN.md "Shard deployment model"
 // for the protocol's ownership semantics at each step.
 //
-// Feed() is thread-safe (the manager and store are internally
-// synchronized); control-plane calls (Checkpoint, SealAndShip,
-// migration hooks, CloseAll) must be serialized by the owner, feeds
-// for an object being migrated quiesced from pack to adopt.
+// Feed() is thread-safe: concurrent feeds take turns on the manager's
+// one lock, and the store synchronizes internally. Control-plane calls
+// (Checkpoint, SealAndShip, migration hooks, CloseAll) must be
+// serialized by the owner, feeds for an object being migrated quiesced
+// from pack to adopt.
 
 #include <memory>
 #include <string>
@@ -88,9 +90,6 @@ class ShardRuntime {
     return manager_->Close(object_id);
   }
   [[nodiscard]] common::Status CloseAll() { return manager_->CloseAll(); }
-  [[nodiscard]] common::Result<size_t> EvictIdle(double max_idle_seconds) {
-    return manager_->EvictIdle(max_idle_seconds);
-  }
 
   // --- durability -----------------------------------------------------
 

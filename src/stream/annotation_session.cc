@@ -52,9 +52,7 @@ common::Result<AnnotationSession::FeedResult> AnnotationSession::Feed(
   }
   if (!events.closed_episodes.empty()) {
     SyncPartial(events.closed_episodes);
-    if (config_.annotate_on_episode) {
-      SEMITRI_RETURN_IF_ERROR(AnnotatePrefix(events.closed_episodes.size()));
-    }
+    SEMITRI_RETURN_IF_ERROR(AnnotatePrefix(events.closed_episodes.size()));
   }
   return result;
 }

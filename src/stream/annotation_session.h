@@ -35,8 +35,8 @@
 // table from row 0, overwriting whatever the store held for the
 // trajectory.
 //
-// Not thread-safe; stream::SessionManager provides the sharded,
-// lock-protected multi-object front end.
+// Not thread-safe; stream::SessionManager provides the lock-protected
+// multi-object front end.
 
 #include <memory>
 #include <vector>
@@ -66,10 +66,6 @@ struct SessionConfig {
   // Forwarded to EpisodeDetectorConfig::max_buffered_points: bounds the
   // raw points buffered per open trajectory (0 = unbounded).
   size_t max_buffered_points = 0;
-  // Run the provisional annotation pass after each closed episode. When
-  // false the session only annotates at trajectory close — final store
-  // state is identical either way, the live view just lags.
-  bool annotate_on_episode = true;
   // Retain the final PipelineResult of every closed trajectory in the
   // session (results()); unbounded, so off by default.
   bool keep_results = false;
@@ -107,8 +103,8 @@ class AnnotationSession {
   [[nodiscard]] common::Status Flush();
 
   // Live view of the open trajectory: cleaned prefix, closed episodes,
-  // and — when annotate_on_episode — the provisional annotation layers
-  // over that prefix. Reset whenever a trajectory closes.
+  // and the provisional annotation layers over that prefix. Reset
+  // whenever a trajectory closes.
   const core::PipelineResult& partial() const { return partial_; }
 
   // Final results of closed trajectories (only with

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/serial.h"
 #include "store/wal.h"
@@ -35,318 +34,162 @@ void Accumulate(const AnnotationSession::Stats& from,
 
 }  // namespace
 
-// --- ActivityTracker --------------------------------------------------
-
-void SessionManager::ActivityTracker::Touch(core::ObjectId id,
-                                            int64_t tick) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = latest_.try_emplace(id, tick);
-  if (inserted) {
-    // First sighting: the object's single heap entry.
-    heap_.push({tick, id});
-    return;
-  }
-  // Known object: only advance the authoritative tick. Its existing
-  // heap entry goes stale and is re-pushed lazily on pop, keeping the
-  // one-entry-per-object invariant (heap size stays O(live sessions)).
-  if (tick > it->second) it->second = tick;
-}
-
-void SessionManager::ActivityTracker::Remove(core::ObjectId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  latest_.erase(id);
-}
-
-std::optional<std::pair<core::ObjectId, int64_t>>
-SessionManager::ActivityTracker::PopOldest(int64_t cutoff) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (!heap_.empty()) {
-    HeapEntry top = heap_.top();
-    auto it = latest_.find(top.id);
-    if (it == latest_.end()) {
-      heap_.pop();  // removed object: drop the dead entry
-      continue;
-    }
-    if (it->second > top.tick) {
-      heap_.pop();  // stale: re-push with the authoritative tick
-      heap_.push({it->second, top.id});
-      continue;
-    }
-    if (top.tick > cutoff) return std::nullopt;  // oldest is too fresh
-    heap_.pop();
-    latest_.erase(it);
-    return std::make_pair(top.id, top.tick);
-  }
-  return std::nullopt;
-}
-
-void SessionManager::ActivityTracker::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  heap_ = {};
-  latest_.clear();
-}
-
-// --- SessionManager ---------------------------------------------------
-
 SessionManager::SessionManager(const core::SemiTriPipeline* pipeline,
                                SessionManagerConfig config,
                                const common::Clock* clock)
     : pipeline_(pipeline),
       config_(config),
       env_(common::ResolveEnv(config_.env)),
-      clock_(clock != nullptr ? clock : common::Clock::Real()) {
-  SEMITRI_CHECK(config_.num_shards > 0) << "num_shards must be positive";
-  shards_.reserve(config_.num_shards);
-  for (size_t i = 0; i < config_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+      clock_(clock != nullptr ? clock : common::Clock::Real()) {}
+
+SessionManager::Sessions::iterator SessionManager::InstallLocked(
+    core::ObjectId object_id, std::unique_ptr<AnnotationSession> session,
+    int64_t now) {
+  auto it = sessions_.try_emplace(object_id).first;
+  it->second.session = std::move(session);
+  it->second.last_feed_nanos = now;
+  it->second.lru = lru_.insert(lru_.end(), object_id);
+  RechargeLocked(it->second);
+  return it;
 }
 
-SessionManager::Shard& SessionManager::ShardFor(
-    core::ObjectId object_id) const {
-  // Fibonacci mixing: consecutive object ids spread across shards.
-  uint64_t h = static_cast<uint64_t>(object_id) * 0x9E3779B97F4A7C15ull;
-  return *shards_[h % shards_.size()];
+void SessionManager::RechargeLocked(Entry& entry) {
+  size_t buffered = entry.session->buffered_points();
+  buffered_fixes_ = buffered_fixes_ - entry.charged_fixes + buffered;
+  entry.charged_fixes = buffered;
 }
 
-bool SessionManager::OverBudget() const {
+common::Status SessionManager::AdmitLocked(core::ObjectId object_id,
+                                           bool new_session) {
   const AdmissionConfig& adm = config_.admission;
-  size_t sessions = live_sessions_.load(std::memory_order_relaxed);
-  int64_t fixes = buffered_fixes_.load(std::memory_order_relaxed);
-  size_t fixes_u = fixes > 0 ? static_cast<size_t>(fixes) : 0;
-  if (adm.max_sessions > 0 && sessions > adm.max_sessions) return true;
-  if (adm.max_buffered_fixes > 0 && fixes_u > adm.max_buffered_fixes) {
-    return true;
-  }
-  if (adm.max_buffered_bytes > 0 &&
-      ApproxBytes(fixes_u, sessions) > adm.max_buffered_bytes) {
-    return true;
-  }
-  return false;
-}
-
-bool SessionManager::ShedOldestIdle(core::ObjectId exclude) {
-  for (;;) {
-    std::optional<std::pair<core::ObjectId, int64_t>> oldest =
-        activity_.PopOldest();
-    if (!oldest.has_value()) return false;
-    if (oldest->first == exclude) {
-      // Never shed the session we are admitting work for; put it back
-      // and look for the next-oldest candidate once, below.
-      std::optional<std::pair<core::ObjectId, int64_t>> next =
-          activity_.PopOldest();
-      activity_.Touch(oldest->first, oldest->second);
-      if (!next.has_value()) return false;
-      oldest = next;
+  auto over_budget = [&] {
+    size_t sessions = sessions_.size() + (new_session ? 1 : 0);
+    return (adm.max_sessions > 0 && sessions > adm.max_sessions) ||
+           (adm.max_buffered_fixes > 0 &&
+            buffered_fixes_ + 1 > adm.max_buffered_fixes);
+  };
+  while (over_budget()) {
+    // Never shed the session we are admitting work for.
+    auto victim = lru_.begin();
+    if (victim != lru_.end() && *victim == object_id) ++victim;
+    if (victim == lru_.end()) {
+      ++(new_session ? admission_rejected_sessions_
+                     : overload_rejected_fixes_);
+      return common::Status::ResourceExhausted(
+          "admission budget exceeded and nothing left to shed");
     }
-    Shard& shard = ShardFor(oldest->first);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.sessions.find(oldest->first);
-    if (it == shard.sessions.end()) continue;  // raced with Close
     // Shedding goes through the flushing Close path: the open
     // trajectory is finalized into the (durable) store before the
     // session is dropped, so shed rows survive and nothing is lost.
     // Shedding is best-effort; a flush failure must not abort the
     // overload response, so the status is deliberately dropped.
-    (void)RetireLocked(shard, it);
-    sessions_shed_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    (void)RetireLocked(sessions_.find(*victim));
+    ++sessions_shed_;
   }
-}
-
-common::Status SessionManager::ResolveOverload(core::ObjectId exclude) {
-  switch (config_.admission.overload_policy) {
-    case OverloadPolicy::kRejectNew:
-      return common::Status::ResourceExhausted(
-          "admission budget exceeded (policy: reject-new)");
-    case OverloadPolicy::kShedOldestIdle:
-      while (OverBudget()) {
-        if (!ShedOldestIdle(exclude)) {
-          return common::Status::ResourceExhausted(
-              "admission budget exceeded and nothing left to shed");
-        }
-      }
-      return common::Status::OK();
-  }
-  return common::Status::Internal("unknown overload policy");
+  return common::Status::OK();
 }
 
 common::Result<AnnotationSession::FeedResult> SessionManager::Feed(
     core::ObjectId object_id, const core::GpsPoint& fix) {
+  std::lock_guard<std::mutex> lock(mutex_);
   // Deterministic overload simulation: an armed "admission_reject" site
   // turns this feed away exactly as a full system would.
   if (SEMITRI_FAULT_FIRE("admission_reject") != common::FaultAction::kNone) {
-    overload_rejected_fixes_.fetch_add(1, std::memory_order_relaxed);
+    ++overload_rejected_fixes_;
     return common::Status::ResourceExhausted(
         "injected admission rejection (fault site admission_reject)");
   }
-
-  Shard& shard = ShardFor(object_id);
-
-  // Optimistically claim one buffered fix (reconciled to the true delta
-  // after the detector consumed it, rolled back on rejection).
-  buffered_fixes_.fetch_add(1, std::memory_order_relaxed);
-  bool claimed_session = false;
-  auto rollback = [&]() {
-    buffered_fixes_.fetch_sub(1, std::memory_order_relaxed);
-    if (claimed_session) {
-      live_sessions_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  };
-
-  // Does the session exist yet? (Short lock; admission must not hold a
-  // shard lock, since shedding locks *other* shards.)
-  bool exists;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    exists = shard.sessions.find(object_id) != shard.sessions.end();
-  }
-  if (!exists) {
-    live_sessions_.fetch_add(1, std::memory_order_relaxed);
-    claimed_session = true;
-  }
-  if (OverBudget()) {
-    common::Status admitted = ResolveOverload(object_id);
-    if (!admitted.ok()) {
-      rollback();
-      if (claimed_session) {
-        admission_rejected_sessions_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        overload_rejected_fixes_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return admitted;
-    }
-  }
+  auto it = sessions_.find(object_id);
+  const bool new_session = it == sessions_.end();
+  SEMITRI_RETURN_IF_ERROR(AdmitLocked(object_id, new_session));
 
   const int64_t now = clock_->NowNanos();
-  common::Result<AnnotationSession::FeedResult> result(
-      AnnotationSession::FeedResult{});
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto [it, inserted] = shard.sessions.try_emplace(object_id);
-    if (inserted) {
-      // A reconnecting object resumes its trajectory-id cursor where
-      // the retired session stopped; only a genuinely new object
-      // starts at the base of its id block.
-      core::TrajectoryId first_id = object_id * config_.ids_per_object;
-      auto resume = shard.resume_ids.find(object_id);
-      if (resume != shard.resume_ids.end()) first_id = resume->second;
-      it->second.session = std::make_unique<AnnotationSession>(
-          pipeline_, object_id, config_.session, first_id);
-      ++shard.opened;
-      if (!claimed_session) {
-        // The session vanished between the existence check and now
-        // (closed/shed concurrently); account for the re-creation.
-        live_sessions_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (claimed_session) {
-      // Raced with a concurrent creator: give the claim back.
-      live_sessions_.fetch_sub(1, std::memory_order_relaxed);
-      claimed_session = false;
-    }
-    Entry& entry = it->second;
-    entry.last_feed_nanos = now;
-    result = entry.session->Feed(fix);
-    // Reconcile the optimistic +1 claim to the session's true buffered
-    // count (a rejected fix adds nothing; a trajectory close releases
-    // the whole buffer).
-    size_t buffered = entry.session->buffered_points();
-    int64_t delta = static_cast<int64_t>(buffered) -
-                    static_cast<int64_t>(entry.charged_fixes);
-    entry.charged_fixes = buffered;
-    buffered_fixes_.fetch_add(delta - 1, std::memory_order_relaxed);
+  if (new_session) {
+    // A reconnecting object resumes its trajectory-id cursor where
+    // the retired session stopped; only a genuinely new object starts
+    // at the base of its id block.
+    core::TrajectoryId first_id = object_id * config_.ids_per_object;
+    auto resume = resume_ids_.find(object_id);
+    if (resume != resume_ids_.end()) first_id = resume->second;
+    it = InstallLocked(object_id,
+                       std::make_unique<AnnotationSession>(
+                           pipeline_, object_id, config_.session, first_id),
+                       now);
+    ++opened_;
+  } else {
+    it->second.last_feed_nanos = now;
+    lru_.splice(lru_.end(), lru_, it->second.lru);
   }
-  activity_.Touch(object_id, now);
+  common::Result<AnnotationSession::FeedResult> result =
+      it->second.session->Feed(fix);
+  // A rejected fix adds nothing; a trajectory close releases the whole
+  // buffer.
+  RechargeLocked(it->second);
   return result;
 }
 
 common::Status SessionManager::Flush(core::ObjectId object_id) {
-  Shard& shard = ShardFor(object_id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.sessions.find(object_id);
-  if (it == shard.sessions.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(object_id);
+  if (it == sessions_.end()) {
     return common::Status::NotFound("no live session for this object");
   }
   common::Status status = it->second.session->Flush();
   // A flush finalizes the open trajectory: release its buffer charge.
-  size_t buffered = it->second.session->buffered_points();
-  int64_t delta = static_cast<int64_t>(buffered) -
-                  static_cast<int64_t>(it->second.charged_fixes);
-  it->second.charged_fixes = buffered;
-  buffered_fixes_.fetch_add(delta, std::memory_order_relaxed);
+  RechargeLocked(it->second);
   return status;
 }
 
-common::Status SessionManager::RetireLocked(
-    Shard& shard, std::map<core::ObjectId, Entry>::iterator it) {
+common::Status SessionManager::RetireLocked(Sessions::iterator it) {
   // Eviction goes through the flushing Close path: provisional rows of
   // the open trajectory are finalized before the session is dropped.
   // Only when that flush itself fails is buffered work actually lost —
   // counted so operators can see degraded evictions in stats().
-  bool had_open = it->second.session->has_open_state();
-  common::Status status = it->second.session->Flush();
-  if (!status.ok() && had_open) ++shard.evicted_with_data_loss;
-  Accumulate(it->second.session->stats(), &shard.retired);
-  ++shard.evicted;
+  AnnotationSession& session = *it->second.session;
+  bool had_open = session.has_open_state();
+  common::Status status = session.Flush();
+  if (!status.ok() && had_open) ++evicted_with_data_loss_;
+  Accumulate(session.stats(), &retired_);
+  ++evicted_;
   // Post-flush cursor (the flush may have consumed an id finalizing
   // the open trajectory): where a reconnecting session resumes.
-  shard.resume_ids[it->first] =
-      it->second.session->detector().next_trajectory_id();
-  // Release the session's global budget charges and drop it from the
-  // activity heap (shard -> tracker lock order, same as Feed).
-  buffered_fixes_.fetch_sub(static_cast<int64_t>(it->second.charged_fixes),
-                            std::memory_order_relaxed);
-  live_sessions_.fetch_sub(1, std::memory_order_relaxed);
-  activity_.Remove(it->first);
-  shard.sessions.erase(it);
+  resume_ids_[it->first] = session.detector().next_trajectory_id();
+  buffered_fixes_ -= it->second.charged_fixes;
+  lru_.erase(it->second.lru);
+  sessions_.erase(it);
   return status;
 }
 
 common::Status SessionManager::Close(core::ObjectId object_id) {
-  Shard& shard = ShardFor(object_id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.sessions.find(object_id);
-  if (it == shard.sessions.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(object_id);
+  if (it == sessions_.end()) {
     return common::Status::NotFound("no live session for this object");
   }
-  return RetireLocked(shard, it);
+  return RetireLocked(it);
 }
 
 common::Status SessionManager::CloseAll() {
+  std::lock_guard<std::mutex> lock(mutex_);
   common::Status first = common::Status::OK();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    while (!shard->sessions.empty()) {
-      common::Status status =
-          RetireLocked(*shard, shard->sessions.begin());
-      if (!status.ok() && first.ok()) first = status;
-    }
+  while (!sessions_.empty()) {
+    common::Status status = RetireLocked(sessions_.begin());
+    if (!status.ok() && first.ok()) first = status;
   }
   return first;
 }
 
 common::Result<size_t> SessionManager::EvictIdle(double max_idle_seconds) {
+  std::lock_guard<std::mutex> lock(mutex_);
   const int64_t cutoff =
       clock_->NowNanos() - static_cast<int64_t>(max_idle_seconds * 1e9);
   common::Status first = common::Status::OK();
   size_t evicted = 0;
-  // Heap-driven: pop candidates whose last activity predates the
-  // cutoff; the shard's own last_feed is re-checked under the lock (a
-  // feed may have slipped in after the pop — such a session is put
-  // back, not evicted).
-  for (;;) {
-    std::optional<std::pair<core::ObjectId, int64_t>> oldest =
-        activity_.PopOldest(cutoff);
-    if (!oldest.has_value()) break;
-    Shard& shard = ShardFor(oldest->first);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.sessions.find(oldest->first);
-    if (it == shard.sessions.end()) continue;  // raced with Close
-    if (it->second.last_feed_nanos > cutoff) {
-      activity_.Touch(oldest->first, it->second.last_feed_nanos);
-      continue;
-    }
-    common::Status status = RetireLocked(shard, it);
+  // Feed ticks rise along lru_, so the idle sessions are a prefix.
+  while (!lru_.empty()) {
+    auto it = sessions_.find(lru_.front());
+    if (it->second.last_feed_nanos > cutoff) break;
+    common::Status status = RetireLocked(it);
     if (!status.ok() && first.ok()) first = status;
     ++evicted;
   }
@@ -355,63 +198,38 @@ common::Result<size_t> SessionManager::EvictIdle(double max_idle_seconds) {
 }
 
 bool SessionManager::HasLiveSession(core::ObjectId object_id) const {
-  Shard& shard = ShardFor(object_id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.sessions.find(object_id) != shard.sessions.end();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return sessions_.find(object_id) != sessions_.end();
 }
 
 size_t SessionManager::ActiveSessions() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->sessions.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return sessions_.size();
 }
 
 common::Status SessionManager::Checkpoint(const std::string& path) const {
   common::StateWriter payload;
-  // Retired counters, aggregated across shards (shard assignment is a
-  // function of object id, so per-shard attribution is reconstructed
-  // implicitly on restore; the aggregates land in shard 0).
-  size_t opened = 0;
-  size_t evicted = 0;
-  size_t data_loss = 0;
-  AnnotationSession::Stats retired;
-  size_t live = 0;
-  std::map<core::ObjectId, core::TrajectoryId> resume;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    opened += shard->opened;
-    evicted += shard->evicted;
-    data_loss += shard->evicted_with_data_loss;
-    Accumulate(shard->retired, &retired);
-    live += shard->sessions.size();
-    for (const auto& [object_id, next_id] : shard->resume_ids) {
-      resume[object_id] = next_id;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    payload.PutU64(opened_);
+    payload.PutU64(evicted_);
+    payload.PutU64(evicted_with_data_loss_);
+    payload.PutU64(retired_.detector.points_fed);
+    payload.PutU64(retired_.detector.points_rejected);
+    payload.PutU64(retired_.detector.episodes_closed);
+    payload.PutU64(retired_.detector.trajectories_closed);
+    payload.PutU64(retired_.detector.trajectories_discarded);
+    payload.PutU64(retired_.detector.forced_splits);
+    payload.PutU64(retired_.annotation_passes);
+
+    payload.PutU64(resume_ids_.size());
+    for (const auto& [object_id, next_id] : resume_ids_) {
+      payload.PutI64(object_id);
+      payload.PutI64(next_id);
     }
-  }
-  payload.PutU64(opened);
-  payload.PutU64(evicted);
-  payload.PutU64(data_loss);
-  payload.PutU64(retired.detector.points_fed);
-  payload.PutU64(retired.detector.points_rejected);
-  payload.PutU64(retired.detector.episodes_closed);
-  payload.PutU64(retired.detector.trajectories_closed);
-  payload.PutU64(retired.detector.trajectories_discarded);
-  payload.PutU64(retired.detector.forced_splits);
-  payload.PutU64(retired.annotation_passes);
 
-  payload.PutU64(resume.size());
-  for (const auto& [object_id, next_id] : resume) {
-    payload.PutI64(object_id);
-    payload.PutI64(next_id);
-  }
-
-  payload.PutU64(live);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [object_id, entry] : shard->sessions) {
+    payload.PutU64(sessions_.size());
+    for (const auto& [object_id, entry] : sessions_) {
       payload.PutI64(object_id);
       entry.session->SaveState(&payload);
     }
@@ -470,8 +288,9 @@ common::Status SessionManager::Restore(const std::string& path) {
         "session checkpoint is not exactly one intact frame");
   }
 
+  // Parse everything before touching the manager: a Corruption return
+  // leaves it as it was.
   common::StateReader r(payload);
-
   uint64_t opened = 0;
   uint64_t evicted = 0;
   uint64_t data_loss = 0;
@@ -507,36 +326,7 @@ common::Status SessionManager::Restore(const std::string& path) {
   if (live > r.remaining()) {
     return common::Status::Corruption("session count exceeds data");
   }
-
-  const int64_t now = clock_->NowNanos();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->sessions.clear();
-    shard->opened = 0;
-    shard->evicted = 0;
-    shard->evicted_with_data_loss = 0;
-    shard->retired = {};
-    shard->resume_ids.clear();
-  }
-  for (const auto& [object_id, next_id] : resume) {
-    Shard& shard = ShardFor(object_id);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.resume_ids[object_id] = next_id;
-  }
-  // Budget accounting and the activity heap restart from the restored
-  // population (recharged below, per session).
-  activity_.Clear();
-  live_sessions_.store(0, std::memory_order_relaxed);
-  buffered_fixes_.store(0, std::memory_order_relaxed);
-  {
-    Shard& first = *shards_.front();
-    std::lock_guard<std::mutex> lock(first.mutex);
-    first.opened = static_cast<size_t>(opened);
-    first.evicted = static_cast<size_t>(evicted);
-    first.evicted_with_data_loss = static_cast<size_t>(data_loss);
-    first.retired = retired;
-  }
-
+  std::map<core::ObjectId, std::unique_ptr<AnnotationSession>> sessions;
   for (uint64_t i = 0; i < live; ++i) {
     int64_t object_id = 0;
     SEMITRI_RETURN_IF_ERROR(r.GetI64(&object_id));
@@ -544,39 +334,45 @@ common::Status SessionManager::Restore(const std::string& path) {
         pipeline_, object_id, config_.session,
         object_id * config_.ids_per_object);
     SEMITRI_RETURN_IF_ERROR(session->RestoreState(&r));
-    size_t buffered = session->buffered_points();
-    Shard& shard = ShardFor(object_id);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    Entry& entry = shard.sessions[object_id];
-    entry.session = std::move(session);
-    entry.last_feed_nanos = now;
-    entry.charged_fixes = buffered;
-    live_sessions_.fetch_add(1, std::memory_order_relaxed);
-    buffered_fixes_.fetch_add(static_cast<int64_t>(buffered),
-                              std::memory_order_relaxed);
-    activity_.Touch(object_id, now);
+    if (!sessions.try_emplace(object_id, std::move(session)).second) {
+      return common::Status::Corruption("duplicate session in checkpoint");
+    }
   }
-  sessions_restored_.store(static_cast<size_t>(live),
-                           std::memory_order_relaxed);
-  resume_cursors_restored_.store(resume.size(), std::memory_order_relaxed);
   if (!r.AtEnd()) {
     return common::Status::Corruption("trailing bytes in checkpoint");
   }
+
+  // Swap the parsed state in; budget accounting and the
+  // least-recently-fed order restart from the restored sessions.
+  std::lock_guard<std::mutex> lock(mutex_);
+  const int64_t now = clock_->NowNanos();
+  sessions_.clear();
+  lru_.clear();
+  buffered_fixes_ = 0;
+  for (auto& [object_id, session] : sessions) {
+    InstallLocked(object_id, std::move(session), now);
+  }
+  resume_ids_ = std::move(resume);
+  opened_ = static_cast<size_t>(opened);
+  evicted_ = static_cast<size_t>(evicted);
+  evicted_with_data_loss_ = static_cast<size_t>(data_loss);
+  retired_ = retired;
+  sessions_restored_ = sessions_.size();
+  resume_cursors_restored_ = resume_ids_.size();
   return common::Status::OK();
 }
 
 common::Status SessionManager::PackSession(core::ObjectId object_id,
                                            common::StateWriter* out) const {
-  Shard& shard = ShardFor(object_id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.sessions.find(object_id);
-  auto resume = shard.resume_ids.find(object_id);
-  if (it == shard.sessions.end() && resume == shard.resume_ids.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(object_id);
+  auto resume = resume_ids_.find(object_id);
+  if (it == sessions_.end() && resume == resume_ids_.end()) {
     return common::Status::NotFound(
         "no live session or resume cursor for this object");
   }
   out->PutI64(object_id);
-  if (it != shard.sessions.end()) {
+  if (it != sessions_.end()) {
     out->PutU8(1);
     it->second.session->SaveState(out);
   } else {
@@ -599,95 +395,64 @@ common::Status SessionManager::AdoptSession(core::ObjectId object_id,
   }
   uint8_t has_session = 0;
   SEMITRI_RETURN_IF_ERROR(in->GetU8(&has_session));
-  Shard& shard = ShardFor(object_id);
-
+  int64_t resume_id = 0;
+  std::unique_ptr<AnnotationSession> session;
   if (has_session == 0) {
-    int64_t resume_id = 0;
     SEMITRI_RETURN_IF_ERROR(in->GetI64(&resume_id));
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.sessions.find(object_id) != shard.sessions.end()) {
-      return common::Status::AlreadyExists(
-          "a live session already exists for this object");
-    }
-    shard.resume_ids[object_id] = resume_id;
+  } else {
+    session = std::make_unique<AnnotationSession>(
+        pipeline_, object_id, config_.session,
+        object_id * config_.ids_per_object);
+    SEMITRI_RETURN_IF_ERROR(session->RestoreState(in));
+  }
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (sessions_.find(object_id) != sessions_.end()) {
+    return common::Status::AlreadyExists(
+        "a live session already exists for this object");
+  }
+  if (session == nullptr) {
+    resume_ids_[object_id] = resume_id;
     return common::Status::OK();
   }
-
-  auto session = std::make_unique<AnnotationSession>(
-      pipeline_, object_id, config_.session,
-      object_id * config_.ids_per_object);
-  SEMITRI_RETURN_IF_ERROR(session->RestoreState(in));
-  size_t buffered = session->buffered_points();
-  const int64_t now = clock_->NowNanos();
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.sessions.find(object_id) != shard.sessions.end()) {
-      return common::Status::AlreadyExists(
-          "a live session already exists for this object");
-    }
-    Entry& entry = shard.sessions[object_id];
-    entry.session = std::move(session);
-    entry.last_feed_nanos = now;
-    entry.charged_fixes = buffered;
-    ++shard.opened;
-    // The adopted state is authoritative; a stale cursor from a prior
-    // ownership stint here must not shadow it.
-    shard.resume_ids.erase(object_id);
-  }
-  live_sessions_.fetch_add(1, std::memory_order_relaxed);
-  buffered_fixes_.fetch_add(static_cast<int64_t>(buffered),
-                            std::memory_order_relaxed);
-  activity_.Touch(object_id, now);
+  InstallLocked(object_id, std::move(session), clock_->NowNanos());
+  ++opened_;
+  // The adopted state is authoritative; a stale cursor from a prior
+  // ownership stint here must not shadow it.
+  resume_ids_.erase(object_id);
   return common::Status::OK();
 }
 
 SessionManager::Stats SessionManager::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   Stats out;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    out.active_sessions += shard->sessions.size();
-    out.sessions_opened += shard->opened;
-    out.sessions_evicted += shard->evicted;
-    out.evictions_with_data_loss += shard->evicted_with_data_loss;
-    Accumulate(shard->retired, &out);
-    for (const auto& [id, entry] : shard->sessions) {
-      Accumulate(entry.session->stats(), &out);
-    }
+  out.active_sessions = sessions_.size();
+  out.sessions_opened = opened_;
+  out.sessions_evicted = evicted_;
+  out.evictions_with_data_loss = evicted_with_data_loss_;
+  Accumulate(retired_, &out);
+  for (const auto& [id, entry] : sessions_) {
+    Accumulate(entry.session->stats(), &out);
   }
-  int64_t fixes = buffered_fixes_.load(std::memory_order_relaxed);
-  out.buffered_fixes = fixes > 0 ? static_cast<size_t>(fixes) : 0;
-  out.sessions_shed = sessions_shed_.load(std::memory_order_relaxed);
-  out.admission_rejected_sessions =
-      admission_rejected_sessions_.load(std::memory_order_relaxed);
-  out.overload_rejected_fixes =
-      overload_rejected_fixes_.load(std::memory_order_relaxed);
-  out.sessions_restored = sessions_restored_.load(std::memory_order_relaxed);
-  out.resume_cursors_restored =
-      resume_cursors_restored_.load(std::memory_order_relaxed);
+  out.buffered_fixes = buffered_fixes_;
+  out.sessions_shed = sessions_shed_;
+  out.admission_rejected_sessions = admission_rejected_sessions_;
+  out.overload_rejected_fixes = overload_rejected_fixes_;
+  out.sessions_restored = sessions_restored_;
+  out.resume_cursors_restored = resume_cursors_restored_;
   return out;
 }
 
 core::HealthSnapshot SessionManager::Health() const {
   core::HealthSnapshot snapshot = pipeline_->Health();
   const AdmissionConfig& adm = config_.admission;
-  size_t sessions = live_sessions_.load(std::memory_order_relaxed);
-  int64_t fixes = buffered_fixes_.load(std::memory_order_relaxed);
-  size_t fixes_u = fixes > 0 ? static_cast<size_t>(fixes) : 0;
-  snapshot.sessions = {sessions, adm.max_sessions};
-  snapshot.buffered_fixes = {fixes_u, adm.max_buffered_fixes};
-  snapshot.buffered_bytes = {ApproxBytes(fixes_u, sessions),
-                             adm.max_buffered_bytes};
-  snapshot.sessions_shed = sessions_shed_.load(std::memory_order_relaxed);
-  snapshot.admission_rejected_sessions =
-      admission_rejected_sessions_.load(std::memory_order_relaxed);
-  snapshot.overload_rejected_fixes =
-      overload_rejected_fixes_.load(std::memory_order_relaxed);
-  size_t data_loss = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    data_loss += shard->evicted_with_data_loss;
-  }
-  snapshot.evictions_with_data_loss = data_loss;
+  std::lock_guard<std::mutex> lock(mutex_);
+  snapshot.sessions = {sessions_.size(), adm.max_sessions};
+  snapshot.buffered_fixes = {buffered_fixes_, adm.max_buffered_fixes};
+  snapshot.sessions_shed = sessions_shed_;
+  snapshot.admission_rejected_sessions = admission_rejected_sessions_;
+  snapshot.overload_rejected_fixes = overload_rejected_fixes_;
+  snapshot.evictions_with_data_loss = evicted_with_data_loss_;
   return snapshot;
 }
 

@@ -2,12 +2,12 @@
 #define SEMITRI_STREAM_SESSION_MANAGER_H_
 
 // Thread-safe multi-object front end over stream::AnnotationSession:
-// one live session per ObjectId, sharded so concurrent feeders of
-// different objects rarely contend. All shared state is mutex-guarded
-// and annotated for Clang's -Wthread-safety analysis; the pipeline's
-// store and profiler sinks are internally synchronized, so a single
-// SessionManager over a single pipeline is safe to hammer from many
-// ingestion threads.
+// one live session per ObjectId behind one mutex. Every call takes that
+// lock for its whole duration, so feeders of one manager take turns;
+// the unit of parallel feeding is the manager, which is why each
+// shard::ShardCluster shard owns its own. The lock-guarded state is
+// annotated for Clang's -Wthread-safety analysis; the pipeline's store
+// and profiler sinks are internally synchronized.
 //
 // Per-session memory is bounded by
 // SessionConfig::max_buffered_points; idle sessions can be finalized
@@ -17,24 +17,18 @@
 // --- overload & admission control ------------------------------------
 //
 // AdmissionConfig adds *global* budgets on top of the per-session
-// bounds: max live sessions, max buffered fixes across every open
-// trajectory, and an approximate byte ceiling derived from both. When
-// admitting a new session or fix would exceed a budget, the configured
-// OverloadPolicy decides what happens:
-//
-//   * kRejectNew       — fail fast with Status::ResourceExhausted;
-//   * kShedOldestIdle  — evict the globally least-recently-fed session
-//                        (through the flushing Close path, so shedding
-//                        never loses durably-written rows) until the
-//                        budget fits, then admit.
+// bounds: max live sessions and max buffered fixes across every open
+// trajectory. When admitting a fix (and, for a new object, its
+// session) would exceed a budget, Feed sheds the least-recently-fed
+// other session — through the flushing Close path, so shedding never
+// loses durably-written rows — until the budget fits, and returns
+// ResourceExhausted when no other session is left to shed. Live
+// sessions sit in a list in least-recently-fed order (each entry
+// holds its own node), so a feed moves its session to the back in
+// O(1) and shedding and EvictIdle pop from the front.
 //
 // Every shed / reject decision is counted in stats() and surfaced via
 // Health().
-//
-// The "least-recently-fed" order is maintained in a global min-heap of
-// last-activity ticks with lazy invalidation (at most one heap entry
-// per live session), so shedding and EvictIdle cost O(log n) per
-// eviction instead of scanning every shard.
 //
 // Correctness contract (enforced by tests/stream_test.cc and the fuzz
 // harness): feeding each object's stream in order — from any thread
@@ -46,18 +40,12 @@
 // *which* fixes are accepted under overload, never the handling of the
 // accepted ones.
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <queue>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/env.h"
@@ -70,33 +58,19 @@
 
 namespace semitri::stream {
 
-// What Feed does when admitting more work would exceed a global budget.
-enum class OverloadPolicy {
-  kRejectNew = 0,
-  kShedOldestIdle,
-};
-
 struct AdmissionConfig {
   // Global budgets; 0 = unbounded.
   size_t max_sessions = 0;
   // Total raw fixes buffered across every open trajectory.
   size_t max_buffered_fixes = 0;
-  // Approximate bytes: buffered fixes * sizeof(GpsPoint) plus a fixed
-  // per-session overhead (see kSessionOverheadBytes).
-  size_t max_buffered_bytes = 0;
-
-  OverloadPolicy overload_policy = OverloadPolicy::kRejectNew;
 };
 
 struct SessionManagerConfig {
   SessionConfig session;
-  // Lock shards; feeds for objects on different shards proceed in
-  // parallel.
-  size_t num_shards = 16;
   // Trajectory-id block reserved per object (ids start at
   // object_id * ids_per_object), the offline ProcessStream convention.
   core::TrajectoryId ids_per_object = 1000;
-  // Global overload budgets & policies (default: everything unbounded).
+  // Global overload budgets (default: everything unbounded).
   AdmissionConfig admission;
   // Filesystem for Checkpoint()/Restore(); null = the real filesystem.
   // Tests pass a common::FaultFs to inject disk faults.
@@ -105,11 +79,6 @@ struct SessionManagerConfig {
 
 class SessionManager {
  public:
-  // Fixed per-session overhead charged against max_buffered_bytes in
-  // addition to the buffered fixes themselves (detector windows,
-  // cleaned prefix bookkeeping, map nodes).
-  static constexpr size_t kSessionOverheadBytes = 512;
-
   // `pipeline` must outlive the manager. `clock` drives idle ticks
   // (null = real clock; tests inject common::FakeClock).
   SessionManager(const core::SemiTriPipeline* pipeline,
@@ -119,34 +88,39 @@ class SessionManager {
   // Feeds one fix to `object_id`'s session, creating it on first use.
   // Feeds for the same object must be time-ordered (out-of-order fixes
   // are rejected in the FeedResult); different objects are independent.
-  // Under overload returns ResourceExhausted (rejected, or nothing left
-  // to shed).
+  // Over budget with no other session left to shed, returns
+  // ResourceExhausted.
   [[nodiscard]] common::Result<AnnotationSession::FeedResult> Feed(
-      core::ObjectId object_id, const core::GpsPoint& fix);
+      core::ObjectId object_id, const core::GpsPoint& fix)
+      SEMITRI_EXCLUDES(mutex_);
 
   // Finalizes the object's dangling open trajectory; the session stays
   // live. NotFound when no session exists.
-  [[nodiscard]] common::Status Flush(core::ObjectId object_id);
+  [[nodiscard]] common::Status Flush(core::ObjectId object_id)
+      SEMITRI_EXCLUDES(mutex_);
 
   // Flush + evict the session (its detector/annotation counters are
   // folded into stats()). NotFound when no session exists.
-  [[nodiscard]] common::Status Close(core::ObjectId object_id);
+  [[nodiscard]] common::Status Close(core::ObjectId object_id)
+      SEMITRI_EXCLUDES(mutex_);
 
   // Closes every session (stream end). Keeps going on stage errors and
   // returns the first one.
-  [[nodiscard]] common::Status CloseAll();
+  [[nodiscard]] common::Status CloseAll() SEMITRI_EXCLUDES(mutex_);
 
   // Closes sessions that have not been fed for at least
-  // `max_idle_seconds`; returns how many were evicted. Driven by the
-  // global activity heap — cost is O(log n) per evicted session, not a
-  // scan of every shard. Keeps going on stage errors and returns the
-  // first one.
-  [[nodiscard]] common::Result<size_t> EvictIdle(double max_idle_seconds);
+  // `max_idle_seconds`; returns how many were evicted. Walks the
+  // least-recently-fed list from the front, so it costs O(1) per
+  // evicted session plus one look at the first fresh one. Keeps going
+  // on stage errors and returns the first one.
+  [[nodiscard]] common::Result<size_t> EvictIdle(double max_idle_seconds)
+      SEMITRI_EXCLUDES(mutex_);
 
-  size_t ActiveSessions() const;
+  size_t ActiveSessions() const SEMITRI_EXCLUDES(mutex_);
 
   // True when a live (unretired) session exists for the object.
-  bool HasLiveSession(core::ObjectId object_id) const;
+  bool HasLiveSession(core::ObjectId object_id) const
+      SEMITRI_EXCLUDES(mutex_);
 
   struct Stats {
     size_t active_sessions = 0;
@@ -166,9 +140,9 @@ class SessionManager {
     // --- overload decisions -------------------------------------------
     // Raw fixes currently buffered across all open trajectories.
     size_t buffered_fixes = 0;
-    // Sessions evicted by kShedOldestIdle to make room.
+    // Sessions shed to make room under a budget.
     size_t sessions_shed = 0;
-    // New sessions turned away (budget + kRejectNew, or a failed shed).
+    // New sessions turned away (over budget, nothing left to shed).
     size_t admission_rejected_sessions = 0;
     // Fixes to *existing* sessions turned away by the global budgets.
     size_t overload_rejected_fixes = 0;
@@ -181,11 +155,11 @@ class SessionManager {
     size_t resume_cursors_restored = 0;
   };
   // Aggregated over live and evicted sessions.
-  Stats stats() const;
+  Stats stats() const SEMITRI_EXCLUDES(mutex_);
 
   // One-call operator view: per-stage latency from the pipeline plus
   // this manager's budget gauges and overload counters.
-  core::HealthSnapshot Health() const;
+  core::HealthSnapshot Health() const SEMITRI_EXCLUDES(mutex_);
 
   // --- checkpoint / restore -------------------------------------------
 
@@ -193,20 +167,25 @@ class SessionManager {
   // resume cursors of retired objects into a file holding one
   // kSessionCheckpoint WAL frame (store/wal.h), written to `path`.tmp,
   // fsynced, then renamed — a crash leaves either the previous
-  // checkpoint or the new one, never a torn file. Callers must quiesce feeders for a cross-object-consistent
-  // snapshot; each shard is locked while serialized.
-  [[nodiscard]] common::Status Checkpoint(const std::string& path) const;
+  // checkpoint or the new one, never a torn file. The state is
+  // serialized under the lock, so the snapshot is consistent across
+  // objects; the file is written after the lock is released.
+  [[nodiscard]] common::Status Checkpoint(const std::string& path) const
+      SEMITRI_EXCLUDES(mutex_);
 
   // Rebuilds live sessions from a Checkpoint file, replacing current
-  // state (budget accounting and the activity heap are rebuilt to match
-  // the restored sessions). The manager must wrap the same pipeline and
-  // configuration that produced the checkpoint. Restored sessions
-  // resume mid-stream: feeding the remaining fixes and closing
-  // converges the store to the exact state an uninterrupted run would
-  // have produced. IoError when the file cannot be read; Corruption
-  // unless it holds exactly one intact kSessionCheckpoint frame with
-  // well-formed state.
-  [[nodiscard]] common::Status Restore(const std::string& path);
+  // state (budget accounting and the least-recently-fed order are
+  // rebuilt to match the restored sessions). The manager must wrap the
+  // same pipeline and configuration that produced the checkpoint.
+  // Restored sessions resume mid-stream: feeding the remaining fixes
+  // and closing converges the store to the exact state an
+  // uninterrupted run would have produced. All or nothing: the whole
+  // file is parsed before anything is replaced, so on any error the
+  // manager is unchanged. IoError when the file cannot be read;
+  // Corruption unless it holds exactly one intact kSessionCheckpoint
+  // frame with well-formed state.
+  [[nodiscard]] common::Status Restore(const std::string& path)
+      SEMITRI_EXCLUDES(mutex_);
 
   // --- live migration hooks (shard::ShardCluster) ----------------------
 
@@ -220,7 +199,8 @@ class SessionManager {
   // caller must quiesce feeds for the object from pack to handoff.
   // NotFound when the manager knows nothing about the object.
   [[nodiscard]] common::Status PackSession(core::ObjectId object_id,
-                                           common::StateWriter* out) const;
+                                           common::StateWriter* out) const
+      SEMITRI_EXCLUDES(mutex_);
 
   // Installs state packed by PackSession on another manager: the
   // session resumes mid-stream exactly where the source stopped
@@ -230,115 +210,71 @@ class SessionManager {
   // object already has a live session here (state unchanged);
   // Corruption when the bytes are not a pack of `object_id`.
   [[nodiscard]] common::Status AdoptSession(core::ObjectId object_id,
-                                            common::StateReader* in);
+                                            common::StateReader* in)
+      SEMITRI_EXCLUDES(mutex_);
 
  private:
-  // Global least-recently-fed index: a min-heap of (tick, object) with
-  // lazy invalidation. Invariant: at most one heap entry per tracked
-  // object (stale entries are re-pushed with the latest tick when
-  // popped), so the heap never outgrows the live-session count plus
-  // transient pops. Internally locked; never calls back into shards.
-  class ActivityTracker {
-   public:
-    // Records activity at `tick` (monotonic nanos). Inserts the object
-    // if unknown.
-    void Touch(core::ObjectId id, int64_t tick) SEMITRI_EXCLUDES(mutex_);
-    // Forgets the object (its heap entry dies lazily).
-    void Remove(core::ObjectId id) SEMITRI_EXCLUDES(mutex_);
-    // Claims and returns the least-recently-active object (and its
-    // tick); the object is forgotten — the caller re-Touches it if the
-    // claim is not acted upon. With `cutoff`, only returns objects
-    // whose last activity is <= cutoff. nullopt when empty / none idle.
-    std::optional<std::pair<core::ObjectId, int64_t>> PopOldest(
-        int64_t cutoff = std::numeric_limits<int64_t>::max())
-        SEMITRI_EXCLUDES(mutex_);
-    void Clear() SEMITRI_EXCLUDES(mutex_);
-
-   private:
-    struct HeapEntry {
-      int64_t tick;
-      core::ObjectId id;
-      bool operator>(const HeapEntry& o) const {
-        return tick != o.tick ? tick > o.tick : id > o.id;
-      }
-    };
-    mutable std::mutex mutex_;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        heap_ SEMITRI_GUARDED_BY(mutex_);
-    // Latest observed tick per live object (authoritative).
-    std::unordered_map<core::ObjectId, int64_t> latest_
-        SEMITRI_GUARDED_BY(mutex_);
-  };
-
   struct Entry {
     std::unique_ptr<AnnotationSession> session;
     int64_t last_feed_nanos = 0;
     // Buffered fixes this session is currently charged for against the
     // global budget.
     size_t charged_fixes = 0;
+    // This session's node in lru_.
+    std::list<core::ObjectId>::iterator lru;
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<core::ObjectId, Entry> sessions SEMITRI_GUARDED_BY(mutex);
-    // Counters carried over from evicted sessions so stats() survives
-    // eviction.
-    size_t opened SEMITRI_GUARDED_BY(mutex) = 0;
-    size_t evicted SEMITRI_GUARDED_BY(mutex) = 0;
-    size_t evicted_with_data_loss SEMITRI_GUARDED_BY(mutex) = 0;
-    AnnotationSession::Stats retired SEMITRI_GUARDED_BY(mutex) = {};
-    // Next trajectory id for objects whose session was retired
-    // (eviction / Close / shed): a reconnecting object must keep
-    // ascending through its id block, or the fresh session would
-    // restart at object_id * ids_per_object and overwrite the durable
-    // rows its predecessor already finalized.
-    std::map<core::ObjectId, core::TrajectoryId> resume_ids
-        SEMITRI_GUARDED_BY(mutex);
-  };
+  using Sessions = std::map<core::ObjectId, Entry>;
 
-  Shard& ShardFor(core::ObjectId object_id) const;
-  // Flushes `entry`'s session, folds its counters into the shard,
-  // releases its budget charges, and removes it. Returns the flush
-  // status.
-  [[nodiscard]] common::Status RetireLocked(Shard& shard,
-                              std::map<core::ObjectId, Entry>::iterator it)
-      SEMITRI_REQUIRES(shard.mutex);
+  // Adds `session` as a live entry fed at `now`, at the back of the
+  // least-recently-fed order, charged for its buffered fixes.
+  Sessions::iterator InstallLocked(core::ObjectId object_id,
+                                   std::unique_ptr<AnnotationSession> session,
+                                   int64_t now) SEMITRI_REQUIRES(mutex_);
+  // Re-charges `entry` for its session's current buffered fixes.
+  void RechargeLocked(Entry& entry) SEMITRI_REQUIRES(mutex_);
+  // Flushes the session, folds its counters into the retired totals,
+  // records its resume cursor, releases its budget charges and removes
+  // it. Returns the flush status.
+  [[nodiscard]] common::Status RetireLocked(Sessions::iterator it)
+      SEMITRI_REQUIRES(mutex_);
+  // Sheds least-recently-fed sessions other than `object_id` until one
+  // more fix (and, when `new_session`, one more session) fits every
+  // budget. ResourceExhausted, counted, when nothing is left to shed.
+  [[nodiscard]] common::Status AdmitLocked(core::ObjectId object_id,
+                                           bool new_session)
+      SEMITRI_REQUIRES(mutex_);
 
-  // Approximate resident bytes for the given budget usage.
-  size_t ApproxBytes(size_t fixes, size_t sessions) const {
-    return fixes * sizeof(core::GpsPoint) +
-           sessions * kSessionOverheadBytes;
-  }
-  // True while any configured budget is exceeded by current usage.
-  bool OverBudget() const;
-  // Applies the overload policy until the budgets fit (shedding spares
-  // `exclude`). OK = admitted; ResourceExhausted = give up (the caller
-  // rolls its optimistic claims back).
-  [[nodiscard]] common::Status ResolveOverload(core::ObjectId exclude);
-  // Evicts the least-recently-fed session other than `exclude`; false
-  // when no candidate exists.
-  bool ShedOldestIdle(core::ObjectId exclude);
-
-  const core::SemiTriPipeline* pipeline_;
-  SessionManagerConfig config_;
+  const core::SemiTriPipeline* const pipeline_;
+  const SessionManagerConfig config_;
   common::Env* const env_;  // resolved from config_.env, never null
-  const common::Clock* clock_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  ActivityTracker activity_;
+  const common::Clock* const clock_;
 
-  // Global budget usage (claim-then-rollback accounting: Feed claims
-  // optimistically with fetch_add, reconciles to the true delta after
-  // the session consumed the fix, and rolls back on rejection).
-  std::atomic<size_t> live_sessions_{0};
-  std::atomic<int64_t> buffered_fixes_{0};
+  mutable std::mutex mutex_;
+  Sessions sessions_ SEMITRI_GUARDED_BY(mutex_);
+  // Live objects, least recently fed first.
+  std::list<core::ObjectId> lru_ SEMITRI_GUARDED_BY(mutex_);
+  // Next trajectory id for objects whose session was retired
+  // (eviction / Close / shed): a reconnecting object must keep
+  // ascending through its id block, or the fresh session would
+  // restart at object_id * ids_per_object and overwrite the durable
+  // rows its predecessor already finalized.
+  std::map<core::ObjectId, core::TrajectoryId> resume_ids_
+      SEMITRI_GUARDED_BY(mutex_);
+  // Sum of every entry's charged_fixes.
+  size_t buffered_fixes_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  // Counters carried over from retired sessions so stats() survives
+  // eviction.
+  size_t opened_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  size_t evicted_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  size_t evicted_with_data_loss_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  AnnotationSession::Stats retired_ SEMITRI_GUARDED_BY(mutex_) = {};
+  // Overload decisions (monotonic).
+  size_t sessions_shed_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  size_t admission_rejected_sessions_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  size_t overload_rejected_fixes_ SEMITRI_GUARDED_BY(mutex_) = 0;
   // What the most recent Restore() rebuilt (see Stats).
-  std::atomic<size_t> sessions_restored_{0};
-  std::atomic<size_t> resume_cursors_restored_{0};
-
-  // Overload decision counters (monotonic).
-  std::atomic<size_t> sessions_shed_{0};
-  std::atomic<size_t> admission_rejected_sessions_{0};
-  std::atomic<size_t> overload_rejected_fixes_{0};
+  size_t sessions_restored_ SEMITRI_GUARDED_BY(mutex_) = 0;
+  size_t resume_cursors_restored_ SEMITRI_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace semitri::stream

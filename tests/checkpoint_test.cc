@@ -353,6 +353,72 @@ TEST_F(CheckpointFixture, ManagerRestoreAcceptsExactlyOneCheckpointFrame) {
   EXPECT_EQ(manager.Restore(ckpt).code(), common::StatusCode::kIoError);
 }
 
+TEST_F(CheckpointFixture, FailedRestoreLeavesManagerUnchanged) {
+  core::SemiTriPipeline pipeline(Model());
+  std::string ckpt =
+      (fs::temp_directory_path() / "semitri_manager_failed_restore.bin")
+          .string();
+  {
+    SessionManager source(&pipeline);
+    std::vector<core::GpsPoint> s = PersonStream(0, 1);
+    for (size_t i = 0; i < std::min<size_t>(s.size(), 300); ++i) {
+      ASSERT_TRUE(source.Feed(0, s[i]).ok());
+    }
+    ASSERT_TRUE(source.Checkpoint(ckpt).ok());
+  }
+  std::string payload;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    std::string intact((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+    auto decoded = store::DecodeWalFrames(
+        intact, [&](store::WalRecordType, std::string_view body) {
+          payload = std::string(body);
+          return common::Status::OK();
+        });
+    ASSERT_TRUE(decoded.ok());
+  }
+  // The payload is ten u64 counters, the resume-cursor count (0 here),
+  // the live-session count (1), then object 0's id and state.
+  constexpr size_t kLiveCountAt = 11 * 8;
+  ASSERT_GT(payload.size(), kLiveCountAt + 8);
+  const std::string session = payload.substr(kLiveCountAt + 8);
+  common::StateWriter two;
+  two.PutU64(2);
+  // Re-framed payloads whose frame CRC holds but whose state does not:
+  // a good checkpoint of object 0 plus one stray byte, and object 0's
+  // session twice.
+  const std::string stray = payload + '\x01';
+  const std::string doubled =
+      payload.substr(0, kLiveCountAt) + two.data() + session + session;
+  std::vector<core::GpsPoint> s = PersonStream(1, 1);
+  for (const std::string& bad : {stray, doubled}) {
+    std::string bytes;
+    store::AppendWalFrame(store::WalRecordType::kSessionCheckpoint, bad,
+                          &bytes);
+    {
+      std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+
+    SessionManager target(&pipeline);
+    for (size_t i = 0; i < 50; ++i) ASSERT_TRUE(target.Feed(7, s[i]).ok());
+    SessionManager::Stats before = target.stats();
+
+    EXPECT_EQ(target.Restore(ckpt).code(), common::StatusCode::kCorruption);
+    EXPECT_TRUE(target.HasLiveSession(7));
+    EXPECT_FALSE(target.HasLiveSession(0));
+    SessionManager::Stats after = target.stats();
+    EXPECT_EQ(after.active_sessions, before.active_sessions);
+    EXPECT_EQ(after.points_fed, before.points_fed);
+    EXPECT_EQ(after.buffered_fixes, before.buffered_fixes);
+    EXPECT_EQ(after.sessions_restored, 0u);
+    // Object 7 keeps feeding where it stopped.
+    EXPECT_TRUE(target.Feed(7, s[50]).ok());
+  }
+  fs::remove(ckpt);
+}
+
 TEST_F(CheckpointFixture, CleanEvictionHasNoDataLoss) {
   store::SemanticTrajectoryStore store;
   core::SemiTriPipeline pipeline(Model(), &store);

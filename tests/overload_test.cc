@@ -1,9 +1,8 @@
 // Admission control & backpressure tests for stream::SessionManager:
-// global session / buffered-fix / byte budgets, the two overload
-// policies (reject-new, shed-oldest-idle), heap-driven idle eviction,
-// checkpoint / restore of the budget accounting, the Health() operator
-// view, and a deterministic 10x-oversubscribed saturation run under a
-// FakeClock.
+// global session / buffered-fix budgets, shedding the least-recently-fed
+// session when a budget is exceeded, idle eviction, checkpoint / restore
+// of the budget accounting, the Health() operator view, and a
+// deterministic 10x-oversubscribed saturation run under a FakeClock.
 
 #include "stream/session_manager.h"
 
@@ -65,29 +64,8 @@ class OverloadFixture : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------
-// Budgets and the reject-new policy.
+// Budgets.
 // ---------------------------------------------------------------------
-
-TEST_F(OverloadFixture, RejectNewSessionWhenSessionBudgetFull) {
-  AdmissionConfig admission;
-  admission.max_sessions = 2;
-  SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock_);
-
-  ASSERT_TRUE(manager.Feed(1, Fix(0.0)).ok());
-  ASSERT_TRUE(manager.Feed(2, Fix(0.0)).ok());
-  // Third object exceeds the session budget; fail fast.
-  common::Result<AnnotationSession::FeedResult> rejected =
-      manager.Feed(3, Fix(0.0));
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(manager.ActiveSessions(), 2u);
-  EXPECT_EQ(manager.stats().admission_rejected_sessions, 1u);
-
-  // Existing sessions keep feeding: the budget gates admissions, not
-  // already-admitted work.
-  EXPECT_TRUE(manager.Feed(1, Fix(1.0)).ok());
-  EXPECT_TRUE(manager.Feed(2, Fix(1.0)).ok());
-}
 
 TEST_F(OverloadFixture, BufferedFixBudgetRejectsFixesToExistingSessions) {
   AdmissionConfig admission;
@@ -103,27 +81,11 @@ TEST_F(OverloadFixture, BufferedFixBudgetRejectsFixesToExistingSessions) {
       manager.Feed(7, Fix(5.0));
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  // The optimistic claim was rolled back: usage is unchanged.
+  // Object 7 is the only session, so there is nothing to shed: the fix
+  // is turned away and usage is unchanged.
   EXPECT_EQ(manager.stats().buffered_fixes, 5u);
   EXPECT_EQ(manager.stats().overload_rejected_fixes, 1u);
   EXPECT_EQ(manager.stats().admission_rejected_sessions, 0u);
-}
-
-TEST_F(OverloadFixture, ByteBudgetChargesFixesPlusSessionOverhead) {
-  AdmissionConfig admission;
-  // Exactly 10 buffered fixes for one session fit; the 11th does not.
-  admission.max_buffered_bytes =
-      SessionManager::kSessionOverheadBytes + 10 * sizeof(core::GpsPoint);
-  SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock_);
-
-  for (int k = 0; k < 10; ++k) {
-    ASSERT_TRUE(manager.Feed(1, Fix(k)).ok()) << "fix " << k;
-  }
-  common::Result<AnnotationSession::FeedResult> rejected =
-      manager.Feed(1, Fix(10.0));
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(manager.stats().buffered_fixes, 10u);
 }
 
 TEST_F(OverloadFixture, BudgetsReleasedOnFlushCloseAndEvict) {
@@ -152,40 +114,44 @@ TEST_F(OverloadFixture, BudgetsReleasedOnFlushCloseAndEvict) {
 }
 
 // ---------------------------------------------------------------------
-// Shed-oldest-idle.
+// Shedding the least-recently-fed session.
 // ---------------------------------------------------------------------
 
 TEST_F(OverloadFixture, ShedOldestIdleEvictsLeastRecentlyFedFirst) {
-  AdmissionConfig admission;
-  admission.max_sessions = 2;
-  admission.overload_policy = OverloadPolicy::kShedOldestIdle;
-  SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock_);
+  // Between feeds the clock advances by one second, or not at all: equal
+  // ticks break by feed order, so object 2 is shed in both cases.
+  for (double tick : {1.0, 0.0}) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    FakeClock clock;
+    AdmissionConfig admission;
+    admission.max_sessions = 2;
+    SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock);
 
-  ASSERT_TRUE(manager.Feed(1, Fix(0.0)).ok());
-  clock_.Advance(1.0);
-  ASSERT_TRUE(manager.Feed(2, Fix(0.0)).ok());
-  clock_.Advance(1.0);
-  // Refresh object 1: object 2 is now the least recently fed.
-  ASSERT_TRUE(manager.Feed(1, Fix(1.0)).ok());
-  clock_.Advance(1.0);
+    ASSERT_TRUE(manager.Feed(1, Fix(0.0)).ok());
+    clock.Advance(tick);
+    ASSERT_TRUE(manager.Feed(2, Fix(0.0)).ok());
+    clock.Advance(tick);
+    // Refresh object 1: object 2 is now the least recently fed.
+    ASSERT_TRUE(manager.Feed(1, Fix(1.0)).ok());
+    clock.Advance(tick);
 
-  ASSERT_TRUE(manager.Feed(3, Fix(0.0)).ok());
-  EXPECT_EQ(manager.ActiveSessions(), 2u);
-  EXPECT_EQ(manager.stats().sessions_shed, 1u);
-  // Object 2 (stale) was shed; 1 and 3 are live.
-  EXPECT_EQ(manager.Close(2).code(), StatusCode::kNotFound);
-  EXPECT_TRUE(manager.Flush(1).ok());
-  EXPECT_TRUE(manager.Flush(3).ok());
+    ASSERT_TRUE(manager.Feed(3, Fix(0.0)).ok());
+    EXPECT_EQ(manager.ActiveSessions(), 2u);
+    EXPECT_EQ(manager.stats().sessions_shed, 1u);
+    // Object 2 (stale) was shed; 1 and 3 are live.
+    EXPECT_EQ(manager.Close(2).code(), StatusCode::kNotFound);
+    EXPECT_TRUE(manager.Flush(1).ok());
+    EXPECT_TRUE(manager.Flush(3).ok());
+  }
 }
 
 TEST_F(OverloadFixture, ShedNeverTargetsTheObjectBeingAdmitted) {
   AdmissionConfig admission;
   admission.max_buffered_fixes = 3;
-  admission.overload_policy = OverloadPolicy::kShedOldestIdle;
   SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock_);
 
   // One object alone exceeds the budget: there is nothing to shed but
-  // itself, which the policy refuses — the fix is rejected instead.
+  // itself, which Feed refuses — the fix is rejected instead.
   for (int k = 0; k < 3; ++k) ASSERT_TRUE(manager.Feed(1, Fix(k)).ok());
   common::Result<AnnotationSession::FeedResult> rejected =
       manager.Feed(1, Fix(3.0));
@@ -211,7 +177,6 @@ TEST_F(OverloadFixture, SheddingPreservesDurableRows) {
                              core::PipelineConfig{}, &live_store);
   AdmissionConfig admission;
   admission.max_sessions = 1;
-  admission.overload_policy = OverloadPolicy::kShedOldestIdle;
   SessionManager manager(&live, ConfigWith(admission), &clock_);
 
   for (const core::GpsPoint& fix : stream) {
@@ -229,21 +194,21 @@ TEST_F(OverloadFixture, SheddingPreservesDurableRows) {
 }
 
 // ---------------------------------------------------------------------
-// Heap-driven idle eviction.
+// Idle eviction.
 // ---------------------------------------------------------------------
 
 TEST_F(OverloadFixture, EvictIdleUsesAuthoritativeActivityNotStaleHeapTicks) {
   SessionManager manager(pipeline_.get(), SessionManagerConfig{}, &clock_);
 
-  ASSERT_TRUE(manager.Feed(1, Fix(0.0)).ok());  // heap entry at t=0
+  ASSERT_TRUE(manager.Feed(1, Fix(0.0)).ok());  // t=0
   clock_.Advance(10.0);
   ASSERT_TRUE(manager.Feed(2, Fix(0.0)).ok());  // t=10
   clock_.Advance(10.0);
-  // Refresh object 1 at t=20: its t=0 heap entry is now stale.
+  // Refresh object 1 at t=20: its t=0 feed no longer counts.
   ASSERT_TRUE(manager.Feed(1, Fix(1.0)).ok());
 
   // cutoff = now - 5 = t=15: object 2 (t=10) is idle, object 1 (t=20)
-  // is not — even though object 1's *stale* heap tick (t=0) is oldest.
+  // is not — even though object 1 was fed first.
   auto evicted = manager.EvictIdle(5.0);
   ASSERT_TRUE(evicted.ok());
   EXPECT_EQ(*evicted, 1u);
@@ -283,19 +248,21 @@ TEST_F(OverloadFixture, RestoreRebuildsBudgetAccountingAndActivity) {
   EXPECT_EQ(restored.stats().buffered_fixes, 15u);
 
   // Enforcement picks up where the original left off: 5 more fixes fill
-  // the budget, the 21st is rejected.
+  // the budget, and the 21st sheds object 2, the least recently fed.
   for (int k = 0; k < 5; ++k) {
     ASSERT_TRUE(restored.Feed(1, Fix(10.0 + k)).ok()) << "fix " << k;
   }
-  common::Result<AnnotationSession::FeedResult> rejected =
-      restored.Feed(1, Fix(20.0));
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(restored.stats().buffered_fixes, 20u);
+  ASSERT_TRUE(restored.Feed(1, Fix(20.0)).ok());
+  EXPECT_EQ(restored.stats().sessions_shed, 1u);
+  EXPECT_FALSE(restored.HasLiveSession(2));
+  EXPECT_EQ(restored.stats().buffered_fixes, 16u);
 
-  // The activity heap was rebuilt too: idle eviction still works.
+  // The least-recently-fed order was rebuilt too: idle eviction still
+  // works.
   auto evicted = restored.EvictIdle(0.0);
   ASSERT_TRUE(evicted.ok());
-  EXPECT_EQ(*evicted, 2u);
+  EXPECT_EQ(*evicted, 1u);
   EXPECT_EQ(restored.stats().buffered_fixes, 0u);
   fs::remove(path);
 }
@@ -320,9 +287,6 @@ TEST_F(OverloadFixture, HealthReportsBudgetGaugesAndOverloadCounters) {
   EXPECT_EQ(health.sessions.limit, 4u);
   EXPECT_EQ(health.buffered_fixes.used, 2u);
   EXPECT_EQ(health.buffered_fixes.limit, 100u);
-  EXPECT_EQ(health.buffered_bytes.used,
-            2 * sizeof(core::GpsPoint) +
-                2 * SessionManager::kSessionOverheadBytes);
   EXPECT_FALSE(health.degraded());  // 50% of the session budget
 
   ASSERT_TRUE(manager.Feed(3, Fix(0.0)).ok());
@@ -358,7 +322,6 @@ TEST_F(OverloadFixture, TenfoldOversubscriptionStaysWithinBudgetsAndSheds) {
     AdmissionConfig admission;
     admission.max_sessions = kMaxSessions;
     admission.max_buffered_fixes = kMaxFixes;
-    admission.overload_policy = OverloadPolicy::kShedOldestIdle;
     SessionManager manager(pipeline_.get(), ConfigWith(admission), &clock);
 
     size_t longest = 0;
@@ -369,8 +332,8 @@ TEST_F(OverloadFixture, TenfoldOversubscriptionStaysWithinBudgetsAndSheds) {
              ++k) {
           common::Result<AnnotationSession::FeedResult> fed =
               manager.Feed(i, streams[i][k]);
-          // Shed-oldest-idle admits every fix here: there is always an
-          // idle session to shed (9 idle feeders per slot).
+          // Every fix is admitted here: there is always an idle session
+          // to shed (9 idle feeders per slot).
           ASSERT_TRUE(fed.ok()) << fed.status().ToString();
         }
         clock.Advance(0.1);
@@ -387,8 +350,8 @@ TEST_F(OverloadFixture, TenfoldOversubscriptionStaysWithinBudgetsAndSheds) {
   SessionManager::Stats first;
   run_once(&first);
   // 10 feeders sharing one slot: shedding must have happened, and every
-  // fed fix was accepted (shed-oldest-idle back-pressures by evicting,
-  // not by dropping inbound work).
+  // fed fix was accepted (shedding back-pressures by evicting, not by
+  // dropping inbound work).
   EXPECT_GT(first.sessions_shed, 0u);
   size_t total_points = 0;
   for (const auto& s : streams) total_points += s.size();

@@ -43,13 +43,11 @@ TEST(StreamStressTest, ConcurrentFeedersSharedPipeline) {
   analytics::LatencyProfiler profiler;
   core::SemiTriPipeline pipeline(&world.regions, &world.roads, &world.pois,
                                  core::PipelineConfig{}, &store, &profiler);
-  SessionManagerConfig mc;
-  mc.num_shards = 4;
-  SessionManager manager(&pipeline, mc);
+  SessionManager manager(&pipeline);
 
   // Each feeder owns a disjoint set of objects (per-object feeds must
   // stay time-ordered) and drives them round-robin; feeders contend on
-  // shards, the store, and the profiler.
+  // the manager's lock, the store, and the profiler.
   std::atomic<bool> failed{false};
   std::vector<std::thread> feeders;
   for (int f = 0; f < kFeeders; ++f) {
@@ -109,7 +107,6 @@ TEST(StreamStressTest, ChurningSessionsUnderEviction) {
   // feed, evict, recreate) under contention without annotation cost.
   core::SemiTriPipeline pipeline(nullptr, nullptr, nullptr);
   SessionManagerConfig mc;
-  mc.num_shards = 2;
   mc.session.max_buffered_points = 64;
   SessionManager manager(&pipeline, mc);
 
@@ -155,18 +152,16 @@ TEST(StreamStressTest, ChurningSessionsUnderEviction) {
 }
 
 TEST(StreamStressTest, ContendedAdmissionWithShedOldestIdle) {
-  // Overload machinery under contention: tight global budgets with the
-  // shed-oldest-idle policy, so admissions on one shard evict sessions
-  // on other shards while feeders, idle eviction, closes and Health
-  // readers all run concurrently. TSan checks the claim/rollback budget
-  // accounting and the activity heap; the final invariants check that
-  // no claim leaks whatever interleaving happened.
+  // Overload machinery under contention: tight global budgets, so one
+  // feeder's admissions shed other feeders' sessions while feeders,
+  // idle eviction, closes and Health readers all run concurrently. TSan
+  // checks the budget accounting and the least-recently-fed order; the
+  // final invariants check that no charge leaks whatever interleaving
+  // happened.
   core::SemiTriPipeline pipeline(nullptr, nullptr, nullptr);
   SessionManagerConfig mc;
-  mc.num_shards = 4;
   mc.admission.max_sessions = 6;
   mc.admission.max_buffered_fixes = 256;
-  mc.admission.overload_policy = OverloadPolicy::kShedOldestIdle;
   SessionManager manager(&pipeline, mc);
 
   constexpr int kThreads = 4;
@@ -186,8 +181,8 @@ TEST(StreamStressTest, ContendedAdmissionWithShedOldestIdle) {
               accepted.fetch_add(1);
             } else if (fed.status().code() !=
                        common::StatusCode::kResourceExhausted) {
-              // Shedding may legitimately fail to find a candidate in a
-              // race; any other error is a real bug.
+              // Feed rejects when no other session is left to shed; any
+              // other error is a real bug.
               failed.store(true);
             }
           }
@@ -214,8 +209,8 @@ TEST(StreamStressTest, ContendedAdmissionWithShedOldestIdle) {
   EXPECT_EQ(manager.ActiveSessions(), 0u);
 
   SessionManager::Stats stats = manager.stats();
-  // Claim/rollback accounting balanced out: nothing left charged after
-  // every session closed, and every accepted fix reached a session.
+  // The accounting balanced out: nothing left charged after every
+  // session closed, and every accepted fix reached a session.
   EXPECT_EQ(stats.buffered_fixes, 0u);
   EXPECT_EQ(stats.points_fed, accepted.load());
   EXPECT_GT(stats.sessions_shed, 0u);

@@ -306,31 +306,6 @@ TEST_F(StreamFixture, AnnotationSessionMatchesOfflinePipeline) {
   EXPECT_GT(session.stats().annotation_passes, 0u);
 }
 
-TEST_F(StreamFixture, SessionWithoutPerEpisodeAnnotationSameEndState) {
-  std::vector<core::GpsPoint> stream = PersonStream(1, 2);
-
-  store::SemanticTrajectoryStore eager_store;
-  core::SemiTriPipeline eager(Model(), &eager_store);
-  AnnotationSession eager_session(&eager, 1, SessionConfig{});
-  for (const core::GpsPoint& fix : stream) {
-    ASSERT_TRUE(eager_session.Feed(fix).ok());
-  }
-  ASSERT_TRUE(eager_session.Flush().ok());
-
-  store::SemanticTrajectoryStore lazy_store;
-  core::SemiTriPipeline lazy(Model(), &lazy_store);
-  SessionConfig lazy_config;
-  lazy_config.annotate_on_episode = false;
-  AnnotationSession lazy_session(&lazy, 1, lazy_config);
-  for (const core::GpsPoint& fix : stream) {
-    ASSERT_TRUE(lazy_session.Feed(fix).ok());
-  }
-  ASSERT_TRUE(lazy_session.Flush().ok());
-
-  EXPECT_TRUE(lazy_store.ContentEquals(eager_store));
-  EXPECT_EQ(lazy_session.stats().annotation_passes, 0u);
-}
-
 TEST_F(StreamFixture, SessionManagerMatchesOfflinePerObjectRuns) {
   constexpr int kObjects = 3;
   std::vector<std::vector<core::GpsPoint>> streams;

@@ -236,7 +236,10 @@ struct MemberDecl {
 // Walks a class body (between its braces), returning the logical
 // member declarations at class depth. Inline method bodies, nested
 // type bodies, and member initializer braces are skipped wholesale;
-// nested classes are audited by their own discovery pass.
+// nested classes are audited by their own discovery pass. An inline
+// function body ends its member at the closing brace, so the
+// declaration after it is not glued onto the function; a brace inside
+// a parameter list (`Config config = {}`) does not end anything.
 std::vector<MemberDecl> ClassMembers(const SourceFile& f, size_t open_line,
                                      size_t open_col, size_t close_line,
                                      size_t close_col) {
@@ -252,7 +255,11 @@ std::vector<MemberDecl> ClassMembers(const SourceFile& f, size_t open_line,
       char c = code[ci];
       if (brace_skip > 0) {
         if (c == '{') ++brace_skip;
-        if (c == '}') --brace_skip;
+        if (c == '}' && --brace_skip == 0 && paren_depth == 0 &&
+            current.text.find('(') != std::string::npos) {
+          members.push_back({Trim(current.text), current.line});
+          current = MemberDecl{};
+        }
         continue;
       }
       if (c == '{') {

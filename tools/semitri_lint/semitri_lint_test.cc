@@ -99,6 +99,18 @@ TEST(GuardedByTest, FlagsUnannotatedMemberNextToMutex) {
   EXPECT_EQ(findings[0].check, "guarded-by-completeness");
 }
 
+TEST(GuardedByTest, SeesMembersDeclaredAfterInlineBodies) {
+  Corpus corpus;
+  corpus.files.push_back(LoadFixture("guarded_by_inline_bodies.h",
+                                     "src/fixture/guarded_inline.h"));
+  const SourceFile& f = corpus.files[0];
+  std::vector<Finding> findings = CheckGuardedByCompleteness(corpus);
+
+  EXPECT_EQ(findings.size(), 1u);
+  EXPECT_EQ(CountOnLine(findings, f.path(), LineOfMarker(f, "bumps_ = 0")),
+            1u);
+}
+
 TEST(GuardedByTest, PassesAnnotatedExemptAndSuppressed) {
   Corpus corpus;
   corpus.files.push_back(
