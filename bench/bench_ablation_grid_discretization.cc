@@ -2,12 +2,17 @@
 // observation model (paper §4.3 "discretization and neighboring
 // techniques") versus exact evaluation over all POIs.
 //
-// Measures (a) emission-evaluation throughput for both variants via
-// google-benchmark and (b) decoded-category agreement.
+// Measures (a) emission-evaluation throughput for both variants, model
+// construction and the first read of a cold cell via google-benchmark
+// and (b) decoded-category agreement.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
+#include <optional>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -57,11 +62,45 @@ void BM_ModelConstruction(benchmark::State& state) {
   }
 }
 
+// The cost construction leaves to the reads: a fresh model (untimed),
+// then a batch of first reads of distinct cells, each of which fills
+// its cell. The time per item is the cost of one cold cell.
+void BM_ColdCellEmissions(benchmark::State& state) {
+  datagen::World& world = TestWorld();
+  const size_t kBatch = 256;
+  std::optional<poi::PoiObservationModel> model(std::in_place, &world.pois);
+  const auto& grid = model->grid();
+  const size_t num_cells = grid.cols() * grid.rows();
+  std::vector<size_t> cells(num_cells);
+  std::iota(cells.begin(), cells.end(), size_t{0});
+  common::Rng rng(13);
+  std::shuffle(cells.begin(), cells.end(), rng.engine());
+  std::vector<geo::Point> queries;
+  for (size_t k = 0; k < kBatch; ++k) {
+    queries.push_back(
+        grid.CellCenter(cells[k] % grid.cols(), cells[k] / grid.cols()));
+  }
+  std::vector<double> out(model->num_categories());
+  for (auto _ : state) {
+    state.PauseTiming();
+    model.emplace(&world.pois);  // destroys the previous model, untimed
+    state.ResumeTiming();
+    for (const geo::Point& p : queries) model->EmissionsAtInto(p, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["cold_cell"] = benchmark::Counter(
+      static_cast<double>(kBatch),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
 }  // namespace
 
 BENCHMARK(BM_EmissionsDiscretized);
 BENCHMARK(BM_EmissionsExact);
 BENCHMARK(BM_ModelConstruction)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdCellEmissions)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   benchutil::BenchReporter reporter("ablation_grid_discretization");

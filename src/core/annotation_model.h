@@ -11,7 +11,12 @@
 // same world and config: all shards of a ShardCluster, and every
 // restart, failover and added shard. The annotators' queries are const
 // and keep no scratch state, so pipelines on many threads may run one
-// model at once.
+// model at once. The model is logically immutable: every query returns
+// what it would have returned at construction. The one write behind a
+// query is the observation grid's, which computes a cell the first time
+// any thread reads it and publishes it once, lock-free
+// (poi/observation_model.h); building a model therefore does not pay
+// for the cells no stop ever lands in.
 
 #include <memory>
 

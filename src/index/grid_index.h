@@ -15,7 +15,8 @@
 namespace semitri::index {
 
 // Maps points to integer cells of a fixed-resolution grid and stores a
-// bucket of T per cell.
+// bucket of T per cell. The buckets are allocated by the first Insert,
+// so a grid used only for its geometry costs no per-cell storage.
 template <typename T>
 class GridIndex {
  public:
@@ -27,7 +28,6 @@ class GridIndex {
         1, static_cast<size_t>(std::ceil(extent.Width() / cell_size)));
     rows_ = std::max<size_t>(
         1, static_cast<size_t>(std::ceil(extent.Height() / cell_size)));
-    cells_.resize(cols_ * rows_);
   }
 
   size_t cols() const { return cols_; }
@@ -56,6 +56,7 @@ class GridIndex {
   }
 
   void Insert(const geo::Point& p, T value) {
+    if (cells_.empty()) cells_.resize(cols_ * rows_);
     auto [cx, cy] = CellOf(p);
     cells_[cy * cols_ + cx].push_back(std::move(value));
   }
@@ -66,6 +67,7 @@ class GridIndex {
   std::vector<T> Neighborhood(const geo::Point& p, size_t ring) const {
     auto [cx, cy] = CellOf(p);
     std::vector<T> out;
+    if (cells_.empty()) return out;
     size_t x0 = cx >= ring ? cx - ring : 0;
     size_t y0 = cy >= ring ? cy - ring : 0;
     size_t x1 = std::min(cols_ - 1, cx + ring);

@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 namespace semitri::poi {
 
 namespace {
+
+// States of a cell_state_ entry.
+constexpr uint8_t kEmpty = 0;
+constexpr uint8_t kFilling = 1;
+constexpr uint8_t kFilled = 2;
 
 geo::BoundingBox GridExtent(const PoiSet& pois, double cell) {
   geo::BoundingBox extent = pois.Bounds();
@@ -38,8 +44,7 @@ PoiObservationModel::PoiObservationModel(const PoiSet* pois,
       config_(std::move(config)),
       grid_(GridExtent(*pois, config_.grid_cell_meters),
             config_.grid_cell_meters) {
-  // Mirror the POIs into SoA form (indexed by PlaceId) and register them
-  // in grid cells.
+  // Mirror the POIs into SoA form, indexed by PlaceId.
   const std::vector<Poi>& all = pois_->pois();
   poi_x_.reserve(all.size());
   poi_y_.reserve(all.size());
@@ -53,65 +58,45 @@ PoiObservationModel::PoiObservationModel(const PoiSet* pois,
     poi_two_sigma2_.push_back(2.0 * sigma * sigma);
     poi_norm_.push_back(2.0 * M_PI * sigma * sigma);
     poi_cat_.push_back(static_cast<int32_t>(p.category));
-    grid_.Insert(p.position, p.id);
   }
-  // Precompute Pr(grid_jk | Ci) for every cell: sum of Gaussian
-  // influences of the POIs in the neighborhood box of that cell. The
-  // SoA mirror is re-ordered into a slab sorted by (grid row, grid
-  // column, insertion order) with per-bucket offsets, so a cell's
-  // neighborhood is one contiguous slice per box row — no per-cell
-  // gather or bucket walk. The slice concatenation visits POIs in
-  // exactly the order GridIndex::Neighborhood yields them (box rows
-  // ascending, buckets left to right, insertion order within a
-  // bucket), so the accumulated densities are bit-identical to the
-  // gather-per-cell pass this replaces.
+  // Re-order the mirror into a slab sorted by (grid row, grid column,
+  // PlaceId) with per-bucket offsets (a counting sort). A cell's
+  // neighborhood box is then one contiguous slice per box row, and the
+  // slices visit POIs in exactly the order GridIndex::Neighborhood
+  // yields them (box rows ascending, buckets left to right, insertion
+  // order within a bucket), so a filled cell is bit-identical to a
+  // gather-per-cell sum.
   const size_t cols = grid_.cols();
-  const size_t rows = grid_.rows();
-  const size_t num_cat = pois_->num_categories();
-  cell_densities_.assign(cols * rows * num_cat, 0.0);
+  const size_t num_cells = cols * grid_.rows();
   const size_t num_pois = all.size();
-  std::vector<size_t> bucket_begin(rows * cols + 1, 0);
+  bucket_begin_.assign(num_cells + 1, 0);
   std::vector<size_t> bucket_of(num_pois);
   for (size_t p = 0; p < num_pois; ++p) {
     auto [bx, by] = grid_.CellOf(all[p].position);
     bucket_of[p] = by * cols + bx;
-    ++bucket_begin[bucket_of[p] + 1];
+    ++bucket_begin_[bucket_of[p] + 1];
   }
-  for (size_t b = 1; b <= rows * cols; ++b) {
-    bucket_begin[b] += bucket_begin[b - 1];
+  for (size_t b = 1; b <= num_cells; ++b) {
+    bucket_begin_[b] += bucket_begin_[b - 1];
   }
-  std::vector<double> sx(num_pois), sy(num_pois), ss2(num_pois),
-      sn(num_pois);
-  std::vector<int32_t> sc(num_pois);
-  std::vector<size_t> fill(bucket_begin.begin(), bucket_begin.end() - 1);
+  slab_x_.resize(num_pois);
+  slab_y_.resize(num_pois);
+  slab_two_sigma2_.resize(num_pois);
+  slab_norm_.resize(num_pois);
+  slab_cat_.resize(num_pois);
+  std::vector<size_t> fill(bucket_begin_.begin(), bucket_begin_.end() - 1);
   for (size_t p = 0; p < num_pois; ++p) {
     size_t at = fill[bucket_of[p]]++;
-    sx[at] = poi_x_[p];
-    sy[at] = poi_y_[p];
-    ss2[at] = poi_two_sigma2_[p];
-    sn[at] = poi_norm_[p];
-    sc[at] = poi_cat_[p];
+    slab_x_[at] = poi_x_[p];
+    slab_y_[at] = poi_y_[p];
+    slab_two_sigma2_[at] = poi_two_sigma2_[p];
+    slab_norm_[at] = poi_norm_[p];
+    slab_cat_[at] = poi_cat_[p];
   }
-  const size_t ring = config_.neighbor_ring;
-  for (size_t cy = 0; cy < rows; ++cy) {
-    const size_t y0 = cy >= ring ? cy - ring : 0;
-    const size_t y1 = std::min(rows - 1, cy + ring);
-    for (size_t cx = 0; cx < cols; ++cx) {
-      const size_t x0 = cx >= ring ? cx - ring : 0;
-      const size_t x1 = std::min(cols - 1, cx + ring);
-      geo::Point center = grid_.CellCenter(cx, cy);
-      double* out = cell_densities_.data() + (cy * cols + cx) * num_cat;
-      for (size_t y = y0; y <= y1; ++y) {
-        const size_t first = bucket_begin[y * cols + x0];
-        const size_t last = bucket_begin[y * cols + x1 + 1];
-        if (first == last) continue;
-        AccumulateGaussianDensities(sx.data() + first, sy.data() + first,
-                                    ss2.data() + first, sn.data() + first,
-                                    sc.data() + first, last - first,
-                                    center.x, center.y, out);
-      }
-    }
-  }
+  // Zeroed here rather than on fill, so the table's page faults stay
+  // out of the annotation passes.
+  cell_densities_.assign(num_cells * pois_->num_categories(), 0.0);
+  cell_state_ = std::vector<std::atomic<uint8_t>>(num_cells);
 }
 
 double PoiObservationModel::SigmaFor(int category) const {
@@ -122,11 +107,57 @@ double PoiObservationModel::SigmaFor(int category) const {
   return config_.default_sigma_meters;
 }
 
+void PoiObservationModel::FillCell(size_t cx, size_t cy) const {
+  const size_t cols = grid_.cols();
+  std::atomic<uint8_t>& state = cell_state_[cy * cols + cx];
+  uint8_t seen = kEmpty;
+  if (!state.compare_exchange_strong(seen, kFilling,
+                                     std::memory_order_acquire)) {
+    // Another reader is filling the cell, which takes microseconds.
+    while (state.load(std::memory_order_acquire) != kFilled) {
+      std::this_thread::yield();
+    }
+    return;
+  }
+  // Pr(grid_jk | Ci): the sum of Gaussian influences of the POIs in the
+  // neighborhood box of the cell, one slab slice per box row.
+  const size_t ring = config_.neighbor_ring;
+  const size_t x0 = cx >= ring ? cx - ring : 0;
+  const size_t x1 = std::min(cols - 1, cx + ring);
+  const size_t y0 = cy >= ring ? cy - ring : 0;
+  const size_t y1 = std::min(grid_.rows() - 1, cy + ring);
+  const geo::Point center = grid_.CellCenter(cx, cy);
+  const size_t num_cat = pois_->num_categories();
+  double* out = cell_densities_.data() + (cy * cols + cx) * num_cat;
+  for (size_t y = y0; y <= y1; ++y) {
+    const size_t first = bucket_begin_[y * cols + x0];
+    const size_t last = bucket_begin_[y * cols + x1 + 1];
+    if (first == last) continue;
+    AccumulateGaussianDensities(
+        slab_x_.data() + first, slab_y_.data() + first,
+        slab_two_sigma2_.data() + first, slab_norm_.data() + first,
+        slab_cat_.data() + first, last - first, center.x, center.y, out);
+  }
+  state.store(kFilled, std::memory_order_release);
+}
+
 std::span<const double> PoiObservationModel::CellDensities(size_t cx,
                                                            size_t cy) const {
+  const size_t cell = cy * grid_.cols() + cx;
+  if (cell_state_[cell].load(std::memory_order_acquire) != kFilled) {
+    FillCell(cx, cy);
+  }
   const size_t num_cat = pois_->num_categories();
-  return {cell_densities_.data() + (cy * grid_.cols() + cx) * num_cat,
-          num_cat};
+  return {cell_densities_.data() + cell * num_cat, num_cat};
+}
+
+size_t PoiObservationModel::cells_filled() const {
+  return static_cast<size_t>(
+      std::count_if(cell_state_.begin(), cell_state_.end(),
+                    [](const std::atomic<uint8_t>& state) {
+                      return state.load(std::memory_order_acquire) ==
+                             kFilled;
+                    }));
 }
 
 void PoiObservationModel::EmissionsAtInto(const geo::Point& center,

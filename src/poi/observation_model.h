@@ -7,16 +7,25 @@
 // The influence of a POI on a stop is a 2-D Gaussian centered on the POI
 // with category-specific bandwidth σ_c; Pr(o | Ci) is proportional to the
 // sum of influences of the category's POIs (Lemma 1). For efficiency the
-// model discretizes space into a grid and precomputes per-cell,
-// per-category densities, summing only POIs in a neighborhood box of
-// cells (the paper's discretization + neighboring pruning). An exact
+// model discretizes space into a grid of per-cell, per-category
+// densities, summing only POIs in a neighborhood box of cells (the
+// paper's discretization + neighboring pruning). An exact
 // (non-discretized, all-POIs) evaluation is kept for the ablation bench.
 //
 // Data plane: POIs are mirrored into structure-of-arrays form
 // (x/y/2σ²/normalizer/category) at construction and all density sums run
 // through the batched AccumulateGaussianDensities kernel; the per-cell
 // density table is one flat row-major array with stride num_categories.
+//
+// A cell's densities are computed the first time the cell is read, not
+// at construction: a pass reads a few hundred of the grid's tens of
+// thousands of cells, so construction does only the work that grows
+// with the POI count. The model is logically immutable — every read of
+// a cell returns the same densities — and safe to read from many
+// threads at once: the first read of a cell fills it exactly once, and
+// reading a filled cell costs one acquire load.
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -52,13 +61,14 @@ struct ObservationModelConfig {
 
 class PoiObservationModel {
  public:
-  // `pois` must outlive the model. Precomputes the discretized densities.
+  // `pois` must outlive the model. Builds the POI mirror and the
+  // per-cell POI slab; no cell is filled yet.
   PoiObservationModel(const PoiSet* pois, ObservationModelConfig config = {});
 
   size_t num_categories() const { return pois_->num_categories(); }
 
   // Pr(o | Ci) up to a common factor, for a stop observed at `center`
-  // (discretized: reads the precomputed cell), written into `out`
+  // (discretized: reads the cell holding `center`), written into `out`
   // (size num_categories()). One entry per category.
   void EmissionsAtInto(const geo::Point& center, std::span<double> out) const;
   // Allocating convenience for EmissionsAtInto.
@@ -74,20 +84,39 @@ class PoiObservationModel {
   // Per-category density at a grid cell (testing / visualization).
   std::span<const double> CellDensities(size_t cx, size_t cy) const;
 
+  // Cells whose densities have been computed so far (testing / benches).
+  // Walks the whole grid.
+  size_t cells_filled() const;
+
+  // The grid's geometry. It holds no POIs: the model keeps them in its
+  // own per-cell slab.
   const index::GridIndex<core::PlaceId>& grid() const { return grid_; }
   double SigmaFor(int category) const;
 
  private:
+  // Computes cell (cx, cy)'s densities unless another reader already
+  // has; returns once they are published.
+  void FillCell(size_t cx, size_t cy) const;
+
   const PoiSet* pois_;
   ObservationModelConfig config_;
   index::GridIndex<core::PlaceId> grid_;
-  // POI mirror in SoA form, indexed by PlaceId (= PoiSet index), feeding
-  // the batched kernel.
+  // POI mirror in SoA form, indexed by PlaceId (= PoiSet index), for
+  // the exact evaluation.
   std::vector<double> poi_x_, poi_y_, poi_two_sigma2_, poi_norm_;
   std::vector<int32_t> poi_cat_;
+  // The same mirror sorted by (grid row, grid column, PlaceId): bucket b
+  // = cy * cols + cx is slab_*[bucket_begin_[b], bucket_begin_[b + 1]),
+  // so a cell's neighborhood is one contiguous slice per box row.
+  std::vector<double> slab_x_, slab_y_, slab_two_sigma2_, slab_norm_;
+  std::vector<int32_t> slab_cat_;
+  std::vector<size_t> bucket_begin_;
   // Flat row-major density table: cell (cx, cy) is the row
-  // cell_densities_[(cy * cols + cx) * num_categories ...].
-  std::vector<double> cell_densities_;
+  // cell_densities_[(cy * cols + cx) * num_categories ...], zero until
+  // its cell_state_ entry reads kFilled. Written only by the one reader
+  // that moves that entry from kEmpty to kFilling.
+  mutable std::vector<double> cell_densities_;
+  mutable std::vector<std::atomic<uint8_t>> cell_state_;
 };
 
 }  // namespace semitri::poi

@@ -50,6 +50,17 @@ TEST(GridIndexTest, InsertAndRetrieve) {
   EXPECT_EQ(grid.Neighborhood(Point{15, 15}, 0).size(), 2u);
 }
 
+TEST(GridIndexTest, GridWithoutInsertsHasEmptyNeighborhoods) {
+  // A geometry-only grid: no Insert, so no buckets are allocated.
+  GridIndex<int> grid(BoundingBox({0, 0}, {100, 100}), 10.0);
+  EXPECT_TRUE(grid.Neighborhood(Point{55, 55}, 2).empty());
+  // A copy of it buckets values of its own.
+  GridIndex<int> buckets = grid;
+  buckets.Insert(Point{55, 55}, 7);
+  EXPECT_EQ(buckets.Neighborhood(Point{55, 55}, 0).size(), 1u);
+  EXPECT_TRUE(grid.Neighborhood(Point{55, 55}, 2).empty());
+}
+
 TEST(GridIndexTest, NeighborhoodCoversRing) {
   GridIndex<int> grid(BoundingBox({0, 0}, {100, 100}), 10.0);
   // One value per cell center.

@@ -8,8 +8,13 @@
 // the same operations in the same order as the scalar code, not merely
 // to agree within a tolerance.
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +26,7 @@
 #include "geo/point.h"
 #include "geo/segment.h"
 #include "hmm/hmm.h"
+#include "index/grid_index.h"
 #include "poi/observation_model.h"
 #include "road/road_network.h"
 #include "traj/point_batch.h"
@@ -151,12 +157,14 @@ TEST(PoiKernelEquivalenceTest, GaussianDensitiesMatchScalarFormula) {
 }
 
 TEST(PoiKernelEquivalenceTest, PrecomputedCellsMatchGatherPerCell) {
-  // The ctor's row-slab precompute against a literal Neighborhood
-  // gather per cell (the seed's shape) — every cell, every category.
+  // The row-slab cell fill against a literal Neighborhood gather per
+  // cell (the seed's shape) — every cell, every category. The model's
+  // grid holds no POIs, so the gather buckets them itself.
   datagen::World world = MakeWorld();
   poi::ObservationModelConfig config;
   poi::PoiObservationModel model(&world.pois, config);
-  const auto& grid = model.grid();
+  index::GridIndex<core::PlaceId> grid = model.grid();
+  for (const poi::Poi& p : world.pois.pois()) grid.Insert(p.position, p.id);
   const size_t num_cat = world.pois.num_categories();
   std::vector<double> gx, gy, gs2, gn, expected;
   std::vector<int32_t> gc;
@@ -187,6 +195,103 @@ TEST(PoiKernelEquivalenceTest, PrecomputedCellsMatchGatherPerCell) {
       }
     }
   }
+}
+
+// Expects every cell of `model` to equal the same cell of `reference`
+// read in row-major order, bit for bit.
+void ExpectCellsMatchRowMajor(const poi::PoiObservationModel& model,
+                              const poi::PoiObservationModel& reference) {
+  const auto& grid = reference.grid();
+  for (size_t cy = 0; cy < grid.rows(); ++cy) {
+    for (size_t cx = 0; cx < grid.cols(); ++cx) {
+      std::span<const double> want = reference.CellDensities(cx, cy);
+      std::span<const double> got = model.CellDensities(cx, cy);
+      for (size_t c = 0; c < want.size(); ++c) {
+        ASSERT_EQ(got[c], want[c]) << "cell " << cx << "," << cy;
+      }
+    }
+  }
+}
+
+TEST(PoiKernelEquivalenceTest, ScatteredFirstReadsMatchRowMajor) {
+  // A cell's densities must not depend on which cells were filled
+  // before it or on which reader filled it: fill every cell of one
+  // model in a shuffled order through all three readers.
+  datagen::World world = MakeWorld();
+  poi::PoiObservationModel scattered(&world.pois);
+  const auto& grid = scattered.grid();
+  const size_t num_cells = grid.cols() * grid.rows();
+  std::vector<size_t> order(num_cells);
+  std::iota(order.begin(), order.end(), size_t{0});
+  common::Rng rng(46);
+  std::shuffle(order.begin(), order.end(), rng.engine());
+  const double quarter = grid.cell_size() / 4.0;
+  for (size_t k = 0; k < num_cells; ++k) {
+    const size_t cx = order[k] % grid.cols();
+    const size_t cy = order[k] / grid.cols();
+    const geo::Point center = grid.CellCenter(cx, cy);
+    if (k % 3 == 0) {
+      (void)scattered.CellDensities(cx, cy);
+    } else if (k % 3 == 1) {
+      (void)scattered.EmissionsAt(center);
+    } else {
+      (void)scattered.EmissionsFor(geo::BoundingBox(
+          {center.x - quarter, center.y - quarter},
+          {center.x + quarter, center.y + quarter}));
+    }
+  }
+  EXPECT_EQ(scattered.cells_filled(), num_cells);
+  poi::PoiObservationModel row_major(&world.pois);
+  ExpectCellsMatchRowMajor(scattered, row_major);
+}
+
+TEST(PoiKernelEquivalenceTest, ConcurrentFirstReadsMatchRowMajor) {
+  // Four threads read the same new cells at once, two forward and two
+  // backward, so every cell is contended; what each thread read must
+  // equal a row-major fill of a second model. Under TSan this also
+  // checks the fill's publication.
+  datagen::World world = MakeWorld();
+  poi::PoiObservationModel shared(&world.pois);
+  const auto& grid = shared.grid();
+  const size_t num_cells = grid.cols() * grid.rows();
+  const size_t num_cat = shared.num_categories();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> seen(
+      kThreads, std::vector<double>(num_cells * num_cat));
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (size_t k = 0; k < num_cells; ++k) {
+        const size_t cell = t % 2 == 0 ? k : num_cells - 1 - k;
+        const size_t cx = cell % grid.cols();
+        const size_t cy = cell / grid.cols();
+        std::span<double> out(seen[t].data() + cell * num_cat, num_cat);
+        if (k % 2 == 0) {
+          std::span<const double> densities = shared.CellDensities(cx, cy);
+          std::copy(densities.begin(), densities.end(), out.begin());
+        } else {
+          shared.EmissionsAtInto(grid.CellCenter(cx, cy), out);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(shared.cells_filled(), num_cells);
+  poi::PoiObservationModel row_major(&world.pois);
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t cell = 0; cell < num_cells; ++cell) {
+      std::span<const double> want = row_major.CellDensities(
+          cell % grid.cols(), cell / grid.cols());
+      for (size_t c = 0; c < num_cat; ++c) {
+        ASSERT_EQ(seen[t][cell * num_cat + c], want[c])
+            << "thread " << t << " cell " << cell;
+      }
+    }
+  }
+  ExpectCellsMatchRowMajor(shared, row_major);
 }
 
 // --- flat Viterbi ----------------------------------------------------

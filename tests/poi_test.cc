@@ -165,6 +165,20 @@ TEST(ObservationModelTest, DensityPeaksAtPoiCluster) {
   EXPECT_GT(near_services[0], near_services[2]);
 }
 
+TEST(ObservationModelTest, CellsFillOnFirstRead) {
+  PoiSet pois = PoiSet::MilanCategories();
+  pois.Add({100, 100}, 1);
+  pois.Add({400, 300}, 2);
+  PoiObservationModel model(&pois);
+  EXPECT_EQ(model.cells_filled(), 0u);
+  auto first = model.EmissionsAt({110, 120});
+  EXPECT_EQ(model.cells_filled(), 1u);
+  // A second read of the cell returns the same densities, filling
+  // nothing.
+  EXPECT_EQ(model.EmissionsAt({110, 120}), first);
+  EXPECT_EQ(model.cells_filled(), 1u);
+}
+
 TEST(ObservationModelTest, DiscretizedApproximatesExact) {
   PoiSet pois = PoiSet::MilanCategories();
   common::Rng rng(9);
